@@ -117,6 +117,24 @@ class ConfigError(Exception):
     pass
 
 
+def _matches_default_type(value, default) -> bool:
+    """True when a JSON value has the type of the key's default.
+
+    An int is accepted where a float is expected; a None default (``xi``)
+    admits null or a list; list elements are checked against the default's
+    first element.
+    """
+    if default is None:
+        return value is None or isinstance(value, list)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            _matches_default_type(v, default[0]) for v in value
+        )
+    return type(value) is type(default)
+
+
 def _load_config(mode: str, path: str | None, seed_override: int | None) -> dict:
     cfg = dict(_DEFAULTS[mode])
     if path is not None:
@@ -130,6 +148,11 @@ def _load_config(mode: str, path: str | None, seed_override: int | None) -> dict
         unknown = sorted(set(user) - set(cfg))
         if unknown:
             raise ConfigError(f"unknown config keys for mode {mode!r}: {unknown}")
+        for key, value in user.items():
+            if not _matches_default_type(value, cfg[key]):
+                raise ConfigError(
+                    f"config key {key!r} expects a value like {cfg[key]!r}, got {value!r}"
+                )
         cfg.update(user)
     if seed_override is not None:
         cfg["seed"] = seed_override

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
 from .expfamily import ExpFamilyPoint, make_point, state_derivatives
-from .operators import hermitian_vec, partial_trace, partial_trace_stack
+from .operators import hermitian_eig, hermitian_vec, partial_trace, partial_trace_stack
 from .states import entropy_of_spectrum
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
@@ -60,18 +60,27 @@ def marginal_entropy_sum(point: ExpFamilyPoint) -> float:
     return total
 
 
-def _marginal_logs(point: ExpFamilyPoint) -> list[np.ndarray]:
+def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigendecomposition (w, U) of every marginal, eigenvalues ascending.
+
+    Raises BoundaryStateError when a marginal eigenvalue is at or below
+    MARGINAL_EIG_FLOOR: the marginal logarithms behind the constraint
+    gradient are not trustworthy there.
+    """
     shape = point.basis.shape
-    logs = []
+    out = []
     for i in range(shape.n_subsystems):
-        rho_i = partial_trace(point.rho, shape, i)
-        w, U = np.linalg.eigh(0.5 * (rho_i + rho_i.conj().T))
+        w, U = hermitian_eig(partial_trace(point.rho, shape, i))
         if w[0] <= MARGINAL_EIG_FLOOR:
             raise BoundaryStateError(
                 f"marginal {i} eigenvalue {w[0]:.3e} at or below {MARGINAL_EIG_FLOOR}"
             )
-        logs.append((U * np.log(w)) @ U.conj().T)
-    return logs
+        out.append((w, U))
+    return out
+
+
+def _marginal_logs(point: ExpFamilyPoint) -> list[np.ndarray]:
+    return [(U * np.log(w)) @ U.conj().T for w, U in marginal_eigh(point)]
 
 
 def constraint_gradient(point: ExpFamilyPoint) -> np.ndarray:
@@ -79,8 +88,11 @@ def constraint_gradient(point: ExpFamilyPoint) -> np.ndarray:
 
     Vanishes identically wherever every marginal is maximally mixed.
     """
+    return _gradient_from(point, state_derivatives(point))
+
+
+def _gradient_from(point: ExpFamilyPoint, D: np.ndarray) -> np.ndarray:
     shape = point.basis.shape
-    D = state_derivatives(point)
     logs = _marginal_logs(point)
     a = np.zeros(point.basis.size)
     for i in range(shape.n_subsystems):
@@ -96,8 +108,11 @@ def marginal_jacobian(point: ExpFamilyPoint) -> np.ndarray:
     tr_{-i}(d rho / d theta_b); M v = 0 therefore means the velocity v moves
     no marginal.  Shape (sum_i d_i^2, m).
     """
+    return _jacobian_from(point, state_derivatives(point))
+
+
+def _jacobian_from(point: ExpFamilyPoint, D: np.ndarray) -> np.ndarray:
     shape = point.basis.shape
-    D = state_derivatives(point)
     blocks = []
     for i in range(shape.n_subsystems):
         P = partial_trace_stack(D, shape, i)
@@ -144,8 +159,13 @@ def constraint_geometry(
     rcond: float = KERNEL_RCOND,
     hessian_step_scale: float = HESSIAN_STEP_SCALE,
 ) -> ConstraintGeometry:
-    """Bundle C, its gradient, M, ker M and the projector at one point."""
-    M = marginal_jacobian(point)
+    """Bundle C, its gradient, M, ker M and the projector at one point.
+
+    This is the analysis and reference geometry; the flow integrator uses
+    the local-block identity of ``flow.local_block_projection`` instead.
+    """
+    D = state_derivatives(point)
+    M = _jacobian_from(point, D)
     N = kernel_basis(M, rcond=rcond)
     proj = marginal_projector(point, N)
     hess = (
@@ -156,7 +176,7 @@ def constraint_geometry(
     return ConstraintGeometry(
         point=point,
         value=marginal_entropy_sum(point),
-        grad=constraint_gradient(point),
+        grad=_gradient_from(point, D),
         jacobian=M,
         kernel=N,
         projector=proj,

@@ -13,13 +13,14 @@ modular generator of a state is -log rho = psi I - K(theta); see the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BoundaryStateError
 from .operators import (
     OperatorBasis,
+    _readonly,
     exp_divided_difference,
     hermitian_eig,
     require_hermitian,
@@ -37,9 +38,11 @@ STATE_UNDERFLOW_FLOOR = 1e-250
 class ExpFamilyPoint:
     """Immutable snapshot of one family member and its local geometry.
 
-    All fields are computed eagerly at construction: the family generator
-    K(theta), log partition psi, state rho with its eigendecomposition,
-    mean parameters mu and BKM metric G.
+    The fields are computed at construction: the family generator K(theta),
+    log partition psi, state rho with its eigendecomposition and mean
+    parameters mu.  The full m x m BKM metric G is computed on first access
+    of ``metric`` and cached; the flow needs only G theta and a local block
+    (``metric_theta``, ``metric_block``).
     """
 
     theta: np.ndarray
@@ -48,7 +51,6 @@ class ExpFamilyPoint:
     psi: float
     rho: np.ndarray
     mu: np.ndarray
-    metric: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
 
@@ -60,16 +62,17 @@ class ExpFamilyPoint:
     def entropy(self) -> float:
         return float(self.psi - self.theta @ self.mu)
 
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """Full BKM metric G (Hessian of psi), computed on first access."""
+        return metric_block(self, slice(None))
 
 
 def family_generator(theta, basis: OperatorBasis) -> np.ndarray:
     """K(theta) = sum_a theta_a F_a."""
     theta = _check_theta(theta, basis)
-    return np.einsum("a,aij->ij", theta, basis.stack)
+    d = basis.shape.total_dim
+    return (theta @ basis.stack.reshape(basis.size, -1)).reshape(d, d)
 
 
 def _check_theta(theta, basis: OperatorBasis) -> np.ndarray:
@@ -81,10 +84,20 @@ def _check_theta(theta, basis: OperatorBasis) -> np.ndarray:
     return theta
 
 
+def _log_sum_exp(w: np.ndarray) -> float:
+    """log sum exp(w) for an ascending spectrum, shifted by its top entry.
+
+    Same result as scipy.special.logsumexp at a fraction of its per-call
+    overhead, which dominated a small chart point.
+    """
+    top = w[-1]
+    return float(top + np.log1p(np.exp(w[:-1] - top).sum()))
+
+
 def log_partition(theta, basis: OperatorBasis) -> float:
     """psi(theta) = log tr exp(K(theta)), overflow-safe via the spectrum."""
     w, _ = hermitian_eig(family_generator(theta, basis))
-    return float(logsumexp(w))
+    return _log_sum_exp(w)
 
 
 def bkm_kernel_matrix(p) -> np.ndarray:
@@ -108,7 +121,7 @@ def bkm_kernel_matrix(p) -> np.ndarray:
 
 
 def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
-    """Construct a family point with all derived quantities cached.
+    """Construct a family point with its state and mean parameters.
 
     Parameters
     ----------
@@ -120,13 +133,13 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
     Returns
     -------
     ExpFamilyPoint
-        Frozen snapshot carrying K, psi, rho, mu, the BKM metric and the
-        eigendecomposition of rho.
+        Frozen snapshot carrying K, psi, rho, mu and the eigendecomposition
+        of rho; the BKM metric is computed on first access.
     """
     theta = _check_theta(theta, basis)
     K = family_generator(theta, basis)
     w, U = hermitian_eig(K)
-    psi = float(logsumexp(w))
+    psi = _log_sum_exp(w)
     p = np.exp(w - psi)
     if p.min() <= STATE_UNDERFLOW_FLOOR:
         raise BoundaryStateError(
@@ -135,29 +148,53 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
     rho = (U * p) @ U.conj().T
     rho = 0.5 * (rho + rho.conj().T)
 
-    d = K.shape[0]
-    idx = np.arange(d)
-    Ft = np.einsum("ji,ajk,kl->ail", U.conj(), basis.stack, U)
-    mu = np.real(Ft[:, idx, idx] @ p)
-
-    Fc = Ft.copy()
-    Fc[:, idx, idx] -= mu[:, None]
-    Y = Fc * np.sqrt(bkm_kernel_matrix(p))
-    m = basis.size
-    G = np.real(Y.reshape(m, -1) @ Y.reshape(m, -1).conj().T)
-    G = 0.5 * (G + G.T)
-
     return ExpFamilyPoint(
         theta=_readonly(theta.copy()),
         basis=basis,
         generator=_readonly(K),
         psi=psi,
         rho=_readonly(rho),
-        mu=_readonly(mu),
-        metric=_readonly(G),
+        mu=_readonly(basis.coordinates(rho)),
         eigvals=_readonly(p),
         eigvecs=_readonly(U),
     )
+
+
+def _centred_rotation(point: ExpFamilyPoint, index) -> np.ndarray:
+    """U^dag F_a U - mu_a I for the basis elements selected by ``index``."""
+    U = point.eigvecs
+    Fc = U.conj().T @ point.basis.stack[index] @ U
+    idx = np.arange(point.dim)
+    Fc[:, idx, idx] -= point.mu[index][:, None]
+    return Fc
+
+
+def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
+    """Rows and columns ``index`` of the BKM metric, from those elements alone.
+
+    G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) with F~ the centred
+    basis elements in the eigenbasis of rho and k the BKM kernel.  ``index``
+    is anything that selects basis elements (an index array or a slice).
+    """
+    Y = _centred_rotation(point, index) * np.sqrt(bkm_kernel_matrix(point.eigvals))
+    Y = Y.reshape(Y.shape[0], -1)
+    G = np.real(Y @ Y.conj().T)
+    return _readonly(0.5 * (G + G.T))
+
+
+def metric_theta(point: ExpFamilyPoint) -> np.ndarray:
+    """G theta without forming G, in O(m d^2).
+
+    (G theta)_a = tr(F_a X) with X = U diag(p (w - <w>)) U^dag, the
+    covariance of F_a with K(theta) under rho: K commutes with rho, so the
+    BKM kernel meets only its diagonal k(p_j, p_j) = p_j.  Here w - <w> is
+    computed as log p - <log p>, which differs from it by psi only.
+    """
+    p = point.eigvals
+    U = point.eigvecs
+    logp = np.log(p)
+    X = (U * (p * (logp - p @ logp))) @ U.conj().T
+    return point.basis.coordinates(X)
 
 
 def state_from_params(theta, basis: OperatorBasis) -> np.ndarray:
@@ -178,7 +215,7 @@ def params_from_state(rho, basis: OperatorBasis) -> np.ndarray:
             f"state eigenvalue {w[0]:.3e} at or below {CHART_EIG_FLOOR}; chart inversion rejected"
         )
     L = (U * np.log(w)) @ U.conj().T
-    return np.real(np.einsum("aij,ji->a", basis.stack, L))
+    return basis.coordinates(L)
 
 
 def mean_params(point: ExpFamilyPoint) -> np.ndarray:
@@ -193,7 +230,7 @@ def bkm_metric(point: ExpFamilyPoint) -> np.ndarray:
 
 def entropy_and_gradient(point: ExpFamilyPoint) -> tuple[float, np.ndarray]:
     """Entropy H(theta) = psi - theta . mu and its exact gradient -G theta."""
-    return point.entropy, -point.metric @ point.theta
+    return point.entropy, -metric_theta(point)
 
 
 def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
@@ -204,12 +241,6 @@ def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
     difference kernel of exp (equal to the BKM kernel on the spectrum).
     """
     U = point.eigvecs
-    p = point.eigvals
-    d = point.dim
-    idx = np.arange(d)
-    Ft = np.einsum("ji,ajk,kl->ail", U.conj(), point.basis.stack, U)
-    Fc = Ft.copy()
-    Fc[:, idx, idx] -= point.mu[:, None]
-    phi = exp_divided_difference(np.log(p))
-    D = U[None, :, :] @ (Fc * phi) @ U.conj().T[None, :, :]
+    phi = exp_divided_difference(np.log(point.eigvals))
+    D = U @ (_centred_rotation(point, slice(None)) * phi) @ U.conj().T
     return 0.5 * (D + D.conj().transpose(0, 2, 1))

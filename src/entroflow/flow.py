@@ -9,7 +9,9 @@ pushforward of -i[xi, rho], which changes neither the entropy nor any
 marginal spectrum.
 
 Integration uses an embedded Dormand-Prince 4(5) pair with per-stage
-recomputation of the point and its constraint geometry.  Conserved-quantity
+recomputation of the chart point and the local-block projection
+(``local_block_projection``); the full constraint geometry of the
+``constraint`` module is not needed on the hot path.  Conserved-quantity
 drift is monitored, never corrected: exceeding the budget aborts the run.
 """
 
@@ -20,15 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintGeometry, constraint_geometry
+from .constraint import PROJECTOR_COND_MAX, ConstraintGeometry, marginal_eigh
 from .errors import (
     BoundaryStateError,
     ConservationError,
+    FullyConstrainedError,
     NonLocalGeneratorError,
+    NumericalDegeneracyError,
     StationaryPointError,
     StiffRegionError,
 )
-from .expfamily import ExpFamilyPoint, make_point
+from .expfamily import ExpFamilyPoint, make_point, metric_block, metric_theta
 from .operators import OperatorBasis, as_shape, commutator, embed_local, require_hermitian
 from .states import marginal_entropies
 
@@ -126,14 +130,69 @@ def entropy_time_velocity(
     return (c / rate) * dissipative_velocity(point, geometry)
 
 
-def _locality_defect(point: ExpFamilyPoint, xi: np.ndarray) -> float:
-    basis = point.basis
-    d = point.dim
+def _local_sector(basis: OperatorBasis) -> np.ndarray:
+    """Indices L of the local basis elements; raises when ker M is trivial."""
     local = basis.local_indices()
-    coeffs = np.real(np.einsum("aij,ji->a", basis.stack[local], xi))
-    xi_local = np.einsum("a,aij->ij", coeffs, basis.stack[local])
-    xi_local += (np.trace(xi) / d) * np.eye(d)
-    return float(np.linalg.norm(xi - xi_local))
+    if local.size == basis.size:
+        raise FullyConstrainedError(
+            "marginal-preserving tangent space is trivial for this constraint set"
+        )
+    return local
+
+
+def _project(point: ExpFamilyPoint, local: np.ndarray) -> tuple[np.ndarray, float]:
+    g = metric_theta(point)
+    G_LL = metric_block(point, local)
+    cond = np.linalg.cond(G_LL)
+    if not np.isfinite(cond) or cond > PROJECTOR_COND_MAX:
+        raise NumericalDegeneracyError(
+            f"local metric block condition {cond:.3e} exceeds {PROJECTOR_COND_MAX:.1e}"
+        )
+    coeffs = np.linalg.solve(G_LL, g[local])
+    proj = point.theta.copy()
+    proj[local] -= coeffs
+    return proj, float(point.theta @ g - g[local] @ coeffs)
+
+
+def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:
+    """P theta and the production rate theta^T G P theta, without M, N or G.
+
+    (G v)_a = tr(F_a d rho[v]), and the local elements L of the product
+    basis span the traceless operators of every subsystem, so M v = 0 iff
+    (G v)_L = 0.  ker M is therefore the G-orthogonal complement of the
+    local coordinate axes e_L, and with g = G theta
+
+        P theta = theta - e_L G_LL^{-1} g_L,
+        theta^T G P theta = theta . g - g_L . G_LL^{-1} g_L.
+
+    g costs O(m d^2) (``metric_theta``) and G_LL is the |L| x |L| local
+    block.  Agrees with ``dissipative_velocity`` and
+    ``entropy_production_rate`` on the reference geometry.
+
+    Raises FullyConstrainedError for a single-subsystem basis and
+    NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
+    """
+    return _project(point, _local_sector(point.basis))
+
+
+def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
+    xi = require_hermitian(xi, name="reversible generator")
+    d = basis.shape.total_dim
+    if xi.shape != (d, d):
+        raise ValueError(f"generator shape {xi.shape} does not match state {(d, d)}")
+    local = basis.stack[basis.local_indices()]
+    coeffs = np.real(np.einsum("aij,ji->a", local, xi))
+    xi_local = np.einsum("a,aij->ij", coeffs, local) + (np.trace(xi) / d) * np.eye(d)
+    defect = float(np.linalg.norm(xi - xi_local))
+    if defect > LOCALITY_TOL * max(1.0, float(np.linalg.norm(xi))):
+        raise NonLocalGeneratorError(
+            f"generator has a correlation-sector component of norm {defect:.3e}"
+        )
+    return xi
+
+
+def _commutator_coordinates(point: ExpFamilyPoint, xi: np.ndarray) -> np.ndarray:
+    return point.basis.coordinates(-1j * commutator(xi, point.generator))
 
 
 def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
@@ -141,20 +200,12 @@ def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
 
     xi must be local (a sum of single-subsystem terms, identity shifts
     allowed); anything else is rejected with NonLocalGeneratorError.  The
-    returned velocity solves G dtheta = w with w_a = tr(-i [xi, rho] F_a),
-    conserves the entropy exactly, and conserves every marginal spectrum.
+    unitary flow conjugates log rho = K - psi I and leaves psi fixed, so the
+    velocity is the chart coordinates of -i [xi, K]; it equals the solution
+    of G dtheta = w with w_a = tr(-i [xi, rho] F_a), conserves the entropy
+    exactly, and conserves every marginal spectrum.
     """
-    xi = require_hermitian(xi, name="reversible generator")
-    if xi.shape != point.rho.shape:
-        raise ValueError(f"generator shape {xi.shape} does not match state {point.rho.shape}")
-    defect = _locality_defect(point, xi)
-    if defect > LOCALITY_TOL * max(1.0, float(np.linalg.norm(xi))):
-        raise NonLocalGeneratorError(
-            f"generator has a correlation-sector component of norm {defect:.3e}"
-        )
-    drho = -1j * commutator(xi, point.rho)
-    w = np.real(np.einsum("aij,ji->a", point.basis.stack, drho))
-    return np.linalg.solve(point.metric, w)
+    return _commutator_coordinates(point, _require_local(point.basis, xi))
 
 
 def combined_velocity(
@@ -332,7 +383,9 @@ def integrate(
     Trajectory
         Samples at every accepted step, both clocks tracked (the inactive
         clock is reconstructed from the entropy production so that
-        t = (H - H_0)/c along any run).
+        t = (H - H_0)/c along any run).  The recorded rate is the
+        production rate theta^T G P theta of the dissipative sector; a
+        reversible-only run produces no entropy and records 0.
 
     Notes
     -----
@@ -341,7 +394,9 @@ def integrate(
     the dissipative sector, when ``config.stop_at_stationary`` is set).
     Conserved-marginal drift beyond ``config.conservation_tol`` raises
     ConservationError; step-size underflow away from a stationary point
-    raises StiffRegionError.  Both carry the partial trajectory.
+    raises StiffRegionError.  Both carry the partial trajectory.  A
+    single-subsystem basis raises FullyConstrainedError and a non-local
+    generator NonLocalGeneratorError, both before the first step.
     """
     if clock not in ("entropy", "game"):
         raise ValueError(f"unknown clock {clock!r}")
@@ -355,30 +410,34 @@ def integrate(
         raise ValueError(f"duration must be positive, got {duration}")
 
     shape = basis.shape
-    xi = assemble_local_generator(shape, config.xi_parts) if config.xi_parts else None
+    local = _local_sector(basis)
     dissipative = kind in ("dissipative", "combined")
-    reversible = kind in ("combined", "reversible") and xi is not None
+    reversible = kind in ("combined", "reversible")
+    xi = None
+    if reversible:
+        xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
     check_rate = dissipative and (clock == "entropy" or config.stop_at_stationary)
 
     def rhs(theta):
         point = make_point(theta, basis)
-        geom = constraint_geometry(point)
-        proj_theta = geom.projector @ theta
-        rate = float(theta @ point.metric @ proj_theta)
+        marginal_eigh(point)  # BoundaryStateError at rank-deficient marginals
         v = np.zeros_like(theta)
+        rate = 0.0
         if dissipative:
+            proj_theta, rate = _project(point, local)
             v = -proj_theta
         if reversible:
-            v = v + config.reversible_rate * reversible_velocity(point, xi)
+            v = v + config.reversible_rate * _commutator_coordinates(point, xi)
         if clock == "game":
-            dH = float(-(point.metric @ theta) @ v)
-            f = np.concatenate([v, [dH / config.c]])
+            # The reversible sector is entropy-neutral by construction, so
+            # dH/dtau is the production rate alone (0 in a reversible run).
+            f = np.append(v, rate / config.c)
         else:
             if rate <= 0.0:
                 raise StationaryPointError(f"entropy production rate {rate:.3e} is not positive")
             scale = config.c / rate
-            f = np.concatenate([scale * v, [scale]])
-        return f, point, geom, rate
+            f = np.append(scale * v, scale)
+        return f, point, rate
 
     theta0 = np.asarray(theta0, dtype=float)
     m = basis.size
@@ -394,7 +453,7 @@ def integrate(
         rec.add(step_index, tau, t, point.entropy, float(marg.sum()), marg, rate, point.theta)
         return float(marg.sum())
 
-    f1, point, geom, rate = rhs(theta0)
+    f1, point, rate = rhs(theta0)
     C0 = record(0, 0.0, 0.0, point, rate)
 
     if check_rate and rate < config.rate_min:
@@ -418,9 +477,9 @@ def integrate(
         try:
             for s in range(1, 6):
                 ys = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[s]) if a != 0.0)
-                k[s], _, _, _ = rhs(ys[:m])
+                k[s], _, _ = rhs(ys[:m])
             y_new = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[6]) if a != 0.0)
-            k6_new, new_point, new_geom, new_rate = rhs(y_new[:m])
+            k6_new, new_point, new_rate = rhs(y_new[:m])
             failed = False
         except (StationaryPointError, BoundaryStateError):
             failed = True
@@ -450,7 +509,7 @@ def integrate(
         steps += 1
         pos += h
         y = y_new
-        point, geom, rate = new_point, new_geom, new_rate
+        point, rate = new_point, new_rate
         k[0] = k[6]
         C = record(steps, pos, float(y[m]), point, rate)
         if abs(C - C0) > config.conservation_tol:

@@ -20,23 +20,22 @@ from scipy.special import logsumexp
 
 from .errors import BoundaryStateError
 from .operators import as_shape, hermitian_eig, partial_trace, require_hermitian
-from .states import marginal_entropies, state_log
+from .states import FULL_RANK_FLOOR, marginal_entropies
 
-FULL_RANK_FLOOR = 1e-12
 GENERATOR_TRIVIAL_TOL = 1e-12
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def modular_hamiltonian(rho_i) -> np.ndarray:
     """K_i = -log rho_i for a full-rank marginal."""
-    rho_i = require_hermitian(rho_i, name="marginal")
-    w = np.linalg.eigvalsh(rho_i)
+    w, U = hermitian_eig(require_hermitian(rho_i, name="marginal"))
     if w[0] <= FULL_RANK_FLOOR:
         raise BoundaryStateError(
             f"marginal eigenvalue {w[0]:.3e} at or below {FULL_RANK_FLOOR}; "
             "modular generator undefined"
         )
-    return -state_log(rho_i)
+    K = (U * -np.log(w)) @ U.conj().T
+    return 0.5 * (K + K.conj().T)
 
 
 def modular_energy_sum(rho, shape) -> float:

@@ -314,6 +314,15 @@ class OperatorBasis:
     def size(self) -> int:
         return self.stack.shape[0]
 
+    def coordinates(self, X) -> np.ndarray:
+        """Re tr(F_a X) for every element, as one flat product over the stack.
+
+        For traceless Hermitian X these are its expansion coefficients; for a
+        state they are the mean parameters.
+        """
+        X = np.asarray(X)
+        return np.real(self.stack.reshape(self.size, -1) @ X.T.ravel())
+
     @property
     def elements(self) -> tuple[np.ndarray, ...]:
         return tuple(self.stack[a] for a in range(self.size))

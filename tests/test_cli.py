@@ -107,6 +107,21 @@ def test_simulate_combined_with_xi(tmp_path, capsys):
     assert abs(report["slope_of_H_vs_t"] - 1.0) <= 1e-4
 
 
+def test_simulate_reversible_game_clock_passes(tmp_path, capsys):
+    """A reversible run produces no entropy; its entropy clock must stay put
+    (exactly 0) rather than jitter at round-off and trip monotone_t."""
+    cfg = {
+        "kind": "reversible",
+        "clock": "game",
+        "duration": 0.2,
+        "xi": [{"subsystem": 0, "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 0]]}],
+    }
+    assert run_cli(tmp_path, "simulate", cfg) == 0
+    report = read_report(capsys)
+    assert report["failures"] == []
+    assert report["termination_status"] == "completed"
+
+
 def test_simulate_conservation_failure_exits_one(tmp_path, capsys):
     cfg = {
         "start": "random_kernel",
@@ -133,6 +148,30 @@ def test_config_error_paths(tmp_path, capsys):
     bad.write_text("{ not json")
     assert main(["simulate", "--out", str(tmp_path), "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mode, cfg",
+    [
+        ("simulate", {"duration": "10"}),
+        ("simulate", {"shape": "3,3"}),
+        ("simulate", {"shape": [3.0, 3]}),
+        ("simulate", {"atol": "1e-8"}),
+        ("simulate", {"max_steps": 1e5}),
+        ("simulate", {"save_theta": 1}),
+        ("simulate", {"xi": "none"}),
+        ("origin-analysis", {"workers": True}),
+        ("gibbs-check", {"beta_range": ["0.1", 2.0]}),
+    ],
+)
+def test_mistyped_config_value_exits_two(tmp_path, capsys, mode, cfg):
+    assert run_cli(tmp_path, mode, cfg) == 2
+    assert "expects a value like" in capsys.readouterr().err
+
+
+def test_int_accepted_for_float_key(tmp_path, capsys):
+    assert run_cli(tmp_path, "simulate", {"duration": 1, "c": 2, "max_steps": 3}) == 0
+    assert read_report(capsys)["termination_status"] == "max_steps"
 
 
 def test_unknown_mode_rejected(tmp_path):

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import entroflow.flow
 from entroflow import (
     ConservationError,
     FlowConfig,
+    FullyConstrainedError,
     NonLocalGeneratorError,
+    NumericalDegeneracyError,
     StationaryPointError,
     StiffRegionError,
     assemble_local_generator,
@@ -25,10 +28,16 @@ from entroflow import (
     entropy_time_fit,
     entropy_time_velocity,
     combined_velocity,
+    as_shape,
+    commutator,
     integrate,
+    local_block_projection,
     make_point,
+    marginal_jacobian,
+    metric_theta,
     params_from_state,
     partial_trace,
+    product_basis,
     random_hermitian,
     regularized_origin,
     reversible_velocity,
@@ -201,6 +210,82 @@ def test_combined_velocity_reduces_and_orthogonality(qutrit_pair, rng):
         x = rng.normal(size=80)
         resid = (P @ pt.theta) @ G @ (x - P @ x)
         assert abs(resid) <= 1e-10 * np.linalg.norm(x)
+
+
+def regularised_correlated_state(shape, eps):
+    """The regularised origin for [q, q]; otherwise (1 - eps)|GHZ><GHZ| + eps I/d
+    with GHZ = (|0..0> + |1..1>)/sqrt(2), a full-rank correlated start."""
+    if shape.n_subsystems == 2 and shape.dims[0] == shape.dims[1]:
+        return regularized_origin(shape, eps)
+    d = shape.total_dim
+    psi = np.zeros(d)
+    psi[[0, np.ravel_multi_index((1,) * shape.n_subsystems, shape.dims)]] = 1.0 / np.sqrt(2.0)
+    return (1.0 - eps) * np.outer(psi, psi) + eps * np.eye(d) / d
+
+
+@pytest.mark.parametrize("start", ["random", "origin"])
+@pytest.mark.parametrize("dims", [[3, 3], [2, 3], [2, 2, 2], [2, 2, 2, 2]])
+def test_local_block_field_matches_geometry_oracle(dims, start, rng):
+    """The matrix-free field of integrate against the reference geometry:
+    P theta, the production rate, G theta and the reversible velocity (whose
+    oracle is the G solve of the pushforward), and M P theta = 0."""
+    shape = as_shape(dims)
+    basis = product_basis(shape)
+    if start == "random":
+        theta = rng.normal(size=basis.size) * 0.3
+    else:
+        theta = params_from_state(regularised_correlated_state(shape, EPS), basis)
+    pt = make_point(theta, basis)
+    geom = constraint_geometry(pt)
+
+    proj, rate = local_block_projection(pt)
+    assert np.abs(proj - geom.projector @ theta).max() <= 1e-12
+    assert abs(rate - entropy_production_rate(pt, geom)) <= 1e-12
+    assert np.abs(metric_theta(pt) - pt.metric @ theta).max() <= 1e-12
+    assert np.linalg.norm(marginal_jacobian(pt) @ proj) <= 1e-12
+
+    xi = assemble_local_generator(
+        shape, [(i, random_hermitian(q, rng)) for i, q in enumerate(shape.dims)]
+    )
+    w = basis.coordinates(-1j * commutator(xi, pt.rho))
+    assert np.abs(reversible_velocity(pt, xi) - np.linalg.solve(pt.metric, w)).max() <= 1e-12
+
+
+def test_integrate_rejects_correlated_generator(qutrit_pair, monkeypatch):
+    """integrate checks the assembled generator's locality once, up front.
+
+    Blocks from ``xi_parts`` always assemble to a local generator, so the
+    assembly is swapped for a correlated one to reach the check."""
+    shape, basis = qutrit_pair
+    lam = np.zeros((3, 3))
+    lam[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    monkeypatch.setattr(
+        entroflow.flow, "assemble_local_generator", lambda shape, parts: tensor_product(lam, lam)
+    )
+    theta0 = origin_point(shape, basis, EPS).theta
+    cfg = FlowConfig(xi_parts=((0, lam),))
+    for kind, clock in (("reversible", "game"), ("combined", "entropy")):
+        with pytest.raises(NonLocalGeneratorError):
+            integrate(theta0, basis, cfg, clock=clock, duration=0.1, kind=kind)
+
+
+def test_integrate_single_system_fully_constrained():
+    basis = product_basis(as_shape([3]))
+    theta0 = np.full(basis.size, 0.1)
+    with pytest.raises(FullyConstrainedError):
+        integrate(theta0, basis, FlowConfig(), clock="game", duration=0.1)
+    with pytest.raises(FullyConstrainedError):
+        local_block_projection(make_point(theta0, basis))
+
+
+def test_local_block_projection_rejects_degenerate_block():
+    """A nearly pure local factor makes G_LL ill-conditioned beyond
+    PROJECTOR_COND_MAX; the projection refuses rather than solving it."""
+    basis = product_basis(as_shape([2, 2]))
+    theta = np.zeros(basis.size)
+    theta[basis.local_indices(0)[-1]] = 30.0
+    with pytest.raises(NumericalDegeneracyError):
+        local_block_projection(make_point(theta, basis))
 
 
 def test_ray_game_run_matches_closed_form(qutrit_pair, ray_runs):
