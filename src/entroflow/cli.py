@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from .modular import (
     gibbs_lock_residual,
     total_modular_consistency,
 )
-from .operators import as_shape, product_basis
+from .operators import SubsystemShape, as_shape, product_basis
 from .states import (
     gibbs_state,
     lme_origin,
@@ -52,6 +51,9 @@ from .states import (
 )
 
 _LN2 = math.log(2.0)
+# Largest total Hilbert dimension the modes accept; the product basis alone
+# holds (d^2 - 1) d^2 complex entries.
+MAX_TOTAL_DIM = 64
 
 _DEFAULTS = {
     "simulate": {
@@ -78,18 +80,15 @@ _DEFAULTS = {
         "shape": [3, 3],
         "eps_sweep": [0.3, 0.1, 0.03, 0.01],
         "soft_tol": 1e-6,
-        "hessian_step_scale": 1e-4,
         "grad_norm_tol": 1e-8,
         "hessian_max_eig_tol": 1e-6,
         "angle_tol": 1e-3,
-        "workers": 4,
         "seed": 0,
     },
     "stiffness": {
         "shape": [3, 3],
         "eps": 0.05,
         "soft_tol": 1e-6,
-        "hessian_step_scale": 1e-4,
         "seed": 0,
     },
     "obstruction-check": {
@@ -184,6 +183,17 @@ def _parse_xi(raw) -> tuple:
     return tuple(parts)
 
 
+def _shape(cfg: dict) -> SubsystemShape:
+    """The config's shape, rejected before anything is built above MAX_TOTAL_DIM."""
+    shape = as_shape(cfg["shape"])
+    if shape.total_dim > MAX_TOTAL_DIM:
+        raise ConfigError(
+            f"shape {list(shape.dims)} has total dimension {shape.total_dim}, "
+            f"above the limit {MAX_TOTAL_DIM}"
+        )
+    return shape
+
+
 def _scale(value, bits: bool):
     if value is None:
         return None
@@ -191,7 +201,7 @@ def _scale(value, bits: bool):
 
 
 def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
-    shape = as_shape(cfg["shape"])
+    shape = _shape(cfg)
     basis = product_basis(shape)
     rng = np.random.default_rng(cfg["seed"])
 
@@ -263,9 +273,9 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     return report, failures
 
 
-def _origin_report(shape, basis, eps, step_scale, soft_tol, with_spectrum=False):
+def _origin_report(shape, basis, eps, soft_tol, with_spectrum=False):
     point = make_point(params_from_state(regularized_origin(shape, eps), basis), basis)
-    geom = constraint_geometry(point, include_hessian=True, hessian_step_scale=step_scale)
+    geom = constraint_geometry(point, include_hessian=True)
     evals, evecs = stiffness_spectrum(point, geom.hessian)
     kdim = geom.kernel.shape[1]
     angles = scipy.linalg.subspace_angles(evecs[:, :kdim], geom.kernel)
@@ -288,18 +298,9 @@ def _origin_report(shape, basis, eps, step_scale, soft_tol, with_spectrum=False)
 
 
 def cmd_origin_analysis(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
-    shape = as_shape(cfg["shape"])
+    shape = _shape(cfg)
     basis = product_basis(shape)
-    sweep = list(cfg["eps_sweep"])
-    with ThreadPoolExecutor(max_workers=int(cfg["workers"])) as pool:
-        rows = list(
-            pool.map(
-                lambda e: _origin_report(
-                    shape, basis, e, cfg["hessian_step_scale"], cfg["soft_tol"]
-                ),
-                sweep,
-            )
-        )
+    rows = [_origin_report(shape, basis, eps, cfg["soft_tol"]) for eps in cfg["eps_sweep"]]
     failures = []
     for row in rows:
         if row["grad_norm"] > cfg["grad_norm_tol"]:
@@ -334,11 +335,9 @@ def cmd_origin_analysis(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list
 
 
 def cmd_stiffness(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
-    shape = as_shape(cfg["shape"])
+    shape = _shape(cfg)
     basis = product_basis(shape)
-    row = _origin_report(
-        shape, basis, cfg["eps"], cfg["hessian_step_scale"], cfg["soft_tol"], with_spectrum=True
-    )
+    row = _origin_report(shape, basis, cfg["eps"], cfg["soft_tol"], with_spectrum=True)
     if bits:
         row["C"] = row["C"] / _LN2
         row["C_max"] = row["C_max"] / _LN2
@@ -420,7 +419,7 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
 
 
 def cmd_gibbs_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
-    shape = as_shape(cfg["shape"])
+    shape = _shape(cfg)
     rng = np.random.default_rng(cfg["seed"])
     failures = []
 

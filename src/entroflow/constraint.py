@@ -2,10 +2,10 @@
 
 The constraint functional is C(theta) = sum_i h(rho_i), the sum of marginal
 entropies, globally capped by C_max = sum_i log d_i.  This module provides
-its exact gradient, a finite-difference Hessian, the Jacobian of the
-marginal map, the marginal-preserving tangent space ker M, the metric
-projector onto it, and the stiffness spectrum that separates soft
-(marginal-preserving) from stiff (marginal-moving) directions.
+its exact gradient and Hessian, the Jacobian of the marginal map, the
+marginal-preserving tangent space ker M, the metric projector onto it, and
+the stiffness spectrum that separates soft (marginal-preserving) from stiff
+(marginal-moving) directions.
 """
 
 from __future__ import annotations
@@ -16,15 +16,26 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
-from .expfamily import ExpFamilyPoint, make_point, state_derivatives
-from .operators import hermitian_eig, hermitian_vec, partial_trace, partial_trace_stack
+from .expfamily import (
+    ExpFamilyPoint,
+    _centred_rotation,
+    bkm_kernel_matrix,
+    state_derivatives,
+)
+from .operators import (
+    embed_local,
+    exp_second_divided_difference,
+    hermitian_eig,
+    hermitian_vec,
+    partial_trace,
+    partial_trace_stack,
+)
 from .states import entropy_of_spectrum
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
 KERNEL_RCOND = 1e-8
 PROJECTOR_COND_MAX = 1e12
 MARGINAL_EIG_FLOOR = 1e-12
-HESSIAN_STEP_SCALE = 1e-4
 SOFT_MODE_TOL = 1e-6
 
 
@@ -32,9 +43,8 @@ SOFT_MODE_TOL = 1e-6
 class ConstraintGeometry:
     """Constraint data at one family point.
 
-    ``hessian`` is None unless requested at construction: the
-    finite-difference Hessian costs hundreds of gradient evaluations and the
-    flow integrator only needs the projector.
+    ``hessian`` is None unless requested at construction: it costs
+    O(m d^3 + m^2 d^2) and the flow integrator never needs it.
     """
 
     point: ExpFamilyPoint
@@ -157,7 +167,6 @@ def constraint_geometry(
     *,
     include_hessian: bool = False,
     rcond: float = KERNEL_RCOND,
-    hessian_step_scale: float = HESSIAN_STEP_SCALE,
 ) -> ConstraintGeometry:
     """Bundle C, its gradient, M, ker M and the projector at one point.
 
@@ -168,11 +177,7 @@ def constraint_geometry(
     M = _jacobian_from(point, D)
     N = kernel_basis(M, rcond=rcond)
     proj = marginal_projector(point, N)
-    hess = (
-        constraint_hessian(point, step_scale=hessian_step_scale)
-        if include_hessian
-        else None
-    )
+    hess = constraint_hessian(point) if include_hessian else None
     return ConstraintGeometry(
         point=point,
         value=marginal_entropy_sum(point),
@@ -184,40 +189,46 @@ def constraint_geometry(
     )
 
 
-def constraint_hessian(
-    point: ExpFamilyPoint, *, step_scale: float = HESSIAN_STEP_SCALE, order: int = 4
-) -> np.ndarray:
-    """Hessian of C by central finite differences of the analytic gradient.
+def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
+    """Exact Hessian of C from second-order Daleckii-Krein divided differences.
 
-    Step h = step_scale * max(1, |theta|); the result is symmetrised.  The
-    default five-point stencil has O(h^4) truncation error, which keeps the
-    soft (null) part of the spectrum clean enough to separate from stiff
-    directions even at small regularisations.
+    With A = K - psi I, F~_a = F_a - mu_a I and Lambda = sum_i log rho_i (x) I
+    on the other factors,
+
+        Hess C_ab = -tr(Lambda d_a d_b rho) - sum_i tr(Dlog(rho_i)[d_a rho_i] d_b rho_i),
+        d_a d_b rho = D^2 exp(A)[F~_a, F~_b] - G_ab rho.
+
+    In the eigenbasis of rho, with w = log p, tr(Lambda D^2 exp[F~_a, F~_b])
+    = T_ab + T_ba where T_ab = sum_jlk (F~_a)_jl f[w_j, w_l, w_k]
+    Lambda~_kj (F~_b)_lk and f are the second divided differences of exp;
+    this costs O(m d^3 + m^2 d^2).  The divided differences of log are 1/k
+    with k the BKM kernel, so the marginal sum is Re(Y Y^dag) with rows
+    Y_b = V_i^dag (d_b rho_i) V_i / sqrt(k(lambda_i)).  Marginals at or below
+    MARGINAL_EIG_FLOOR raise BoundaryStateError (``marginal_eigh``).
     """
-    theta = point.theta
-    basis = point.basis
-    m = basis.size
-    h = step_scale * max(1.0, float(np.linalg.norm(theta)))
+    shape = point.basis.shape
+    m = point.basis.size
+    D = state_derivatives(point)
+    H = np.zeros((m, m))
+    Lam = np.zeros((point.dim, point.dim), dtype=complex)
+    trace_lam_rho = 0.0
+    for i, (lam, V) in enumerate(marginal_eigh(point)):
+        log_lam = np.log(lam)
+        Lam += embed_local((V * log_lam) @ V.conj().T, i, shape)
+        trace_lam_rho += float(lam @ log_lam)
+        Y = V.conj().T @ partial_trace_stack(D, shape, i) @ V / np.sqrt(bkm_kernel_matrix(lam))
+        Y = Y.reshape(m, -1)
+        H -= np.real(Y @ Y.conj().T)
 
-    def grad_at(t):
-        return constraint_gradient(make_point(t, basis))
-
-    H = np.empty((m, m))
-    for b in range(m):
-        e = np.zeros(m)
-        e[b] = h
-        if order == 2:
-            col = (grad_at(theta + e) - grad_at(theta - e)) / (2.0 * h)
-        elif order == 4:
-            col = (
-                grad_at(theta - 2.0 * e)
-                - 8.0 * grad_at(theta - e)
-                + 8.0 * grad_at(theta + e)
-                - grad_at(theta + 2.0 * e)
-            ) / (12.0 * h)
-        else:
-            raise ValueError(f"unsupported stencil order {order}")
-        H[:, b] = col
+    U = point.eigvecs
+    Lam_t = U.conj().T @ Lam @ U
+    Fc = _centred_rotation(point, slice(None))
+    # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
+    W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
+    Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))
+    T = Z.transpose(1, 0, 2).reshape(m, -1) @ Fc.reshape(m, -1).T
+    H -= np.real(T + T.T)
+    H += trace_lam_rho * point.metric
     return 0.5 * (H + H.T)
 
 

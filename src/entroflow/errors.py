@@ -47,3 +47,7 @@ class StiffRegionError(IntegrationError):
 
 class ConservationError(IntegrationError):
     """Conserved-quantity drift exceeded the configured budget."""
+
+
+class DegenerateProjectionError(IntegrationError, NumericalDegeneracyError):
+    """The constraint projection became ill-conditioned during integration."""

@@ -11,8 +11,9 @@ marginal spectrum.
 Integration uses an embedded Dormand-Prince 4(5) pair with per-stage
 recomputation of the chart point and the local-block projection
 (``local_block_projection``); the full constraint geometry of the
-``constraint`` module is not needed on the hot path.  Conserved-quantity
-drift is monitored, never corrected: exceeding the budget aborts the run.
+``constraint`` module is not needed on the hot path.  Each marginal entropy
+is monitored separately, never corrected: a drift beyond the budget in any
+subsystem aborts the run.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .constraint import PROJECTOR_COND_MAX, ConstraintGeometry, marginal_eigh
 from .errors import (
     BoundaryStateError,
     ConservationError,
+    DegenerateProjectionError,
     FullyConstrainedError,
     NonLocalGeneratorError,
     NumericalDegeneracyError,
@@ -392,11 +394,14 @@ def integrate(
     Entropy-clock runs stop with status "stationary" once the production
     rate falls below ``config.rate_min`` (so do game-clock runs containing
     the dissipative sector, when ``config.stop_at_stationary`` is set).
-    Conserved-marginal drift beyond ``config.conservation_tol`` raises
-    ConservationError; step-size underflow away from a stationary point
-    raises StiffRegionError.  Both carry the partial trajectory.  A
-    single-subsystem basis raises FullyConstrainedError and a non-local
-    generator NonLocalGeneratorError, both before the first step.
+    A drift of any marginal entropy h_i beyond ``config.conservation_tol``
+    raises ConservationError; step-size underflow away from a stationary
+    point raises StiffRegionError; an ill-conditioned local metric block
+    after the first sample raises DegenerateProjectionError.  All three
+    carry the partial trajectory.  A single-subsystem basis raises
+    FullyConstrainedError and a non-local generator NonLocalGeneratorError,
+    both before the first step; a degenerate block at theta0 raises
+    NumericalDegeneracyError.
     """
     if clock not in ("entropy", "game"):
         raise ValueError(f"unknown clock {clock!r}")
@@ -451,10 +456,10 @@ def integrate(
         tau, t = clocks(pos, aux)
         marg = marginal_entropies(point.rho, shape)
         rec.add(step_index, tau, t, point.entropy, float(marg.sum()), marg, rate, point.theta)
-        return float(marg.sum())
+        return marg
 
     f1, point, rate = rhs(theta0)
-    C0 = record(0, 0.0, 0.0, point, rate)
+    marg0 = record(0, 0.0, 0.0, point, rate)
 
     if check_rate and rate < config.rate_min:
         return rec.build(clock, kind, shape.dims, "stationary")
@@ -483,6 +488,10 @@ def integrate(
             failed = False
         except (StationaryPointError, BoundaryStateError):
             failed = True
+        except NumericalDegeneracyError as exc:
+            raise DegenerateProjectionError(
+                str(exc), rec.build(clock, kind, shape.dims, "degenerate")
+            ) from exc
 
         if not failed:
             k[6] = k6_new
@@ -511,11 +520,12 @@ def integrate(
         y = y_new
         point, rate = new_point, new_rate
         k[0] = k[6]
-        C = record(steps, pos, float(y[m]), point, rate)
-        if abs(C - C0) > config.conservation_tol:
+        drift = np.abs(record(steps, pos, float(y[m]), point, rate) - marg0)
+        if drift.max() > config.conservation_tol:
+            worst = int(np.argmax(drift))
             raise ConservationError(
-                f"marginal-entropy drift {abs(C - C0):.3e} exceeds "
-                f"{config.conservation_tol:.1e}",
+                f"marginal-entropy drift {drift[worst]:.3e} in subsystem {worst} "
+                f"exceeds {config.conservation_tol:.1e}",
                 rec.build(clock, kind, shape.dims, "conservation"),
             )
         if check_rate and rate < config.rate_min:

@@ -20,9 +20,9 @@ from .errors import DomainError, UnsupportedShapeError
 HERMITICITY_TOL = 1e-12
 TRACELESS_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
-# Relative eigenvalue spacing below which divided differences switch to the
-# series-stable form.
-DEGENERACY_REL_TOL = 1e-12
+# Spread of an eigenvalue triple at or below which second divided differences
+# of exp switch from the difference quotient to their Taylor series.
+SECOND_DIVIDED_DIFFERENCE_SERIES_SPREAD = 1e-3
 
 _LETTERS = string.ascii_lowercase
 
@@ -187,28 +187,60 @@ def matrix_power(A, exponent: float) -> np.ndarray:
     return matrix_function(A, lambda w: w ** exponent, positive=needs_pd)
 
 
+def _exp_pair_difference(x, y) -> np.ndarray:
+    """(e^x - e^y) / (x - y) elementwise, as e^{(x+y)/2} sinh(delta/2) / (delta/2).
+
+    The sinh form has no cancellation at any spacing delta = x - y and takes
+    the limit value e^x at delta = 0.
+    """
+    half = 0.5 * (x - y)
+    ratio = np.ones_like(half)
+    nz = half != 0.0
+    ratio[nz] = np.sinh(half[nz]) / half[nz]
+    return np.exp(0.5 * (x + y)) * ratio
+
+
 def exp_divided_difference(w) -> np.ndarray:
     """First divided differences of exp over a real spectrum.
 
-    Entry (j, k) is (e^{w_j} - e^{w_k}) / (w_j - w_k); nearly coincident
-    pairs use e^{(w_j+w_k)/2} * sinh(delta/2) / (delta/2) with limit value 1
-    for the ratio at delta = 0.
+    Entry (j, k) is (e^{w_j} - e^{w_k}) / (w_j - w_k), evaluated in the
+    cancellation-free form e^{(w_j+w_k)/2} sinh(delta/2) / (delta/2); the
+    diagonal is e^{w_j}.
     """
     w = np.asarray(w, dtype=float)
-    delta = w[:, None] - w[None, :]
-    scale = np.maximum(1.0, np.maximum(np.abs(w)[:, None], np.abs(w)[None, :]))
-    near = np.abs(delta) < DEGENERACY_REL_TOL * scale
+    return _exp_pair_difference(w[:, None], w[None, :])
 
-    half = 0.5 * delta
-    ratio = np.ones_like(delta)
-    nz = half != 0.0
-    ratio[nz] = np.sinh(half[nz]) / half[nz]
-    stable = np.exp(0.5 * (w[:, None] + w[None, :])) * ratio
 
-    ew = np.exp(w)
-    direct = np.zeros_like(delta)
-    np.divide(ew[:, None] - ew[None, :], delta, out=direct, where=~near)
-    return np.where(near, stable, direct)
+def exp_second_divided_difference(w) -> np.ndarray:
+    """Second divided differences f[w_j, w_l, w_k] of exp, shape (d, d, d).
+
+    Each triple is sorted to lo <= mid <= hi.  A spread hi - lo above
+    SECOND_DIVIDED_DIFFERENCE_SERIES_SPREAD takes the quotient
+    (f[mid, hi] - f[lo, mid]) / (hi - lo) of first divided differences;
+    tighter triples, including exactly degenerate ones, take the series
+    e^mid * sum_k h_k(a, b) / (k + 2)! to k = 4, with h_k the complete
+    homogeneous polynomials of the offsets a = lo - mid, b = hi - mid.
+    """
+    w = np.asarray(w, dtype=float)
+    lo, mid, hi = np.sort(
+        np.broadcast_arrays(w[:, None, None], w[None, :, None], w[None, None, :]), axis=0
+    )
+    spread = hi - lo
+    far = spread > SECOND_DIVIDED_DIFFERENCE_SERIES_SPREAD
+    out = np.empty_like(spread)
+    out[far] = (
+        _exp_pair_difference(mid[far], hi[far]) - _exp_pair_difference(lo[far], mid[far])
+    ) / spread[far]
+
+    near = ~far
+    a, b = lo[near] - mid[near], hi[near] - mid[near]
+    h = np.ones_like(a)
+    series = np.full_like(a, 0.5)
+    for k, factorial in ((1, 6.0), (2, 24.0), (3, 120.0), (4, 720.0)):
+        h = a * h + b**k
+        series += h / factorial
+    out[near] = np.exp(mid[near]) * series
+    return out
 
 
 def frechet_exp(A, E) -> np.ndarray:

@@ -160,13 +160,45 @@ def test_config_error_paths(tmp_path, capsys):
         ("simulate", {"max_steps": 1e5}),
         ("simulate", {"save_theta": 1}),
         ("simulate", {"xi": "none"}),
-        ("origin-analysis", {"workers": True}),
+        ("origin-analysis", {"soft_tol": "1e-6"}),
         ("gibbs-check", {"beta_range": ["0.1", 2.0]}),
     ],
 )
 def test_mistyped_config_value_exits_two(tmp_path, capsys, mode, cfg):
     assert run_cli(tmp_path, mode, cfg) == 2
     assert "expects a value like" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["simulate", "origin-analysis"])
+@pytest.mark.parametrize("dims", [[9, 9], [16, 16]])
+def test_oversized_shape_exits_two_before_basis(tmp_path, capsys, monkeypatch, mode, dims):
+    def no_basis(shape):
+        raise AssertionError("product_basis called for an oversized shape")
+
+    monkeypatch.setattr("entroflow.cli.product_basis", no_basis)
+    assert run_cli(tmp_path, mode, {"shape": dims}) == 2
+    assert "above the limit 64" in capsys.readouterr().err
+
+
+def test_simulate_degenerate_projection_exits_one(tmp_path, capsys, monkeypatch):
+    import entroflow.flow
+    from entroflow import NumericalDegeneracyError
+
+    real = entroflow.flow._project
+    calls = []
+
+    def failing(point, local):
+        calls.append(None)
+        if len(calls) > 20:
+            raise NumericalDegeneracyError("forced degenerate block")
+        return real(point, local)
+
+    monkeypatch.setattr(entroflow.flow, "_project", failing)
+    assert run_cli(tmp_path, "simulate", {"duration": 0.8}) == 1
+    report = read_report(capsys)
+    assert report["termination_status"] == "degenerate"
+    assert any(f["check"] == "integration" for f in report["failures"])
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_int_accepted_for_float_key(tmp_path, capsys):
@@ -187,7 +219,7 @@ def test_config_from_stdin(tmp_path, capsys, monkeypatch):
 
 
 def test_origin_analysis_small_sweep(tmp_path, capsys):
-    cfg = {"eps_sweep": [0.3, 0.03], "workers": 2}
+    cfg = {"eps_sweep": [0.3, 0.03]}
     assert run_cli(tmp_path, "origin-analysis", cfg) == 0
     report = read_report(capsys)
     assert report["failures"] == []

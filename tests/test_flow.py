@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 import entroflow.flow
 from entroflow import (
     ConservationError,
+    DegenerateProjectionError,
     FlowConfig,
     FullyConstrainedError,
     NonLocalGeneratorError,
@@ -375,6 +376,51 @@ def test_integrate_stiff_region_signal(qutrit_pair):
     partial = exc_info.value.trajectory
     assert partial is not None
     assert partial.H[-1] > 2 * LOG3 - 1e-4  # failure happens at the boundary
+
+
+def test_integrate_conservation_monitors_each_subsystem(qutrit_pair, monkeypatch):
+    """Opposite drifts in two marginals leave their sum fixed; the monitor
+    must still abort on the subsystem that moved."""
+    shape, basis = qutrit_pair
+    theta0 = origin_point(shape, basis, EPS).theta
+    real = entroflow.flow.marginal_entropies
+    delta = 1e-5
+    calls = []
+
+    def drifting(rho, shape):
+        h = real(rho, shape)
+        calls.append(None)
+        return h if len(calls) == 1 else h + np.array([delta, -delta])
+
+    monkeypatch.setattr(entroflow.flow, "marginal_entropies", drifting)
+    cfg = FlowConfig(conservation_tol=1e-6)
+    with pytest.raises(ConservationError) as exc_info:
+        integrate(theta0, basis, cfg, clock="game", duration=0.5)
+    partial = exc_info.value.trajectory
+    assert partial.status == "conservation"
+    assert partial.n_samples == 2
+    assert np.ptp(partial.C) <= 1e-12  # the sum alone would not have seen it
+
+
+def test_integrate_degenerate_projection_keeps_trajectory(qutrit_pair, monkeypatch):
+    shape, basis = qutrit_pair
+    theta0 = origin_point(shape, basis, EPS).theta
+    real = entroflow.flow._project
+    calls = []
+
+    def failing(point, local):
+        calls.append(None)
+        if len(calls) > 20:
+            raise NumericalDegeneracyError("forced degenerate block")
+        return real(point, local)
+
+    monkeypatch.setattr(entroflow.flow, "_project", failing)
+    with pytest.raises(DegenerateProjectionError) as exc_info:
+        integrate(theta0, basis, FlowConfig(), clock="game", duration=1.0)
+    assert isinstance(exc_info.value, NumericalDegeneracyError)
+    partial = exc_info.value.trajectory
+    assert partial.n_samples >= 1
+    assert partial.status == "degenerate"
 
 
 def test_integrate_argument_validation(qutrit_pair):

@@ -1,8 +1,9 @@
 """Operator-algebra layer: tensor/partial-trace index oracles, matrix
-functions, and the Fréchet derivative of exp."""
+functions, divided differences and the Fréchet derivative of exp."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from entroflow import (
     DomainError,
@@ -11,6 +12,7 @@ from entroflow import (
     commutator,
     embed_local,
     exp_divided_difference,
+    exp_second_divided_difference,
     frechet_exp,
     gell_mann_basis,
     hermitian_vec,
@@ -207,6 +209,50 @@ def test_exp_divided_difference_limits():
     expect = (np.exp(0.3) - np.exp(-1.0)) / (0.3 + 1.0)
     assert abs(table[0, 2] - expect) < 1e-13
     assert np.allclose(np.diag(table), np.exp(w))
+
+
+def test_exp_divided_difference_close_pairs_opitz_oracle():
+    # pairs 1e-10..1e-2 apart: no cancellation in (e^x - e^y) / (x - y)
+    w = np.array([-2.0, -2.0 + 1e-10, -1.0, -1.0 + 1e-6, 0.5, 0.5 + 1e-2])
+    B = np.zeros((w.size, w.size, 2, 2))
+    B[..., 0, 0] = w[:, None]
+    B[..., 1, 1] = w[None, :]
+    B[..., 0, 1] = 1.0
+    ref = scipy.linalg.expm(B.reshape(-1, 2, 2))[:, 0, 1].reshape(w.size, w.size)
+    assert np.max(np.abs(exp_divided_difference(w) - ref) / ref) <= 1e-13
+
+
+def opitz_second_divided_difference(w):
+    """f[w_j, w_l, w_k] of exp as the (0, 2) entry of expm of the bidiagonal
+    [[w_j, 1, 0], [0, w_l, 1], [0, 0, w_k]] (Opitz)."""
+    d = w.size
+    B = np.zeros((d, d, d, 3, 3))
+    B[..., 0, 0] = w[:, None, None]
+    B[..., 1, 1] = w[None, :, None]
+    B[..., 2, 2] = w[None, None, :]
+    B[..., 0, 1] = B[..., 1, 2] = 1.0
+    return scipy.linalg.expm(B.reshape(-1, 3, 3))[:, 0, 2].reshape(d, d, d)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 2e-3, 1e-2])
+def test_exp_second_divided_difference_opitz_oracle(gap, rng):
+    """Distinct, exactly degenerate (gap 0) and near-degenerate spectra whose
+    triples fall on both sides of the series/quotient switch."""
+    base = np.sort(rng.normal(size=3)) * 2.0
+    w = np.sort(np.concatenate([base, base[:2] + gap, [base[0] + 2.0 * gap]]))
+    ref = opitz_second_divided_difference(w)
+    got = exp_second_divided_difference(w)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11
+
+
+def test_exp_second_divided_difference_regularised_origin_spectrum():
+    # one dominant eigenvalue over an 8-fold degenerate floor, as at the
+    # regularised two-qutrit origin
+    w = np.log(np.array([0.9] + [0.1 / 8.0] * 8))
+    ref = opitz_second_divided_difference(w)
+    got = exp_second_divided_difference(w)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11
+    np.testing.assert_allclose(got[1, 1, 1], np.exp(w[1]) / 2.0, rtol=1e-14)
 
 
 def test_frechet_exp_at_zero(rng):
