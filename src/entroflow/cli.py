@@ -262,6 +262,7 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
         "C_drift_max": _scale(summary["C_drift_max"], bits),
         "slope_of_H_vs_t": _scale(summary["slope_of_H_vs_t"], bits),
         "termination_status": summary["termination_status"],
+        "integrator": summary["integrator"],
         "r_squared": r2,
         "units": "bits" if bits else "nats",
         "clock": cfg["clock"],

@@ -177,7 +177,7 @@ def constraint_geometry(
     M = _jacobian_from(point, D)
     N = kernel_basis(M, rcond=rcond)
     proj = marginal_projector(point, N)
-    hess = constraint_hessian(point) if include_hessian else None
+    hess = constraint_hessian(point, derivatives=D) if include_hessian else None
     return ConstraintGeometry(
         point=point,
         value=marginal_entropy_sum(point),
@@ -189,7 +189,7 @@ def constraint_geometry(
     )
 
 
-def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
+def constraint_hessian(point: ExpFamilyPoint, *, derivatives=None) -> np.ndarray:
     """Exact Hessian of C from second-order Daleckii-Krein divided differences.
 
     With A = K - psi I, F~_a = F_a - mu_a I and Lambda = sum_i log rho_i (x) I
@@ -205,10 +205,12 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
     with k the BKM kernel, so the marginal sum is Re(Y Y^dag) with rows
     Y_b = V_i^dag (d_b rho_i) V_i / sqrt(k(lambda_i)).  Marginals at or below
     MARGINAL_EIG_FLOOR raise BoundaryStateError (``marginal_eigh``).
+    ``derivatives`` is the ``state_derivatives`` stack of ``point`` when the
+    caller already holds it.
     """
     shape = point.basis.shape
     m = point.basis.size
-    D = state_derivatives(point)
+    D = state_derivatives(point) if derivatives is None else derivatives
     H = np.zeros((m, m))
     Lam = np.zeros((point.dim, point.dim), dtype=complex)
     trace_lam_rho = 0.0

@@ -40,6 +40,9 @@ from .states import marginal_entropies
 
 LOCALITY_TOL = 1e-10
 DEFAULT_RATE_MIN = 1e-10
+# Floor on the stored error norm of the previous accepted step, as RADAU5
+# stores ``erracc``: a near-exact step must not license a large growth.
+PREV_ERR_FLOOR = 1e-2
 
 # Dormand-Prince 4(5) tableau; the last row doubles as the 5th-order weights
 # (FSAL: stage 7 is the derivative at the accepted point).
@@ -85,10 +88,20 @@ class FlowConfig:
     xi_parts: tuple = ()
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.rate_min <= 0:
-            raise ValueError(f"rate_min must be positive, got {self.rate_min}")
+        for name in ("c", "rate_min", "initial_step", "conservation_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("atol", "rtol"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        if self.atol == 0 and self.rtol == 0:
+            raise ValueError("atol and rtol must not both be zero")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if not math.isfinite(self.reversible_rate):
+            raise ValueError(f"reversible_rate must be finite, got {self.reversible_rate}")
 
 
 def assemble_local_generator(shape, parts) -> np.ndarray:
@@ -232,7 +245,10 @@ def combined_velocity(
 
 @dataclass
 class Trajectory:
-    """Diagnostics sampled at the accepted steps of one integration run."""
+    """Diagnostics sampled at the accepted steps of one integration run.
+
+    ``integrator`` holds the run's step-control counts (see ``integrate``).
+    """
 
     clock: str
     kind: str
@@ -247,6 +263,7 @@ class Trajectory:
     rate: np.ndarray
     theta_norm: np.ndarray
     theta: np.ndarray
+    integrator: dict
 
     @property
     def n_samples(self) -> int:
@@ -262,6 +279,7 @@ class Trajectory:
             "C_drift_max": float(np.max(np.abs(self.C - self.C[0]))),
             "slope_of_H_vs_t": slope,
             "termination_status": self.status,
+            "integrator": self.integrator,
         }
 
     def write_csv(self, path, *, bits: bool = False) -> None:
@@ -321,6 +339,18 @@ class _Recorder:
             "step": [], "tau": [], "t": [], "H": [], "C": [],
             "marg": [], "rate": [], "norm": [], "theta": [],
         }
+        self.rhs_evals = 0
+        self.accepted = 0
+        self.rejected = 0
+        self.failed_stages = {"stationary": 0, "boundary": 0}
+        self.h_min = None
+        self.h_max = None
+        self.last_err_norm = None
+
+    def accept(self, h):
+        self.accepted += 1
+        self.h_min = h if self.h_min is None else min(self.h_min, h)
+        self.h_max = h if self.h_max is None else max(self.h_max, h)
 
     def add(self, step, tau, t, H, C, marg, rate, theta):
         r = self.rows
@@ -350,7 +380,40 @@ class _Recorder:
             rate=np.array(r["rate"]),
             theta_norm=np.array(r["norm"]),
             theta=np.array(r["theta"]),
+            integrator={
+                "accepted": self.accepted,
+                "rejected": self.rejected,
+                "failed_stages": dict(self.failed_stages),
+                "rhs_evals": self.rhs_evals,
+                "h_min": self.h_min,
+                "h_max": self.h_max,
+                "last_err_norm": self.last_err_norm,
+            },
         )
+
+
+def _step_factor(err_norm: float, h: float, prev) -> float:
+    """Step-size factor after an accepted step of size h with error norm err_norm.
+
+    The classic rule 0.9 e^(-1/5) reads the last error alone.  Where the
+    field steepens from step to step (the entropy-time field near the
+    boundary) it grows h a little after each accepted step and the next
+    attempt is rejected.  Gustafsson's predictive rule (ACM TOMS 20(4), 1994;
+    Hairer & Wanner, Solving ODEs II, IV.8) also reads the previous accepted
+    step ``prev = (h_prev, err_prev)``:
+
+        0.9 (h / h_prev) e^(-1/5) (err_prev / e)^(1/5).
+
+    The factor is the smaller of the two rules, clamped to [0.2, 5], so the
+    prediction only ever makes a step more conservative; with ``prev`` None
+    it is the classic rule.
+    """
+    e = max(err_norm, 1e-16)
+    factor = 0.9 * e ** -0.2
+    if prev is not None:
+        h_prev, err_prev = prev
+        factor = min(factor, factor * (h / h_prev) * (err_prev / e) ** 0.2)
+    return min(5.0, max(0.2, factor))
 
 
 def integrate(
@@ -388,9 +451,17 @@ def integrate(
         t = (H - H_0)/c along any run).  The recorded rate is the
         production rate theta^T G P theta of the dissipative sector; a
         reversible-only run produces no entropy and records 0.
+        ``integrator`` counts accepted steps, rejected attempts (error norm
+        above 1 or not finite), attempts cut short by a failed stage
+        (``failed_stages``, by cause: "stationary" or "boundary") and RHS
+        evaluations, and holds the smallest and largest accepted step and
+        the last finite error norm.
 
     Notes
     -----
+    After an accepted step h grows by ``_step_factor``; a rejected attempt
+    shrinks it by max(0.2, 0.9 e^(-1/5)), a failed stage halves it.
+
     Entropy-clock runs stop with status "stationary" once the production
     rate falls below ``config.rate_min`` (so do game-clock runs containing
     the dissipative sector, when ``config.stop_at_stationary`` is set).
@@ -411,7 +482,7 @@ def integrate(
         raise ValueError(f"kind {kind!r} needs config.xi_parts")
     if kind == "reversible" and clock == "entropy":
         raise ValueError("a reversible-only run produces no entropy; use the game clock")
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
 
     shape = basis.shape
@@ -424,6 +495,7 @@ def integrate(
     check_rate = dissipative and (clock == "entropy" or config.stop_at_stationary)
 
     def rhs(theta):
+        rec.rhs_evals += 1
         point = make_point(theta, basis)
         marginal_eigh(point)  # BoundaryStateError at rank-deficient marginals
         v = np.zeros_like(theta)
@@ -468,11 +540,11 @@ def integrate(
     h = min(config.initial_step, duration)
     h_min = 1e-14 * max(1.0, abs(duration))
     status = "max_steps"
-    steps = 0
+    prev = None
     k = [None] * 7
     k[0] = f1
 
-    while steps < config.max_steps:
+    while rec.accepted < config.max_steps:
         remaining = duration - pos
         if remaining <= h_min:
             status = "completed"
@@ -485,24 +557,35 @@ def integrate(
                 k[s], _, _ = rhs(ys[:m])
             y_new = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[6]) if a != 0.0)
             k6_new, new_point, new_rate = rhs(y_new[:m])
-            failed = False
-        except (StationaryPointError, BoundaryStateError):
-            failed = True
+            failed = None
+        except StationaryPointError:
+            failed = "stationary"
+        except BoundaryStateError:
+            failed = "boundary"
         except NumericalDegeneracyError as exc:
             raise DegenerateProjectionError(
                 str(exc), rec.build(clock, kind, shape.dims, "degenerate")
             ) from exc
 
-        if not failed:
+        factor = None
+        if failed:
+            rec.failed_stages[failed] += 1
+            factor = 0.5
+        else:
             k[6] = k6_new
             err = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
             if not np.isfinite(err_norm):
-                failed = True
+                rec.rejected += 1
+                factor = 0.5
+            else:
+                rec.last_err_norm = err_norm
+                if err_norm > 1.0:
+                    rec.rejected += 1
+                    factor = max(0.2, 0.9 * err_norm ** -0.2)
 
-        if failed or err_norm > 1.0:
-            factor = 0.5 if failed else max(0.2, 0.9 * err_norm ** -0.2)
+        if factor is not None:
             h *= factor
             if h < h_min:
                 if check_rate and rate < 10.0 * config.rate_min:
@@ -515,12 +598,12 @@ def integrate(
             continue
 
         # Accepted step.
-        steps += 1
+        rec.accept(h)
         pos += h
         y = y_new
         point, rate = new_point, new_rate
         k[0] = k[6]
-        drift = np.abs(record(steps, pos, float(y[m]), point, rate) - marg0)
+        drift = np.abs(record(rec.accepted, pos, float(y[m]), point, rate) - marg0)
         if drift.max() > config.conservation_tol:
             worst = int(np.argmax(drift))
             raise ConservationError(
@@ -531,6 +614,8 @@ def integrate(
         if check_rate and rate < config.rate_min:
             status = "stationary"
             break
-        h *= min(5.0, max(0.2, 0.9 * max(err_norm, 1e-16) ** -0.2))
+        factor = _step_factor(err_norm, h, prev)
+        prev = (h, max(err_norm, PREV_ERR_FLOOR))
+        h *= factor
 
     return rec.build(clock, kind, shape.dims, status)

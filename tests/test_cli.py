@@ -180,6 +180,55 @@ def test_oversized_shape_exits_two_before_basis(tmp_path, capsys, monkeypatch, m
     assert "above the limit 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"initial_step": 0},
+        {"initial_step": -0.01},
+        {"atol": 0, "rtol": 0},
+        {"atol": -1e-8},
+        {"rtol": -1e-8},
+        {"max_steps": 0},
+        {"max_steps": -3},
+        {"conservation_tol": -1},
+        {"conservation_tol": 0},
+    ],
+)
+def test_invalid_step_control_exits_two(tmp_path, capsys, monkeypatch, cfg):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate called with an invalid step control")
+
+    monkeypatch.setattr("entroflow.cli.integrate", no_integration)
+    assert run_cli(tmp_path, "simulate", cfg) == 2
+    assert "must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw", ['{"reversible_rate": NaN}', '{"reversible_rate": Infinity}', '{"c": NaN}']
+)
+def test_non_finite_flow_value_exits_two(tmp_path, capsys, monkeypatch, raw):
+    """JSON has no NaN or Infinity literal, but Python's parser reads both."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate called with a non-finite flow value")
+
+    monkeypatch.setattr("entroflow.cli.integrate", no_integration)
+    path = tmp_path / "cfg.json"
+    path.write_text(raw)
+    assert main(["simulate", "--out", str(tmp_path), "--config", str(path)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_simulate_default_reports_integrator_block(tmp_path, capsys):
+    assert run_cli(tmp_path, "simulate") == 0
+    report = read_report(capsys)
+    assert report["termination_status"] == "stationary"
+    stats = json.loads((tmp_path / "summary.json").read_text())["integrator"]
+    assert stats == report["integrator"]
+    assert stats["accepted"] == report["n_samples"] - 1
+    assert stats["rejected"] <= 10
+    assert set(stats["failed_stages"]) == {"stationary", "boundary"}
+
+
 def test_simulate_degenerate_projection_exits_one(tmp_path, capsys, monkeypatch):
     import entroflow.flow
     from entroflow import NumericalDegeneracyError

@@ -374,3 +374,22 @@ def test_geometry_bundle_consistency(qutrit_pair):
     assert np.abs(geom.jacobian @ geom.kernel).max() <= 1e-8
     geom_h = constraint_geometry(pt, include_hessian=True)
     assert geom_h.hessian is not None
+
+
+def test_geometry_builds_state_derivatives_once(qutrit_pair, monkeypatch):
+    import entroflow.constraint
+
+    shape, basis = qutrit_pair
+    pt = origin_point(shape, basis, 0.05)
+    expected = constraint_hessian(pt)
+    real = entroflow.constraint.state_derivatives
+    calls = []
+
+    def counting(point):
+        calls.append(None)
+        return real(point)
+
+    monkeypatch.setattr(entroflow.constraint, "state_derivatives", counting)
+    geom = constraint_geometry(pt, include_hessian=True)
+    assert len(calls) == 1
+    assert np.array_equal(geom.hessian, expected)

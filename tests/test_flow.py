@@ -378,6 +378,80 @@ def test_integrate_stiff_region_signal(qutrit_pair):
     assert partial.H[-1] > 2 * LOG3 - 1e-4  # failure happens at the boundary
 
 
+def classic_factor(err_norm):
+    return min(5.0, max(0.2, 0.9 * max(err_norm, 1e-16) ** -0.2))
+
+
+@pytest.mark.parametrize("err_norm", [0.0, 1e-20, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0])
+def test_step_factor_without_history_is_classic(err_norm):
+    assert entroflow.flow._step_factor(err_norm, 0.1, None) == classic_factor(err_norm)
+
+
+def test_step_factor_never_exceeds_classic(rng):
+    for _ in range(500):
+        err_norm = 10.0 ** rng.uniform(-18, 0)
+        h = 10.0 ** rng.uniform(-12, 0)
+        prev = (10.0 ** rng.uniform(-12, 0), max(10.0 ** rng.uniform(-18, 0), 1e-2))
+        factor = entroflow.flow._step_factor(err_norm, h, prev)
+        assert 0.2 <= factor <= 5.0
+        assert factor <= classic_factor(err_norm)
+
+
+@pytest.mark.parametrize("err_norm", [0.05, 0.5, 0.9])
+def test_step_factor_geometric_history(err_norm):
+    """A step 0.7 times the last one at the same error predicts a further
+    0.7 shrink on top of the classic factor."""
+    h_prev = 0.02
+    factor = entroflow.flow._step_factor(err_norm, 0.7 * h_prev, (h_prev, err_norm))
+    assert factor == pytest.approx(0.7 * classic_factor(err_norm), rel=1e-14)
+
+
+def test_integrate_counts_steps_on_entropy_clock_approach(qutrit_pair):
+    """The default entropy-clock run steepens geometrically towards the
+    boundary; the predictive step control keeps rejections rare there."""
+    shape, basis = qutrit_pair
+    theta0 = origin_point(shape, basis, EPS).theta
+    traj = integrate(theta0, basis, FlowConfig(), clock="entropy", duration=10.0)
+    stats = traj.summary()["integrator"]
+    assert traj.status == "stationary"
+    failed = sum(stats["failed_stages"].values())
+    attempts = stats["accepted"] + stats["rejected"] + failed
+    assert stats["accepted"] == traj.n_samples - 1
+    assert stats["rejected"] <= 10
+    assert stats["rhs_evals"] <= 6 * attempts + 1
+    assert 0.0 < stats["h_min"] <= stats["h_max"]
+    assert 0.0 <= stats["last_err_norm"] <= 1.0
+
+
+def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
+    """A stage that meets the marginal floor or a non-positive production
+    rate cuts its attempt short; each attempt is counted under its cause."""
+    shape, basis = qutrit_pair
+    theta0 = origin_point(shape, basis, EPS).theta
+    real = entroflow.flow._project
+    calls = []
+
+    def failing(point, local):
+        calls.append(None)
+        if len(calls) == 3:
+            raise entroflow.flow.BoundaryStateError("forced marginal floor")
+        proj, rate = real(point, local)
+        return proj, 0.0 if len(calls) == 10 else rate
+
+    monkeypatch.setattr(entroflow.flow, "_project", failing)
+    traj = integrate(theta0, basis, FlowConfig(), clock="entropy", duration=0.5)
+    stats = traj.integrator
+    assert traj.status == "completed"
+    assert stats["failed_stages"] == {"stationary": 1, "boundary": 1}
+    assert stats["rhs_evals"] == len(calls)
+    assert stats["rhs_evals"] < 6 * (stats["accepted"] + stats["rejected"] + 2) + 1
+
+
+def test_flow_config_accepts_one_zero_tolerance():
+    FlowConfig(atol=0.0)
+    FlowConfig(rtol=0.0)
+
+
 def test_integrate_conservation_monitors_each_subsystem(qutrit_pair, monkeypatch):
     """Opposite drifts in two marginals leave their sum fixed; the monitor
     must still abort on the subsystem that moved."""
@@ -435,6 +509,8 @@ def test_integrate_argument_validation(qutrit_pair):
         integrate(theta0, basis, FlowConfig(), clock="game", duration=1.0, kind="reversible")
     with pytest.raises(ValueError):
         integrate(theta0, basis, FlowConfig(), clock="entropy", duration=1.0, kind="reversible")
+    with pytest.raises(ValueError):
+        integrate(theta0, basis, FlowConfig(), clock="game", duration=float("nan"))
 
 
 def test_reversible_run_conserves_everything(qutrit_pair, rng):
