@@ -112,6 +112,47 @@ _DEFAULTS = {
 }
 
 
+def _within(lo, hi):
+    return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
+
+
+_TOL = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+_OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+
+# Allowed range of each numeric key, as (description, predicate); a list value
+# must be non-empty and every element must pass.  NaN passes no predicate.
+# The step-control keys of simulate are checked by FlowConfig itself.
+_RANGES = {
+    "simulate": {
+        "eps": _OPEN_UNIT,
+        "start_scale": ("finite and > 0", lambda v: 0 < v < math.inf),
+    },
+    "origin-analysis": {
+        "eps_sweep": _OPEN_UNIT,
+        "soft_tol": _TOL,
+        "grad_norm_tol": _TOL,
+        "hessian_max_eig_tol": _TOL,
+        "angle_tol": _TOL,
+    },
+    "stiffness": {"eps": _OPEN_UNIT, "soft_tol": _TOL},
+    "obstruction-check": {
+        "samples": _within(1, 10**6),
+        "max_alphabet": _within(2, 6),
+        "witness_q": _within(2, 8),
+        "slack": _TOL,
+    },
+    "gibbs-check": {
+        "n_states": _within(1, 10**6),
+        "identity_tol": _TOL,
+        "n_planted": _within(1, 10**6),
+        "planted_dim": _within(2, MAX_TOTAL_DIM),
+        "beta_range": ("finite", math.isfinite),
+        "recovery_tol": _TOL,
+        "derivative_tol": _TOL,
+    },
+}
+
+
 class ConfigError(Exception):
     pass
 
@@ -155,6 +196,11 @@ def _load_config(mode: str, path: str | None, seed_override: int | None) -> dict
         cfg.update(user)
     if seed_override is not None:
         cfg["seed"] = seed_override
+    for key, (allowed, ok) in _RANGES[mode].items():
+        value = cfg[key]
+        values = value if isinstance(value, list) else [value]
+        if not values or not all(ok(v) for v in values):
+            raise ConfigError(f"config key {key!r} must be {allowed}, got {value!r}")
     return cfg
 
 
@@ -356,12 +402,8 @@ def cmd_stiffness(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
 
 
 def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
-    samples = int(cfg["samples"])
-    max_alpha = int(cfg["max_alphabet"])
-    if not 2 <= max_alpha <= 6:
-        raise ConfigError(f"max_alphabet must be in [2, 6], got {max_alpha}")
-    if not 1 <= samples <= 10**6:
-        raise ConfigError(f"samples must be in [1, 1e6], got {samples}")
+    samples = cfg["samples"]
+    max_alpha = cfg["max_alphabet"]
     slack = float(cfg["slack"])
     rng = np.random.default_rng(cfg["seed"])
 

@@ -25,9 +25,8 @@ from .expfamily import (
 from .operators import (
     embed_local,
     exp_second_divided_difference,
-    hermitian_eig,
     hermitian_vec,
-    partial_trace,
+    marginals,
     partial_trace_stack,
 )
 from .states import entropy_of_spectrum
@@ -62,12 +61,10 @@ def constraint_max(shape) -> float:
 
 def marginal_entropy_sum(point: ExpFamilyPoint) -> float:
     """C(theta) = sum_i h(rho_i)."""
-    shape = point.basis.shape
-    total = 0.0
-    for i in range(shape.n_subsystems):
-        w = np.linalg.eigvalsh(partial_trace(point.rho, shape, i))
-        total += entropy_of_spectrum(w)
-    return total
+    return sum(
+        entropy_of_spectrum(np.linalg.eigvalsh(rho_i))
+        for rho_i in marginals(point.rho, point.basis.shape)
+    )
 
 
 def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -77,10 +74,9 @@ def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
     MARGINAL_EIG_FLOOR: the marginal logarithms behind the constraint
     gradient are not trustworthy there.
     """
-    shape = point.basis.shape
     out = []
-    for i in range(shape.n_subsystems):
-        w, U = hermitian_eig(partial_trace(point.rho, shape, i))
+    for i, rho_i in enumerate(marginals(point.rho, point.basis.shape)):
+        w, U = np.linalg.eigh(rho_i)
         if w[0] <= MARGINAL_EIG_FLOOR:
             raise BoundaryStateError(
                 f"marginal {i} eigenvalue {w[0]:.3e} at or below {MARGINAL_EIG_FLOOR}"
@@ -224,7 +220,7 @@ def constraint_hessian(point: ExpFamilyPoint, *, derivatives=None) -> np.ndarray
 
     U = point.eigvecs
     Lam_t = U.conj().T @ Lam @ U
-    Fc = _centred_rotation(point, slice(None))
+    Fc = _centred_rotation(point, slice(None)).transpose(1, 0, 2)
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))

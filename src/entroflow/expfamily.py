@@ -70,16 +70,20 @@ class ExpFamilyPoint:
 
 def family_generator(theta, basis: OperatorBasis) -> np.ndarray:
     """K(theta) = sum_a theta_a F_a."""
-    theta = _check_theta(theta, basis)
+    return _generator(_check_theta(theta, basis), basis)
+
+
+def _generator(theta: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """K(theta) from one real GEMV on the interleaved view of the stack."""
     d = basis.shape.total_dim
-    return (theta @ basis.stack.reshape(basis.size, -1)).reshape(d, d)
+    return (theta @ basis.real_rows).view(complex).reshape(d, d)
 
 
 def _check_theta(theta, basis: OperatorBasis) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (basis.size,):
         raise ValueError(f"theta shape {theta.shape} does not match basis size {basis.size}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
     return theta
 
@@ -137,11 +141,11 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
         of rho; the BKM metric is computed on first access.
     """
     theta = _check_theta(theta, basis)
-    K = family_generator(theta, basis)
-    w, U = hermitian_eig(K)
+    K = _generator(theta, basis)
+    w, U = np.linalg.eigh(K)  # K is exactly Hermitian: no symmetrisation
     psi = _log_sum_exp(w)
     p = np.exp(w - psi)
-    if p.min() <= STATE_UNDERFLOW_FLOOR:
+    if p[0] <= STATE_UNDERFLOW_FLOOR:
         raise BoundaryStateError(
             f"state eigenvalue underflowed at |theta| = {np.linalg.norm(theta):.3e}"
         )
@@ -161,12 +165,19 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
 
 
 def _centred_rotation(point: ExpFamilyPoint, index) -> np.ndarray:
-    """U^dag F_a U - mu_a I for the basis elements selected by ``index``."""
+    """U^dag F_a U - mu_a I for the elements selected by ``index``, shape (d, n, d).
+
+    The element axis is the middle one: entry [k, a, l] is
+    (U^dag F_a U)_kl - mu_a delta_kl.  Two 2-D GEMMs on the layout of
+    ``OperatorBasis.side_by_side``: U^dag times the elements side by side,
+    then that product, read as (d n, d), times U.
+    """
     U = point.eigvecs
-    Fc = U.conj().T @ point.basis.stack[index] @ U
-    idx = np.arange(point.dim)
-    Fc[:, idx, idx] -= point.mu[index][:, None]
-    return Fc
+    d = point.dim
+    R = ((U.conj().T @ point.basis.side_by_side(index)).reshape(-1, d) @ U).reshape(d, -1, d)
+    idx = np.arange(d)
+    R[idx, :, idx] -= point.mu[index]
+    return R
 
 
 def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
@@ -175,11 +186,15 @@ def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
     G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) with F~ the centred
     basis elements in the eigenbasis of rho and k the BKM kernel.  ``index``
     is anything that selects basis elements (an index array or a slice).
+    G = Y Y^T for the real rows Y_a of the weighted F~_a, so it is exactly
+    symmetric.
     """
-    Y = _centred_rotation(point, index) * np.sqrt(bkm_kernel_matrix(point.eigvals))
-    Y = Y.reshape(Y.shape[0], -1)
-    G = np.real(Y @ Y.conj().T)
-    return _readonly(0.5 * (G + G.T))
+    R = _centred_rotation(point, index)
+    d, n = point.dim, R.shape[1]
+    Y = np.empty((n, d, d), dtype=complex)
+    np.multiply(R.transpose(1, 0, 2), np.sqrt(bkm_kernel_matrix(point.eigvals)), out=Y)
+    Y = Y.view(float).reshape(n, -1)
+    return _readonly(Y @ Y.T)
 
 
 def metric_theta(point: ExpFamilyPoint) -> np.ndarray:
@@ -242,5 +257,5 @@ def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
     """
     U = point.eigvecs
     phi = exp_divided_difference(np.log(point.eigvals))
-    D = U @ (_centred_rotation(point, slice(None)) * phi) @ U.conj().T
+    D = U @ (_centred_rotation(point, slice(None)).transpose(1, 0, 2) * phi) @ U.conj().T
     return 0.5 * (D + D.conj().transpose(0, 2, 1))

@@ -35,7 +35,7 @@ from .errors import (
     StiffRegionError,
 )
 from .expfamily import ExpFamilyPoint, make_point, metric_block, metric_theta
-from .operators import OperatorBasis, as_shape, commutator, embed_local, require_hermitian
+from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
 from .states import marginal_entropies
 
 LOCALITY_TOL = 1e-10
@@ -44,18 +44,19 @@ DEFAULT_RATE_MIN = 1e-10
 # stores ``erracc``: a near-exact step must not license a large growth.
 PREV_ERR_FLOOR = 1e-2
 
-# Dormand-Prince 4(5) tableau; the last row doubles as the 5th-order weights
-# (FSAL: stage 7 is the derivative at the accepted point).
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_ERR = (
+# Dormand-Prince 4(5) tableau; row s weighs stages 0..s-1, and the last row
+# doubles as the 5th-order weights (FSAL: stage 7 is the derivative at the
+# accepted point).
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
+    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
+    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
+])
+_DP_ERR = np.array([
     71.0 / 57600.0,
     0.0,
     -71.0 / 16695.0,
@@ -63,7 +64,7 @@ _DP_ERR = (
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
-)
+])
 
 
 @dataclass(frozen=True)
@@ -88,14 +89,16 @@ class FlowConfig:
     xi_parts: tuple = ()
 
     def __post_init__(self):
+        # Written so that NaN fails every test; an infinite value would
+        # switch off the clock, the stationarity stop or a monitor.
         for name in ("c", "rate_min", "initial_step", "conservation_tol"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("atol", "rtol"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if self.atol == 0 and self.rtol == 0:
             raise ValueError("atol and rtol must not both be zero")
         if self.max_steps < 1:
@@ -147,7 +150,7 @@ def entropy_time_velocity(
 
 def _local_sector(basis: OperatorBasis) -> np.ndarray:
     """Indices L of the local basis elements; raises when ker M is trivial."""
-    local = basis.local_indices()
+    local = basis.local_sector
     if local.size == basis.size:
         raise FullyConstrainedError(
             "marginal-preserving tangent space is trivial for this constraint set"
@@ -157,16 +160,19 @@ def _local_sector(basis: OperatorBasis) -> np.ndarray:
 
 def _project(point: ExpFamilyPoint, local: np.ndarray) -> tuple[np.ndarray, float]:
     g = metric_theta(point)
-    G_LL = metric_block(point, local)
-    cond = np.linalg.cond(G_LL)
+    lam, V = np.linalg.eigh(metric_block(point, local))
+    # G_LL is a Gram matrix: its 2-norm condition number is lam_max / lam_min,
+    # and a non-positive lam_min (round-off at a singular block) counts as inf.
+    cond = lam[-1] / lam[0] if lam[0] > 0 else math.inf
     if not np.isfinite(cond) or cond > PROJECTOR_COND_MAX:
         raise NumericalDegeneracyError(
             f"local metric block condition {cond:.3e} exceeds {PROJECTOR_COND_MAX:.1e}"
         )
-    coeffs = np.linalg.solve(G_LL, g[local])
+    g_local = g[local]
+    coeffs = V @ ((g_local @ V) / lam)
     proj = point.theta.copy()
     proj[local] -= coeffs
-    return proj, float(point.theta @ g - g[local] @ coeffs)
+    return proj, float(point.theta @ g - g_local @ coeffs)
 
 
 def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:
@@ -207,7 +213,9 @@ def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
 
 
 def _commutator_coordinates(point: ExpFamilyPoint, xi: np.ndarray) -> np.ndarray:
-    return point.basis.coordinates(-1j * commutator(xi, point.generator))
+    # -i[xi, K] = -i(A - A^dag) with A = xi K, the Hermitian part of -2i A;
+    # coordinates read only the Hermitian part, so one GEMM suffices.
+    return point.basis.coordinates(-2j * (xi @ point.generator))
 
 
 def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
@@ -494,32 +502,39 @@ def integrate(
         xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
     check_rate = dissipative and (clock == "entropy" or config.stop_at_stationary)
 
-    def rhs(theta):
+    def rhs(theta, out):
+        """Write the field at theta into the stage row ``out``; return (point, rate)."""
         rec.rhs_evals += 1
         point = make_point(theta, basis)
         marginal_eigh(point)  # BoundaryStateError at rank-deficient marginals
-        v = np.zeros_like(theta)
+        v = out[:m]
         rate = 0.0
         if dissipative:
             proj_theta, rate = _project(point, local)
-            v = -proj_theta
+            np.negative(proj_theta, out=v)
+        else:
+            v.fill(0.0)
         if reversible:
-            v = v + config.reversible_rate * _commutator_coordinates(point, xi)
+            v += config.reversible_rate * _commutator_coordinates(point, xi)
         if clock == "game":
             # The reversible sector is entropy-neutral by construction, so
             # dH/dtau is the production rate alone (0 in a reversible run).
-            f = np.append(v, rate / config.c)
+            out[m] = rate / config.c
         else:
             if rate <= 0.0:
                 raise StationaryPointError(f"entropy production rate {rate:.3e} is not positive")
             scale = config.c / rate
-            f = np.append(scale * v, scale)
-        return f, point, rate
+            v *= scale
+            out[m] = scale
+        return point, rate
 
     theta0 = np.asarray(theta0, dtype=float)
     m = basis.size
     y = np.concatenate([theta0, [0.0]])
     rec = _Recorder()
+    # Row s holds the field of stage s; row 6 is the new point's, copied to
+    # row 0 when the step is accepted.
+    stages = np.empty((7, m + 1))
 
     def clocks(pos, aux):
         return (pos, aux) if clock == "game" else (aux, pos)
@@ -530,7 +545,7 @@ def integrate(
         rec.add(step_index, tau, t, point.entropy, float(marg.sum()), marg, rate, point.theta)
         return marg
 
-    f1, point, rate = rhs(theta0)
+    point, rate = rhs(theta0, stages[0])
     marg0 = record(0, 0.0, 0.0, point, rate)
 
     if check_rate and rate < config.rate_min:
@@ -541,8 +556,6 @@ def integrate(
     h_min = 1e-14 * max(1.0, abs(duration))
     status = "max_steps"
     prev = None
-    k = [None] * 7
-    k[0] = f1
 
     while rec.accepted < config.max_steps:
         remaining = duration - pos
@@ -553,10 +566,9 @@ def integrate(
 
         try:
             for s in range(1, 6):
-                ys = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[s]) if a != 0.0)
-                k[s], _, _ = rhs(ys[:m])
-            y_new = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[6]) if a != 0.0)
-            k6_new, new_point, new_rate = rhs(y_new[:m])
+                rhs((y + h * (_DP_A[s, :s] @ stages[:s]))[:m], stages[s])
+            y_new = y + h * (_DP_A[6] @ stages[:6])
+            new_point, new_rate = rhs(y_new[:m], stages[6])
             failed = None
         except StationaryPointError:
             failed = "stationary"
@@ -572,8 +584,7 @@ def integrate(
             rec.failed_stages[failed] += 1
             factor = 0.5
         else:
-            k[6] = k6_new
-            err = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
+            err = h * (_DP_ERR @ stages)
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
             if not np.isfinite(err_norm):
@@ -602,7 +613,7 @@ def integrate(
         pos += h
         y = y_new
         point, rate = new_point, new_rate
-        k[0] = k[6]
+        stages[0] = stages[6]
         drift = np.abs(record(rec.accepted, pos, float(y[m]), point, rate) - marg0)
         if drift.max() > config.conservation_tol:
             worst = int(np.argmax(drift))

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +43,9 @@ class SubsystemShape:
             raise UnsupportedShapeError(f"local dimensions must be >= 2, got {dims}")
         object.__setattr__(self, "dims", dims)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -64,7 +66,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(A) -> float:
     A = np.asarray(A)
-    return float(np.max(np.abs(A - A.conj().T)))
+    return float(np.abs(A - A.conj().T).max())
 
 
 def is_hermitian(A, tol: float = HERMITICITY_TOL) -> bool:
@@ -104,15 +106,53 @@ def embed_local(op, index: int, shape) -> np.ndarray:
     return out
 
 
-def _ptrace_subscripts(n: int, keep: int, batched: bool) -> str:
+def _ptrace_subscripts(n: int, keep: int) -> str:
     row = list(_LETTERS[:n])
     col = list(row)
     kept_col = _LETTERS[n]
     col[keep] = kept_col
-    prefix = "z" if batched else ""
-    lhs = prefix + "".join(row) + "".join(col)
-    rhs = prefix + row[keep] + kept_col
-    return f"{lhs}->{rhs}"
+    return f"z{''.join(row)}{''.join(col)}->z{row[keep]}{kept_col}"
+
+
+@functools.lru_cache(maxsize=None)
+def _marginal_map(shape: SubsystemShape) -> np.ndarray:
+    """0/1 matrix taking the flat entries of X to those of every marginal.
+
+    Row block i (d_i^2 rows) sums X[(a, j, b), (a, k, b)] over the other
+    factors a, b into entry (j, k) of tr_{-i} X.
+    """
+    d = shape.total_dim
+    blocks = []
+    for i, di in enumerate(shape.dims):
+        r = np.arange(d).reshape(math.prod(shape.dims[:i]), di, -1)
+        cols = r[:, :, None, :] * d + r[:, None, :, :]
+        rows = np.broadcast_to(np.arange(di * di).reshape(1, di, di, 1), cols.shape)
+        block = np.zeros((di * di, d * d))
+        block[rows, cols] = 1.0
+        blocks.append(block)
+    return _readonly(np.concatenate(blocks))
+
+
+def marginals(X, shape) -> list[np.ndarray]:
+    """The reduced operators tr_{-i} X of every subsystem i.
+
+    One real product of the cached 0/1 map (``_marginal_map``) with the
+    interleaved real view of X; works for any square operator.
+    """
+    shape = as_shape(shape)
+    X = np.asarray(X, dtype=complex)
+    d = shape.total_dim
+    if X.shape != (d, d):
+        raise ValueError(f"operator shape {X.shape} does not match total dim {d}")
+    if shape.n_subsystems == 1:
+        return [X.copy()]
+    pairs = np.ascontiguousarray(X).view(float).reshape(-1, 2)
+    flat = (_marginal_map(shape) @ pairs).view(complex)
+    out, start = [], 0
+    for di in shape.dims:
+        out.append(flat[start : start + di * di].reshape(di, di))
+        start += di * di
+    return out
 
 
 def partial_trace(rho, shape, keep: int) -> np.ndarray:
@@ -122,17 +162,9 @@ def partial_trace(rho, shape, keep: int) -> np.ndarray:
     an index into ``shape.dims``.
     """
     shape = as_shape(shape)
-    n = shape.n_subsystems
-    if not 0 <= keep < n:
+    if not 0 <= keep < shape.n_subsystems:
         raise ValueError(f"keep={keep} out of range for {shape.dims}")
-    rho = np.asarray(rho, dtype=complex)
-    d = shape.total_dim
-    if rho.shape != (d, d):
-        raise ValueError(f"operator shape {rho.shape} does not match total dim {d}")
-    if n == 1:
-        return rho.copy()
-    resh = rho.reshape(shape.dims + shape.dims)
-    return np.einsum(_ptrace_subscripts(n, keep, batched=False), resh)
+    return marginals(rho, shape)[keep]
 
 
 def partial_trace_stack(ops, shape, keep: int) -> np.ndarray:
@@ -144,7 +176,7 @@ def partial_trace_stack(ops, shape, keep: int) -> np.ndarray:
     if n == 1:
         return ops.copy()
     resh = ops.reshape((m,) + shape.dims + shape.dims)
-    return np.einsum(_ptrace_subscripts(n, keep, batched=True), resh)
+    return np.einsum(_ptrace_subscripts(n, keep), resh)
 
 
 def hermitian_eig(A):
@@ -346,14 +378,48 @@ class OperatorBasis:
     def size(self) -> int:
         return self.stack.shape[0]
 
+    @cached_property
+    def real_rows(self) -> np.ndarray:
+        """The stack as an (m, 2 d^2) real array: each F_a with Re and Im interleaved.
+
+        A copy-free view.  For Hermitian F_a, (F_a)_kj = conj((F_a)_jk), so
+        Re tr(F_a X) = sum_jk (Re (F_a)_jk Re X_jk + Im (F_a)_jk Im X_jk) is the
+        real dot product of row a with the same view of any complex X; and
+        theta @ real_rows is the same view of K(theta).
+        """
+        return self.stack.view(float).reshape(self.size, -1)
+
     def coordinates(self, X) -> np.ndarray:
-        """Re tr(F_a X) for every element, as one flat product over the stack.
+        """Re tr(F_a X) for every element, as one real product over the stack.
 
         For traceless Hermitian X these are its expansion coefficients; for a
-        state they are the mean parameters.
+        state they are the mean parameters.  Only the Hermitian part of X
+        enters.
         """
-        X = np.asarray(X)
-        return np.real(self.stack.reshape(self.size, -1) @ X.T.ravel())
+        X = np.ascontiguousarray(X, dtype=complex)
+        return self.real_rows @ X.view(float).ravel()
+
+    @cached_property
+    def local_sector(self) -> np.ndarray:
+        """Indices of the local elements, every subsystem (read-only)."""
+        return _readonly(self.local_indices())
+
+    @cached_property
+    def _local_side_by_side(self) -> np.ndarray:
+        return _readonly(_side_by_side(self.stack[self.local_sector]))
+
+    def side_by_side(self, index) -> np.ndarray:
+        """Elements selected by ``index`` side by side, shape (d, n d).
+
+        Entry (j, a d + i) is (F_a)_ji, so one GEMM by a d x d matrix from the
+        left acts on every element, and the product reshaped to (d n, d) takes
+        a second GEMM from the right.  The layout of ``local_sector`` (pass
+        that array itself) is built once per basis; other selections are laid
+        out per call.
+        """
+        if index is self.local_sector:
+            return self._local_side_by_side
+        return _side_by_side(self.stack[index])
 
     @property
     def elements(self) -> tuple[np.ndarray, ...]:
@@ -368,6 +434,11 @@ class OperatorBasis:
 
     def correlation_indices(self) -> np.ndarray:
         return np.flatnonzero([lbl.startswith("corr") for lbl in self.sector_labels])
+
+
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    n, d, _ = stack.shape
+    return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(d, n * d)
 
 
 @functools.lru_cache(maxsize=None)

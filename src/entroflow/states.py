@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryStateError, UnsupportedShapeError
-from .operators import as_shape, hermitian_eig, matrix_log, partial_trace, require_hermitian
+from .operators import as_shape, hermitian_eig, marginals, matrix_log, require_hermitian
 
 TRACE_TOL = 1e-12
 # Spectrum floor: eigenvalues in [EIG_CLIP_FLOOR, 0) are treated as exact
@@ -41,9 +41,8 @@ def entropy_of_spectrum(w) -> float:
     w = np.asarray(w, dtype=float)
     if w.min() < EIG_CLIP_FLOOR:
         raise ValueError(f"eigenvalue {w.min():.3e} below the round-off floor {EIG_CLIP_FLOOR}")
-    w = np.clip(w, 0.0, None)
-    nz = w > 0.0
-    return float(-(w[nz] * np.log(w[nz])).sum())
+    w = w[w > 0.0]
+    return float(-(w @ np.log(w)))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -85,10 +84,7 @@ def regularized_origin(shape, eps: float) -> np.ndarray:
 
 def marginal_entropies(rho, shape) -> np.ndarray:
     """Vector of subsystem entropies h(rho_i) in nats."""
-    shape = as_shape(shape)
-    return np.array(
-        [von_neumann_entropy(partial_trace(rho, shape, i)) for i in range(shape.n_subsystems)]
-    )
+    return np.array([von_neumann_entropy(rho_i) for rho_i in marginals(rho, shape)])
 
 
 def multi_information(rho, shape) -> float:

@@ -204,7 +204,16 @@ def test_invalid_step_control_exits_two(tmp_path, capsys, monkeypatch, cfg):
 
 
 @pytest.mark.parametrize(
-    "raw", ['{"reversible_rate": NaN}', '{"reversible_rate": Infinity}', '{"c": NaN}']
+    "raw",
+    [
+        '{"reversible_rate": NaN}',
+        '{"reversible_rate": Infinity}',
+        '{"c": NaN}',
+        '{"c": Infinity}',
+        '{"rate_min": Infinity}',
+        '{"conservation_tol": Infinity}',
+        '{"atol": Infinity, "rtol": Infinity}',
+    ],
 )
 def test_non_finite_flow_value_exits_two(tmp_path, capsys, monkeypatch, raw):
     """JSON has no NaN or Infinity literal, but Python's parser reads both."""
@@ -215,6 +224,30 @@ def test_non_finite_flow_value_exits_two(tmp_path, capsys, monkeypatch, raw):
     path = tmp_path / "cfg.json"
     path.write_text(raw)
     assert main(["simulate", "--out", str(tmp_path), "--config", str(path)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, raw",
+    [
+        ("obstruction-check", '{"slack": NaN}'),
+        ("obstruction-check", '{"samples": 0}'),
+        ("obstruction-check", '{"max_alphabet": 1}'),
+        ("gibbs-check", '{"identity_tol": NaN}'),
+        ("gibbs-check", '{"n_states": 0}'),
+        ("gibbs-check", '{"beta_range": [0.1, Infinity]}'),
+        ("origin-analysis", '{"eps_sweep": []}'),
+        ("origin-analysis", '{"eps_sweep": [0.1, 1.0]}'),
+        ("origin-analysis", '{"angle_tol": Infinity}'),
+        ("stiffness", '{"soft_tol": -1}'),
+        ("simulate", '{"start_scale": NaN}'),
+    ],
+)
+def test_out_of_range_config_value_exits_two(tmp_path, capsys, mode, raw):
+    """Values that would make a check vacuous or a mode fail late exit 2 up front."""
+    path = tmp_path / "cfg.json"
+    path.write_text(raw)
+    assert main([mode, "--out", str(tmp_path), "--config", str(path)]) == 2
     assert "must be" in capsys.readouterr().err
 
 
@@ -328,3 +361,23 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """scipy.special costs tens of ms at import and the package needs none of it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import entroflow
+
+    src = str(Path(entroflow.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, entroflow; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
