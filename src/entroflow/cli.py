@@ -126,6 +126,7 @@ _RANGES = {
     "simulate": {
         "eps": _OPEN_UNIT,
         "start_scale": ("finite and > 0", lambda v: 0 < v < math.inf),
+        "duration": ("finite and > 0", lambda v: 0 < v < math.inf),
     },
     "origin-analysis": {
         "eps_sweep": _OPEN_UNIT,

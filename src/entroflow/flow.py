@@ -8,10 +8,10 @@ rate.  A reversible sector generated by a local Hermitian xi adds the
 pushforward of -i[xi, rho], which changes neither the entropy nor any
 marginal spectrum.
 
-Integration uses an embedded Dormand-Prince 4(5) pair with per-stage
-recomputation of the chart point and the local-block projection
-(``local_block_projection``); the full constraint geometry of the
-``constraint`` module is not needed on the hot path.  Each marginal entropy
+Integration uses an embedded Dormand-Prince 4(5) pair; each stage rebuilds
+the chart point and the local-block projection (``local_block_projection``),
+while a reversible-only stage inside ``_clear_radius`` needs K alone.  The
+full constraint geometry is not needed on the hot path.  Each marginal entropy
 is monitored separately, never corrected: a drift beyond the budget in any
 subsystem aborts the run.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import PROJECTOR_COND_MAX, ConstraintGeometry, marginal_eigh
+from .constraint import MARGINAL_EIG_FLOOR, PROJECTOR_COND_MAX, ConstraintGeometry, marginal_eigh
 from .errors import (
     BoundaryStateError,
     ConservationError,
@@ -34,7 +34,7 @@ from .errors import (
     StationaryPointError,
     StiffRegionError,
 )
-from .expfamily import ExpFamilyPoint, make_point, metric_block, metric_theta
+from .expfamily import ExpFamilyPoint, _check_theta, _generator, make_point, metric_block, metric_theta
 from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
 from .states import marginal_entropies
 
@@ -212,10 +212,26 @@ def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
     return xi
 
 
-def _commutator_coordinates(point: ExpFamilyPoint, xi: np.ndarray) -> np.ndarray:
+def _commutator(basis: OperatorBasis, K: np.ndarray, xi: np.ndarray) -> np.ndarray:
     # -i[xi, K] = -i(A - A^dag) with A = xi K, the Hermitian part of -2i A;
     # coordinates read only the Hermitian part, so one GEMM suffices.
-    return point.basis.coordinates(-2j * (xi @ point.generator))
+    return basis.coordinates(-2j * (xi @ K))
+
+
+def _commutator_coordinates(point: ExpFamilyPoint, xi: np.ndarray) -> np.ndarray:
+    return _commutator(point.basis, point.generator, xi)
+
+
+def _clear_radius(shape) -> float:
+    """Radius R such that no boundary guard can fire at |theta| < R.
+
+    |K|_F = |theta| (orthonormal basis), so the spectrum of K spans at most
+    sqrt(2) |theta| and lambda_min(rho) >= e^(-sqrt(2) |theta|) / d.  A partial
+    trace sums d / d_i diagonal blocks, so lambda_min(rho_i) >= e^(-sqrt(2)
+    |theta|) / d_i > 2 MARGINAL_EIG_FLOOR (2: round-off margin) at |theta| < R,
+    and the state stays far above STATE_UNDERFLOW_FLOOR.
+    """
+    return math.log(1.0 / (2.0 * MARGINAL_EIG_FLOOR * max(shape.dims))) / math.sqrt(2.0)
 
 
 def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
@@ -490,8 +506,8 @@ def integrate(
         raise ValueError(f"kind {kind!r} needs config.xi_parts")
     if kind == "reversible" and clock == "entropy":
         raise ValueError("a reversible-only run produces no entropy; use the game clock")
-    if not duration > 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
 
     shape = basis.shape
     local = _local_sector(basis)
@@ -501,12 +517,15 @@ def integrate(
     if reversible:
         xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
     check_rate = dissipative and (clock == "entropy" or config.stop_at_stationary)
+    radius = _clear_radius(shape)
 
     def rhs(theta, out):
-        """Write the field at theta into the stage row ``out``; return (point, rate)."""
+        """Write the field at theta into ``out``; return (point, rate), point None if unbuilt."""
         rec.rhs_evals += 1
-        point = make_point(theta, basis)
-        marginal_eigh(point)  # BoundaryStateError at rank-deficient marginals
+        clear = np.linalg.norm(theta) < radius  # a non-finite theta is never clear
+        point = make_point(theta, basis) if dissipative or not clear else None
+        if not clear:
+            marginal_eigh(point)  # BoundaryStateError at rank-deficient marginals
         v = out[:m]
         rate = 0.0
         if dissipative:
@@ -515,7 +534,8 @@ def integrate(
         else:
             v.fill(0.0)
         if reversible:
-            v += config.reversible_rate * _commutator_coordinates(point, xi)
+            K = _generator(theta, basis) if point is None else point.generator
+            v += config.reversible_rate * _commutator(basis, K, xi)
         if clock == "game":
             # The reversible sector is entropy-neutral by construction, so
             # dH/dtau is the production rate alone (0 in a reversible run).
@@ -528,7 +548,7 @@ def integrate(
             out[m] = scale
         return point, rate
 
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = _check_theta(theta0, basis)
     m = basis.size
     y = np.concatenate([theta0, [0.0]])
     rec = _Recorder()
@@ -540,6 +560,8 @@ def integrate(
         return (pos, aux) if clock == "game" else (aux, pos)
 
     def record(step_index, pos, aux, point, rate):
+        if point is None:
+            point = make_point(y[:m], basis)
         tau, t = clocks(pos, aux)
         marg = marginal_entropies(point.rho, shape)
         rec.add(step_index, tau, t, point.entropy, float(marg.sum()), marg, rate, point.theta)

@@ -64,12 +64,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(A) -> float:
+def hermiticity_defect(A):
+    """max |A - A^dag| entrywise, per matrix of a stack; NaN at a non-finite entry."""
     A = np.asarray(A)
-    return float(np.abs(A - A.conj().T).max())
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.abs(A - np.swapaxes(A, -1, -2).conj()).max(axis=(-2, -1))
 
 
-def is_hermitian(A, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(A, tol: float = HERMITICITY_TOL):
     return hermiticity_defect(A) <= tol
 
 
@@ -79,8 +81,8 @@ def require_hermitian(A, tol: float = HERMITICITY_TOL, name: str = "operator") -
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
     defect = hermiticity_defect(A)
-    if defect > tol:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if not defect <= tol:  # a NaN defect (non-finite entry) fails too
+        raise ValueError(f"{name} is not Hermitian or not finite (defect {defect:.3e} > {tol:.1e})")
     return 0.5 * (A + A.conj().T)
 
 

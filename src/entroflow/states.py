@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryStateError, UnsupportedShapeError
-from .operators import as_shape, hermitian_eig, marginals, matrix_log, require_hermitian
+from .operators import as_shape, hermitian_eig, is_hermitian, marginals, matrix_log, require_hermitian
 
 TRACE_TOL = 1e-12
 # Spectrum floor: eigenvalues in [EIG_CLIP_FLOOR, 0) are treated as exact
@@ -83,8 +83,22 @@ def regularized_origin(shape, eps: float) -> np.ndarray:
 
 
 def marginal_entropies(rho, shape) -> np.ndarray:
-    """Vector of subsystem entropies h(rho_i) in nats."""
-    return np.array([von_neumann_entropy(rho_i) for rho_i in marginals(rho, shape)])
+    """Subsystem entropies h(rho_i) in nats; one eigvalsh per group of equal dimension."""
+    shape = as_shape(shape)
+    margs = marginals(rho, shape)
+    out = np.empty(len(margs))
+    for di in set(shape.dims):
+        group = [i for i, dj in enumerate(shape.dims) if dj == di]
+        A = np.stack([margs[i] for i in group])
+        for i, ok in zip(group, is_hermitian(A)):
+            if not ok:
+                raise ValueError(f"marginal {i} is not Hermitian or not finite")
+        w = np.linalg.eigvalsh(0.5 * (A + A.conj().transpose(0, 2, 1)))
+        if w.min() < EIG_CLIP_FLOOR:
+            raise ValueError(f"eigenvalue {w.min():.3e} below the round-off floor {EIG_CLIP_FLOOR}")
+        p = np.where(w > 0.0, w, 1.0)  # 0 log 0 = 0
+        out[group] = -(p * np.log(p)).sum(axis=1)
+    return out
 
 
 def multi_information(rho, shape) -> float:

@@ -217,6 +217,18 @@ def test_marginal_entropies_keeps_hermiticity_check(rng):
         marginal_entropies(rho, shape)
 
 
+def test_marginal_entropies_keeps_spectrum_floor():
+    """A marginal eigenvalue in [EIG_CLIP_FLOOR, 0) counts as 0; below it raises."""
+    shape = as_shape([2, 3])
+    # qutrit marginal diag(a_j + a_{3+j}), qubit marginal diag(sum of each half)
+    rho = np.diag([0.5, -1e-12, 0.2, 0.3, 0.0, 1e-12]).astype(complex)
+    h = marginal_entropies(rho, shape)
+    np.testing.assert_allclose(h[1], -(0.8 * np.log(0.8) + 0.2 * np.log(0.2)), rtol=0, atol=1e-11)
+    rho = np.diag([0.5, -1e-6, 0.2, 0.3, 0.0, 1e-6]).astype(complex)
+    with pytest.raises(ValueError, match="round-off floor"):
+        marginal_entropies(rho, shape)
+
+
 def test_marginal_eigh_keeps_floor(qutrit_pair):
     shape, basis = qutrit_pair
     theta = np.zeros(basis.size)

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from entroflow import (
     as_shape,
+    local_block_projection,
     make_point,
     marginal_entropies,
     params_from_state,
@@ -98,3 +99,21 @@ def test_marginal_entropies_match_per_subsystem(case):
         for i in range(shape.n_subsystems)
     ]
     np.testing.assert_allclose(marginal_entropies(rho, shape), expected, rtol=0, atol=1e-12)
+
+
+@CHART
+@given(thetas(1.0))
+def test_local_block_projector_properties(case):
+    """P = I - E_L G_LL^{-1} G_{L,:} is a G-self-adjoint idempotent onto ker M,
+    and local_block_projection applies it to theta."""
+    basis, theta = case
+    point = make_point(theta, basis)
+    G = point.metric
+    L = basis.local_sector
+    P = np.eye(basis.size)
+    P[L] -= np.linalg.solve(G[np.ix_(L, L)], G[L])
+    np.testing.assert_allclose(P @ P, P, rtol=0, atol=1e-10)
+    GP = G @ P
+    np.testing.assert_allclose(GP, GP.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose((GP @ theta)[L], 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(local_block_projection(point)[0], P @ theta, rtol=0, atol=1e-10)

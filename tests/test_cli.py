@@ -213,6 +213,8 @@ def test_invalid_step_control_exits_two(tmp_path, capsys, monkeypatch, cfg):
         '{"rate_min": Infinity}',
         '{"conservation_tol": Infinity}',
         '{"atol": Infinity, "rtol": Infinity}',
+        '{"duration": Infinity}',
+        '{"duration": Infinity, "clock": "game"}',
     ],
 )
 def test_non_finite_flow_value_exits_two(tmp_path, capsys, monkeypatch, raw):
@@ -249,6 +251,19 @@ def test_out_of_range_config_value_exits_two(tmp_path, capsys, mode, raw):
     path.write_text(raw)
     assert main([mode, "--out", str(tmp_path), "--config", str(path)]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_non_finite_xi_entry_exits_two(tmp_path, capsys):
+    """A NaN in an xi block is caught at assembly, not mid-run as a non-finite theta."""
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"kind": "combined", "xi": [{"subsystem": 1, "matrix": '
+        '[[1, 0, 0], [0, NaN, 0], [0, 0, -1]]}]}'
+    )
+    assert main(["simulate", "--out", str(tmp_path), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "xi block for subsystem 1" in err
+    assert "finite" in err
 
 
 def test_simulate_default_reports_integrator_block(tmp_path, capsys):

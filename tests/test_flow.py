@@ -511,6 +511,29 @@ def test_integrate_argument_validation(qutrit_pair):
         integrate(theta0, basis, FlowConfig(), clock="entropy", duration=1.0, kind="reversible")
     with pytest.raises(ValueError):
         integrate(theta0, basis, FlowConfig(), clock="game", duration=float("nan"))
+    for clock in ("entropy", "game"):
+        # an infinite duration would make the step-size floor infinite and
+        # end the run as "completed" after one sample
+        with pytest.raises(ValueError, match="finite"):
+            integrate(theta0, basis, FlowConfig(), clock=clock, duration=float("inf"))
+
+
+def test_affine_time_degenerates_toward_the_origin(qutrit_pair):
+    """Entropy time to H = 1 nat stays at most 1/c from any regularised origin,
+    while the game (affine) time needed keeps growing as eps falls.  Starts
+    with eps <= 1e-8 lie past the flow's clear radius, so both guard paths run.
+    Measured tau_end: 0.717, 1.235, 1.574, 1.827, 2.028."""
+    shape, basis = qutrit_pair
+    cfg = FlowConfig()
+    tau_end = []
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+        theta0 = params_from_state(regularized_origin(shape, eps), basis)
+        H0 = make_point(theta0, basis).entropy
+        traj = integrate(theta0, basis, cfg, clock="entropy", duration=1.0 - H0)
+        assert traj.status == "completed"
+        assert abs(traj.H[-1] - H0 - cfg.c * traj.t[-1]) <= 1e-6
+        tau_end.append(traj.tau[-1])
+    assert np.all(np.diff(tau_end) > 0), tau_end
 
 
 def test_reversible_run_conserves_everything(qutrit_pair, rng):

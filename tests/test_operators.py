@@ -25,6 +25,7 @@ from entroflow import (
     random_hermitian,
     tensor_product,
 )
+from entroflow.operators import is_hermitian, require_hermitian
 
 FD_STEP = 1e-5
 FRECHET_REL_TOL = 1e-8
@@ -58,6 +59,18 @@ def ptrace_oracle_keep1(rho, d1, d2):
             for i in range(d1):
                 out[k, l] += rho[i * d2 + k, i * d2 + l]
     return out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("entries", [[(1, 1)], [(0, 1), (1, 0)]])
+def test_require_hermitian_rejects_non_finite_entries(bad, entries):
+    """A NaN defect must fail the tolerance test, not slip past a `>`."""
+    A = np.eye(3, dtype=complex)
+    for index in entries:
+        A[index] = bad
+    assert not is_hermitian(A)
+    with pytest.raises(ValueError, match="xi block .* not finite"):
+        require_hermitian(A, name="xi block")
 
 
 def test_tensor_product_identity():
