@@ -255,9 +255,11 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     if cfg["start"] == "origin":
         theta0 = params_from_state(regularized_origin(shape, cfg["eps"]), basis)
     elif cfg["start"] == "random_kernel":
-        geom0 = constraint_geometry(make_point(np.zeros(basis.size), basis))
-        coeffs = rng.normal(size=geom0.kernel.shape[1])
-        v = geom0.kernel @ coeffs
+        # At theta = 0, G = I/d and ker M is exactly the span of the
+        # correlation axes: a Gaussian draw on them is a Gaussian in ker M.
+        corr = basis.correlation_indices()
+        v = np.zeros(basis.size)
+        v[corr] = rng.normal(size=corr.size)
         theta0 = cfg["start_scale"] * v / np.linalg.norm(v)
     else:
         raise ConfigError(f"unknown start {cfg['start']!r}")

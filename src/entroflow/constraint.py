@@ -2,14 +2,22 @@
 
 The constraint functional is C(theta) = sum_i h(rho_i), the sum of marginal
 entropies, globally capped by C_max = sum_i log d_i.  This module provides
-its exact gradient and Hessian, the Jacobian of the marginal map, the
-marginal-preserving tangent space ker M, the metric projector onto it, and
-the stiffness spectrum that separates soft (marginal-preserving) from stiff
-(marginal-moving) directions.
+its exact gradient and Hessian, the marginal-preserving tangent space ker M
+and the stiffness spectrum that separates soft (marginal-preserving) from
+stiff (marginal-moving) directions.
+
+There is one projection route, the local-block identity: (G v)_a =
+tr(F_a d rho[v]), and the local elements L of the product basis span the
+traceless operators of every subsystem, so M v = 0 iff (G v)_L = 0.  ker M
+is therefore the G-orthogonal complement of the local axes e_L, and every
+use of it (the flow's projection, the kernel basis) is one solve with the
+|L| x |L| local metric block G_LL (``_solve_local_block``).  The marginal
+Jacobian M itself is never formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +31,15 @@ from .expfamily import (
     state_derivatives,
 )
 from .operators import (
+    OperatorBasis,
     embed_local,
+    exp_divided_difference,
     exp_second_divided_difference,
-    hermitian_vec,
     marginals,
     partial_trace_stack,
 )
 from .states import entropy_of_spectrum
 
-# Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
-KERNEL_RCOND = 1e-8
 PROJECTOR_COND_MAX = 1e12
 MARGINAL_EIG_FLOOR = 1e-12
 SOFT_MODE_TOL = 1e-6
@@ -42,6 +49,10 @@ SOFT_MODE_TOL = 1e-6
 class ConstraintGeometry:
     """Constraint data at one family point.
 
+    ``kernel`` holds one column e_C - e_L G_LL^{-1} G_LC per correlation
+    element C.  The columns span ker M but are not orthonormal; at
+    theta = 0, where G = I/d, they are the correlation axes e_C (their local
+    entries are round-off in G_LC, below 1e-16).
     ``hessian`` is None unless requested at construction: it costs
     O(m d^3 + m^2 d^2) and the flow integrator never needs it.
     """
@@ -49,10 +60,35 @@ class ConstraintGeometry:
     point: ExpFamilyPoint
     value: float
     grad: np.ndarray
-    jacobian: np.ndarray
     kernel: np.ndarray
-    projector: np.ndarray
     hessian: np.ndarray | None
+
+
+def _local_sector(basis: OperatorBasis) -> np.ndarray:
+    """Indices L of the local basis elements; raises when ker M is trivial."""
+    local = basis.local_sector
+    if local.size == basis.size:
+        raise FullyConstrainedError(
+            "marginal-preserving tangent space is trivial for this constraint set"
+        )
+    return local
+
+
+def _solve_local_block(block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G_LL^{-1} rhs for a vector or the columns of a matrix ``rhs``.
+
+    One symmetric eigensolve gives both the solve and the condition number:
+    G_LL is a Gram matrix, so its 2-norm condition number is lam_max / lam_min,
+    and a non-positive lam_min (round-off at a singular block) counts as inf.
+    Raises NumericalDegeneracyError when it exceeds PROJECTOR_COND_MAX.
+    """
+    lam, V = np.linalg.eigh(block)
+    cond = lam[-1] / lam[0] if lam[0] > 0 else math.inf
+    if not np.isfinite(cond) or cond > PROJECTOR_COND_MAX:
+        raise NumericalDegeneracyError(
+            f"local metric block condition {cond:.3e} exceeds {PROJECTOR_COND_MAX:.1e}"
+        )
+    return V @ ((rhs.T @ V) / lam).T
 
 
 def constraint_max(shape) -> float:
@@ -90,102 +126,54 @@ def _marginal_logs(point: ExpFamilyPoint) -> list[np.ndarray]:
 
 
 def constraint_gradient(point: ExpFamilyPoint) -> np.ndarray:
-    """Exact gradient a_b = -sum_i tr[log rho_i . tr_{-i}(d rho / d theta_b)].
+    """Exact gradient a_b = -tr(Lambda d rho / d theta_b), Lambda = sum_i log rho_i (x) I.
 
-    Vanishes identically wherever every marginal is maximally mixed.
+    d rho / d theta_b = Dexp_A[F~_b] with A = K - psi I and F~_b = F_b - mu_b I,
+    and the Daleckii-Krein derivative is self-adjoint, so with X = Dexp_A[Lambda]
+    a_b = -tr(X F_b) + mu_b tr(X): one derivative in the eigenbasis of rho and
+    one ``coordinates`` product, O(d^3 + m d^2).  Vanishes identically
+    wherever every marginal is maximally mixed.
     """
-    return _gradient_from(point, state_derivatives(point))
-
-
-def _gradient_from(point: ExpFamilyPoint, D: np.ndarray) -> np.ndarray:
     shape = point.basis.shape
-    logs = _marginal_logs(point)
-    a = np.zeros(point.basis.size)
-    for i in range(shape.n_subsystems):
-        P = partial_trace_stack(D, shape, i)
-        a -= np.real(np.einsum("bij,ji->b", P, logs[i]))
-    return a
+    Lam = sum(embed_local(L, i, shape) for i, L in enumerate(_marginal_logs(point)))
+    U = point.eigvecs
+    phi = exp_divided_difference(np.log(point.eigvals))
+    X = U @ ((U.conj().T @ Lam @ U) * phi) @ U.conj().T
+    return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
 
 
-def marginal_jacobian(point: ExpFamilyPoint) -> np.ndarray:
-    """Jacobian M of the marginal map in norm-preserving real coordinates.
-
-    Row block i holds the Hermitian-vec coordinates of
-    tr_{-i}(d rho / d theta_b); M v = 0 therefore means the velocity v moves
-    no marginal.  Shape (sum_i d_i^2, m).
-    """
-    return _jacobian_from(point, state_derivatives(point))
-
-
-def _jacobian_from(point: ExpFamilyPoint, D: np.ndarray) -> np.ndarray:
-    shape = point.basis.shape
-    blocks = []
-    for i in range(shape.n_subsystems):
-        P = partial_trace_stack(D, shape, i)
-        blocks.append(hermitian_vec(P))
-    return np.concatenate(blocks, axis=1).T
-
-
-def kernel_basis(M: np.ndarray, rcond: float = KERNEL_RCOND) -> np.ndarray:
-    """Orthonormal basis N of ker M via SVD with threshold rcond * sigma_max.
-
-    Raises FullyConstrainedError when the kernel is trivial (single global
-    system: every direction moves the only 'marginal', the state itself).
-    """
-    N = scipy.linalg.null_space(M, rcond=rcond)
-    if N.shape[1] == 0:
-        raise FullyConstrainedError(
-            "marginal-preserving tangent space is trivial for this constraint set"
-        )
-    return N
-
-
-def marginal_projector(point: ExpFamilyPoint, N: np.ndarray) -> np.ndarray:
-    """G-orthogonal projector onto span(N):  P = N (N^T G N)^{-1} N^T G.
-
-    Idempotent and G-self-adjoint by construction, and M P = 0 whenever N
-    spans ker M.  This kernel-basis form is used at every point, interior
-    or saturated; it needs no pseudoinverse of the (rank-deficient) row
-    space of M.
-    """
+def _kernel(point: ExpFamilyPoint) -> np.ndarray:
+    """Columns e_C - e_L G_LL^{-1} G_LC, one per non-local element C: (G N)_L = 0."""
+    m = point.basis.size
+    local = _local_sector(point.basis)
+    other = point.basis.correlation_indices()
     G = point.metric
-    A = N.T @ G @ N
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > PROJECTOR_COND_MAX:
-        raise NumericalDegeneracyError(
-            f"projector Gram matrix condition {cond:.3e} exceeds {PROJECTOR_COND_MAX:.1e}"
-        )
-    return N @ np.linalg.solve(A, N.T @ G)
+    N = np.zeros((m, other.size))
+    N[other, np.arange(other.size)] = 1.0
+    N[local] = -_solve_local_block(G[np.ix_(local, local)], G[np.ix_(local, other)])
+    return N
 
 
 def constraint_geometry(
     point: ExpFamilyPoint,
     *,
     include_hessian: bool = False,
-    rcond: float = KERNEL_RCOND,
 ) -> ConstraintGeometry:
-    """Bundle C, its gradient, M, ker M and the projector at one point.
+    """Bundle C, its gradient, a basis of ker M and optionally the Hessian.
 
-    This is the analysis and reference geometry; the flow integrator uses
-    the local-block identity of ``flow.local_block_projection`` instead.
+    Raises FullyConstrainedError for a single-subsystem basis and
+    NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
     """
-    D = state_derivatives(point)
-    M = _jacobian_from(point, D)
-    N = kernel_basis(M, rcond=rcond)
-    proj = marginal_projector(point, N)
-    hess = constraint_hessian(point, derivatives=D) if include_hessian else None
     return ConstraintGeometry(
         point=point,
         value=marginal_entropy_sum(point),
-        grad=_gradient_from(point, D),
-        jacobian=M,
-        kernel=N,
-        projector=proj,
-        hessian=hess,
+        grad=constraint_gradient(point),
+        kernel=_kernel(point),
+        hessian=constraint_hessian(point) if include_hessian else None,
     )
 
 
-def constraint_hessian(point: ExpFamilyPoint, *, derivatives=None) -> np.ndarray:
+def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
     """Exact Hessian of C from second-order Daleckii-Krein divided differences.
 
     With A = K - psi I, F~_a = F_a - mu_a I and Lambda = sum_i log rho_i (x) I
@@ -201,12 +189,10 @@ def constraint_hessian(point: ExpFamilyPoint, *, derivatives=None) -> np.ndarray
     with k the BKM kernel, so the marginal sum is Re(Y Y^dag) with rows
     Y_b = V_i^dag (d_b rho_i) V_i / sqrt(k(lambda_i)).  Marginals at or below
     MARGINAL_EIG_FLOOR raise BoundaryStateError (``marginal_eigh``).
-    ``derivatives`` is the ``state_derivatives`` stack of ``point`` when the
-    caller already holds it.
     """
     shape = point.basis.shape
     m = point.basis.size
-    D = state_derivatives(point) if derivatives is None else derivatives
+    D = state_derivatives(point)
     H = np.zeros((m, m))
     Lam = np.zeros((point.dim, point.dim), dtype=complex)
     trace_lam_rho = 0.0

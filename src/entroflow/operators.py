@@ -294,25 +294,6 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
-def hermitian_vec(X) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix preserving the Frobenius norm.
-
-    Layout: the d real diagonal entries, then sqrt(2) * Re of the strict
-    upper triangle, then sqrt(2) * Im of the strict upper triangle.  Applies
-    along the last two axes, so stacks of matrices are handled batchwise.
-    """
-    X = np.asarray(X, dtype=complex)
-    d = X.shape[-1]
-    iu, ju = np.triu_indices(d, k=1)
-    idx = np.arange(d)
-    diag = np.real(X[..., idx, idx])
-    upper = X[..., iu, ju]
-    root2 = np.sqrt(2.0)
-    return np.concatenate(
-        [diag, root2 * np.real(upper), root2 * np.imag(upper)], axis=-1
-    )
-
-
 def gell_mann_basis(d: int) -> list[np.ndarray]:
     """Generalised Gell-Mann matrices for one factor, tr(F_a F_b) = delta_ab.
 

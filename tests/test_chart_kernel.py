@@ -24,7 +24,7 @@ from entroflow import (
 )
 from entroflow.constraint import MARGINAL_EIG_FLOOR, marginal_eigh
 from entroflow.expfamily import _log_sum_exp, bkm_kernel_matrix
-from entroflow.flow import _commutator_coordinates, _local_sector, _project
+from entroflow.flow import _commutator, _local_sector, _project
 from entroflow.operators import marginals
 from entroflow.states import entropy_of_spectrum
 from tests.test_flow import regularised_correlated_state
@@ -195,7 +195,7 @@ def test_commutator_coordinates_match_two_products(dims, rng):
     for theta in thetas:
         pt = make_point(theta, basis)
         ref = old_commutator_coordinates(pt, xi)
-        got = _commutator_coordinates(pt, xi)
+        got = _commutator(pt.basis, pt.generator, xi)
         assert np.abs(got - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
 

@@ -6,10 +6,16 @@ failed, 2 configuration or runtime error before any verdict.
 
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entroflow import as_shape, product_basis
 from entroflow.cli import main
 
 LN2 = np.log(2.0)
@@ -54,6 +60,19 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     capsys.readouterr()
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def test_random_kernel_start_lies_on_correlation_axes(tmp_path, capsys):
+    """At theta = 0 ker M is the span of the correlation axes, so the start
+    has no local component at all and the requested norm."""
+    cfg = {"shape": [2, 3], "start": "random_kernel", "start_scale": 0.02, "clock": "game",
+           "duration": 0.05, "save_theta": True, "seed": 5}
+    assert run_cli(tmp_path, "simulate", cfg) == 0
+    capsys.readouterr()
+    theta0 = np.array(json.loads((tmp_path / "theta.json").read_text())["samples"][0]["theta"])
+    basis = product_basis(as_shape([2, 3]))
+    assert np.all(theta0[basis.local_indices()] == 0.0)
+    assert abs(np.linalg.norm(theta0) - 0.02) <= 1e-15
 
 
 def test_simulate_seed_override_changes_start(tmp_path, capsys):
@@ -396,3 +415,60 @@ def test_import_leaves_scipy_special_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Mutations for the exit-code property: every pool mixes values of the wrong
+# type, null, NaN and infinities, negatives, a nested list and an unknown
+# name with well-typed values (valid ones, and xi blocks that name a missing
+# subsystem, are not square or lack their matrix).  The run-length keys draw only from bounded pools,
+# so every example finishes quickly.
+_BAD = ["x", None, math.nan, math.inf, -math.inf, -1, -1e-3, [[1.0]], "bogus"]
+_BOUNDED_BAD = ["x", None, math.nan, -1, 0, [[1.0]]]
+_VALID = {
+    "shape": [[2, 2], [2, 3]],
+    "eps": [0.1],
+    "start": ["origin", "random_kernel"],
+    "start_scale": [1e-2],
+    "c": [2.0],
+    "clock": ["game", "entropy"],
+    "kind": ["dissipative", "combined", "reversible"],
+    "rate_min": [1e-6],
+    "initial_step": [0.05],
+    "atol": [1e-6, 0],
+    "rtol": [1e-6],
+    "conservation_tol": [1e-5],
+    "reversible_rate": [0.5],
+    "xi": [
+        [{"subsystem": 0, "matrix": [[1, [0, -1]], [[0, 1], -1]]}],
+        [{"subsystem": 3, "matrix": [[1, 0], [0, -1]]}],
+        [{"subsystem": 0, "matrix": [[1, 2]]}],
+        [{"subsystem": 0}],
+    ],
+    "save_theta": [True, False],
+    "seed": [1, 2],
+}
+_MUTATIONS = [
+    (key, st.one_of(st.sampled_from(values), st.sampled_from(_BAD)))
+    for key, values in _VALID.items()
+] + [
+    ("duration", st.one_of(st.sampled_from([0.05, 0.2]), st.sampled_from(_BOUNDED_BAD))),
+    ("max_steps", st.one_of(st.sampled_from([3, 40, 2.5]), st.sampled_from(_BOUNDED_BAD))),
+]
+
+
+@st.composite
+def simulate_configs(draw):
+    cfg = {"shape": [2, 2], "clock": "game", "duration": 0.1, "max_steps": 40}
+    for key, values in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
+        cfg[key] = draw(values)
+    return cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(simulate_configs())
+def test_simulate_exit_code_contract(cfg):
+    """Any mistyped or out-of-range config ends in exit 0, 1 or 2, never a traceback."""
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--out", out, "--config", str(path)]) in (0, 1, 2)

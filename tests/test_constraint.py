@@ -20,11 +20,8 @@ from entroflow import (
     constraint_gradient,
     constraint_hessian,
     constraint_max,
-    kernel_basis,
     make_point,
     marginal_entropy_sum,
-    marginal_jacobian,
-    marginal_projector,
     modular_hamiltonian,
     params_from_state,
     partial_trace,
@@ -39,6 +36,13 @@ from entroflow import (
     tensor_product,
 )
 from tests.conftest import origin_point
+from tests.reference_geometry import (
+    kernel_basis,
+    marginal_jacobian,
+    marginal_projector,
+    reference_geometry,
+    stack_gradient,
+)
 
 GRAD_FD_STEP = 1e-5
 LOG3 = np.log(3.0)
@@ -217,6 +221,30 @@ def test_analytic_hessian_matches_fd_oracle(dims, rng):
         assert np.abs(H - fd_constraint_hessian(pt)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]])
+def test_geometry_matches_dense_oracle(dims, rng):
+    """The local-block kernel and the Frechet-derivative gradient against the
+    SVD kernel of M and the gradient read from the derivative stack."""
+    basis = product_basis(as_shape(dims))
+    for _ in range(2):
+        pt = make_point(rng.normal(size=basis.size) * 0.4, basis)
+        geom = constraint_geometry(pt)
+        ref = reference_geometry(pt)
+        assert np.abs(geom.grad - stack_gradient(pt)).max() <= 1e-12
+        assert geom.kernel.shape == ref.kernel.shape
+        assert scipy.linalg.subspace_angles(geom.kernel, ref.kernel).max() <= 1e-10
+        assert np.abs(ref.jacobian @ geom.kernel).max() <= 1e-10
+
+
+def test_kernel_at_zero_is_the_correlation_axes():
+    for dims in ([2, 2], [3, 3], [2, 2, 2]):
+        basis = product_basis(as_shape(dims))
+        N = constraint_geometry(make_point(np.zeros(basis.size), basis)).kernel
+        corr = basis.correlation_indices()
+        assert np.array_equal(N[corr], np.eye(corr.size))
+        assert np.abs(N[basis.local_indices()]).max() <= 1e-16
+
+
 def test_marginal_jacobian_sector_structure(qutrit_pair):
     shape, basis = qutrit_pair
     pt = make_point(np.zeros(80), basis)
@@ -235,8 +263,12 @@ def test_marginal_jacobian_sector_structure(qutrit_pair):
 def test_kernel_dimension_two_qutrit(qutrit_pair):
     shape, basis = qutrit_pair
     for eps in (0.3, 0.01):
-        geom = constraint_geometry(origin_point(shape, basis, eps))
-        assert geom.kernel.shape[1] == 64
+        pt = origin_point(shape, basis, eps)
+        geom = constraint_geometry(pt)
+        N_svd = kernel_basis(marginal_jacobian(pt))
+        assert N_svd.shape[1] == 64
+        assert geom.kernel.shape == N_svd.shape
+        assert scipy.linalg.subspace_angles(geom.kernel, N_svd).max() <= 1e-10
 
 
 def test_kernel_single_system_fully_constrained():
@@ -262,8 +294,8 @@ def test_projector_trivial_cases(qutrit_pair, rng):
 def test_projector_invariants(qutrit_pair, rng):
     shape, basis = qutrit_pair
     pt = origin_point(shape, basis, 0.05)
-    geom = constraint_geometry(pt)
-    P, N, M, G = geom.projector, geom.kernel, geom.jacobian, pt.metric
+    ref = reference_geometry(pt)
+    P, N, M, G = ref.projector, ref.kernel, ref.jacobian, pt.metric
     np.testing.assert_allclose(P @ P, P, atol=1e-8)
     assert np.abs(M @ P).max() < 1e-8
     GP = G @ P
@@ -295,7 +327,7 @@ def test_second_order_admissibility(qutrit_pair, rng):
     assert abs(second_order_admissibility(pt, v_soft, H)) <= 1e-7 * scale
     # G-orthogonal complement of span(N) is strictly stiff
     w = rng.normal(size=80)
-    v_stiff = w - geom.projector @ w
+    v_stiff = w - reference_geometry(pt).projector @ w
     v_stiff /= np.linalg.norm(v_stiff)
     assert second_order_admissibility(pt, v_stiff, H) < -1e-3
     assert second_order_admissibility(pt, np.zeros(80), H) == 0.0
@@ -371,7 +403,7 @@ def test_geometry_bundle_consistency(qutrit_pair):
     geom = constraint_geometry(pt)
     assert geom.hessian is None  # opt-in, it is the expensive piece
     assert abs(geom.value - marginal_entropy_sum(pt)) < 1e-14
-    assert np.abs(geom.jacobian @ geom.kernel).max() <= 1e-8
+    assert np.abs(marginal_jacobian(pt) @ geom.kernel).max() <= 1e-8
     geom_h = constraint_geometry(pt, include_hessian=True)
     assert geom_h.hessian is not None
 

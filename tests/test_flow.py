@@ -24,17 +24,12 @@ from entroflow import (
     StiffRegionError,
     assemble_local_generator,
     constraint_geometry,
-    dissipative_velocity,
-    entropy_production_rate,
     entropy_time_fit,
-    entropy_time_velocity,
-    combined_velocity,
     as_shape,
     commutator,
     integrate,
     local_block_projection,
     make_point,
-    marginal_jacobian,
     metric_theta,
     params_from_state,
     partial_trace,
@@ -47,6 +42,14 @@ from entroflow import (
     tensor_product,
 )
 from tests.conftest import origin_point
+from tests.reference_geometry import (
+    combined_velocity,
+    dissipative_velocity,
+    entropy_production_rate,
+    entropy_time_velocity,
+    marginal_jacobian,
+    reference_geometry,
+)
 
 EPS = 0.05
 LOG3 = np.log(3.0)
@@ -83,7 +86,7 @@ def ray_runs(qutrit_pair):
 def test_dissipative_velocity_identities(qutrit_pair, rng):
     shape, basis = qutrit_pair
     pt = make_point(rng.normal(size=80) * 0.2, basis)
-    geom = constraint_geometry(pt)
+    geom = reference_geometry(pt)
     v = dissipative_velocity(pt, geom)
     np.testing.assert_allclose(v, -(geom.projector @ pt.theta), atol=1e-12)
     assert np.abs(geom.jacobian @ v).max() < 1e-8
@@ -98,7 +101,7 @@ def test_rate_matches_fd_along_flow(qutrit_pair, rng):
     shape, basis = qutrit_pair
     theta = rng.normal(size=80) * 0.2
     pt = make_point(theta, basis)
-    geom = constraint_geometry(pt)
+    geom = reference_geometry(pt)
     v = dissipative_velocity(pt, geom)
     rate = entropy_production_rate(pt, geom)
     h = 1e-5
@@ -111,7 +114,7 @@ def test_rate_matches_fd_along_flow(qutrit_pair, rng):
 def test_zero_theta_is_stationary(qutrit_pair):
     shape, basis = qutrit_pair
     pt = make_point(np.zeros(80), basis)
-    geom = constraint_geometry(pt)
+    geom = reference_geometry(pt)
     assert np.linalg.norm(dissipative_velocity(pt, geom)) < 1e-14
     assert entropy_production_rate(pt, geom) < 1e-14
     with pytest.raises(StationaryPointError):
@@ -127,7 +130,7 @@ def test_local_sector_theta_is_exactly_stationary(qutrit_pair, rng):
     for idx in basis.local_indices():
         theta[idx] = 0.3 * rng.normal()
     pt = make_point(theta, basis)
-    geom = constraint_geometry(pt)
+    geom = reference_geometry(pt)
     v = dissipative_velocity(pt, geom)
     assert np.linalg.norm(v) <= 1e-10 * np.linalg.norm(theta)
     traj = integrate(theta, basis, FlowConfig(), clock="game", duration=1.0)
@@ -138,7 +141,7 @@ def test_local_sector_theta_is_exactly_stationary(qutrit_pair, rng):
 def test_entropy_time_velocity_is_scaled_dissipative(qutrit_pair, rng):
     shape, basis = qutrit_pair
     pt = make_point(rng.normal(size=80) * 0.3, basis)
-    geom = constraint_geometry(pt)
+    geom = reference_geometry(pt)
     c = 1.7
     v_t = entropy_time_velocity(pt, geom, c, 1e-10)
     rate = entropy_production_rate(pt, geom)
@@ -198,7 +201,7 @@ def test_reversible_step_preserves_origin_marginals(qutrit_pair):
 def test_combined_velocity_reduces_and_orthogonality(qutrit_pair, rng):
     shape, basis = qutrit_pair
     pt = origin_point(shape, basis, EPS)
-    geom = constraint_geometry(pt)
+    geom = reference_geometry(pt)
     cfg0 = FlowConfig(c=1.3)
     np.testing.assert_allclose(
         combined_velocity(pt, geom, cfg0),
@@ -237,7 +240,7 @@ def test_local_block_field_matches_geometry_oracle(dims, start, rng):
     else:
         theta = params_from_state(regularised_correlated_state(shape, EPS), basis)
     pt = make_point(theta, basis)
-    geom = constraint_geometry(pt)
+    geom = reference_geometry(pt)
 
     proj, rate = local_block_projection(pt)
     assert np.abs(proj - geom.projector @ theta).max() <= 1e-12
@@ -450,6 +453,22 @@ def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
 def test_flow_config_accepts_one_zero_tolerance():
     FlowConfig(atol=0.0)
     FlowConfig(rtol=0.0)
+
+
+def test_pure_relative_tolerance_has_no_zero_over_zero(qutrit_pair):
+    """atol = 0 gives the 36 entries of the origin's theta that are exactly 0
+    (and the clock) a zero error scale.  A zero error there meets the
+    tolerance, so the error norm stays finite (it used to be 0/0 = NaN, with a
+    RuntimeWarning); the round-off-sized field on those entries still defeats
+    pure relative control, and the run ends as a stiff region."""
+    shape, basis = qutrit_pair
+    theta0 = origin_point(shape, basis, EPS).theta
+    assert np.sum(theta0 == 0.0) == 36
+    with pytest.raises(StiffRegionError) as exc_info:
+        integrate(theta0, basis, FlowConfig(atol=0.0), clock="game", duration=0.5)
+    stats = exc_info.value.trajectory.integrator
+    assert stats["rejected"] > 0
+    assert stats["last_err_norm"] is not None and np.isfinite(stats["last_err_norm"])
 
 
 def test_integrate_conservation_monitors_each_subsystem(qutrit_pair, monkeypatch):

@@ -15,7 +15,6 @@ from entroflow import (
     exp_second_divided_difference,
     frechet_exp,
     gell_mann_basis,
-    hermitian_vec,
     matrix_exp,
     matrix_function,
     matrix_log,
@@ -26,6 +25,7 @@ from entroflow import (
     tensor_product,
 )
 from entroflow.operators import is_hermitian, require_hermitian
+from tests.reference_geometry import hermitian_vec
 
 FD_STEP = 1e-5
 FRECHET_REL_TOL = 1e-8
