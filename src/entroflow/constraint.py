@@ -11,8 +11,10 @@ tr(F_a d rho[v]), and the local elements L of the product basis span the
 traceless operators of every subsystem, so M v = 0 iff (G v)_L = 0.  ker M
 is therefore the G-orthogonal complement of the local axes e_L, and every
 use of it (the flow's projection, the kernel basis) is one solve with the
-|L| x |L| local metric block G_LL (``_solve_local_block``).  The marginal
-Jacobian M itself is never formed.
+|L| x |L| local metric block G_LL (``_solve_local_block``).  The same
+identity gives every marginal derivative from the local columns of G,
+d_a rho_i = sum_{alpha in L_i} G_{a alpha} tr_{-i} F_alpha, which is all
+the Hessian needs of d rho.  The marginal Jacobian M itself is never formed.
 """
 
 from __future__ import annotations
@@ -24,21 +26,16 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
-from .expfamily import (
-    ExpFamilyPoint,
-    _centred_rotation,
-    bkm_kernel_matrix,
-    state_derivatives,
-)
+from .expfamily import ExpFamilyPoint, _centred_rotation, bkm_kernel_matrix
 from .operators import (
     OperatorBasis,
+    _marginal_map,
     embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
     marginals,
-    partial_trace_stack,
 )
-from .states import entropy_of_spectrum
+from .states import marginal_entropies
 
 PROJECTOR_COND_MAX = 1e12
 MARGINAL_EIG_FLOOR = 1e-12
@@ -64,8 +61,27 @@ class ConstraintGeometry:
     hessian: np.ndarray | None
 
 
+def _local_blocks(basis: OperatorBasis) -> tuple[np.ndarray, ...]:
+    """Indices L_i of the local elements of every subsystem i.
+
+    ker M and the Hessian read the marginal derivatives from the local
+    columns of G, which holds only when the L_i span the traceless operators
+    of subsystem i: being orthonormal, they must number d_i^2 - 1.  Raises
+    ValueError otherwise.
+    """
+    for i, (L_i, d_i) in enumerate(zip(basis.local_blocks, basis.shape.dims)):
+        if L_i.size != d_i * d_i - 1:
+            raise ValueError(
+                f"subsystem {i} has {L_i.size} local elements; spanning its "
+                f"traceless operators needs {d_i * d_i - 1}"
+            )
+    return basis.local_blocks
+
+
 def _local_sector(basis: OperatorBasis) -> np.ndarray:
-    """Indices L of the local basis elements; raises when ker M is trivial."""
+    """Indices L of every local element (``_local_blocks`` checks they span);
+    raises FullyConstrainedError when ker M is trivial."""
+    _local_blocks(basis)
     local = basis.local_sector
     if local.size == basis.size:
         raise FullyConstrainedError(
@@ -97,10 +113,7 @@ def constraint_max(shape) -> float:
 
 def marginal_entropy_sum(point: ExpFamilyPoint) -> float:
     """C(theta) = sum_i h(rho_i)."""
-    return sum(
-        entropy_of_spectrum(np.linalg.eigvalsh(rho_i))
-        for rho_i in marginals(point.rho, point.basis.shape)
-    )
+    return float(marginal_entropies(point.rho, point.basis.shape).sum())
 
 
 def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -186,23 +199,36 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
     = T_ab + T_ba where T_ab = sum_jlk (F~_a)_jl f[w_j, w_l, w_k]
     Lambda~_kj (F~_b)_lk and f are the second divided differences of exp;
     this costs O(m d^3 + m^2 d^2).  The divided differences of log are 1/k
-    with k the BKM kernel, so the marginal sum is Re(Y Y^dag) with rows
-    Y_b = V_i^dag (d_b rho_i) V_i / sqrt(k(lambda_i)).  Marginals at or below
-    MARGINAL_EIG_FLOOR raise BoundaryStateError (``marginal_eigh``).
+    with k the BKM kernel, and d_a rho_i = sum_{alpha in L_i} G_{a alpha}
+    tr_{-i} F_alpha, so the marginal sum is G_{:L_i} Q_i G_{L_i:} with
+    Q_i = Re(Y Y^dag) over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i
+    / sqrt(k(lambda_i)).  At saturation (every rho_i = I/d_i) Q_i = d I and
+    the other terms cancel, so Hess C = -d G_{:L} G_{L:}, whose kernel is
+    ker M.  Marginals at or below MARGINAL_EIG_FLOOR raise BoundaryStateError
+    (``marginal_eigh``); local elements that do not span raise ValueError
+    (``_local_blocks``).
     """
-    shape = point.basis.shape
-    m = point.basis.size
-    D = state_derivatives(point)
+    basis = point.basis
+    shape = basis.shape
+    m = basis.size
+    G = point.metric
     H = np.zeros((m, m))
     Lam = np.zeros((point.dim, point.dim), dtype=complex)
     trace_lam_rho = 0.0
-    for i, (lam, V) in enumerate(marginal_eigh(point)):
+    start = 0
+    for i, ((lam, V), L_i) in enumerate(zip(marginal_eigh(point), _local_blocks(basis))):
         log_lam = np.log(lam)
         Lam += embed_local((V * log_lam) @ V.conj().T, i, shape)
         trace_lam_rho += float(lam @ log_lam)
-        Y = V.conj().T @ partial_trace_stack(D, shape, i) @ V / np.sqrt(bkm_kernel_matrix(lam))
-        Y = Y.reshape(m, -1)
-        H -= np.real(Y @ Y.conj().T)
+        di = lam.size
+        # f[alpha] = tr_{-i} F_alpha for every alpha in L_i, from one product
+        block = _marginal_map(shape)[start : start + di * di]
+        f = (basis.stack[L_i].reshape(L_i.size, -1) @ block.T).reshape(-1, di, di)
+        start += di * di
+        Y = V.conj().T @ f @ V / np.sqrt(bkm_kernel_matrix(lam))
+        Y = Y.reshape(L_i.size, -1)
+        G_i = G[:, L_i]
+        H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 
     U = point.eigvecs
     Lam_t = U.conj().T @ Lam @ U
@@ -212,7 +238,7 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))
     T = Z.transpose(1, 0, 2).reshape(m, -1) @ Fc.reshape(m, -1).T
     H -= np.real(T + T.T)
-    H += trace_lam_rho * point.metric
+    H += trace_lam_rho * G
     return 0.5 * (H + H.T)
 
 

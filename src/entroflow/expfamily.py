@@ -21,7 +21,6 @@ from .errors import BoundaryStateError
 from .operators import (
     OperatorBasis,
     _readonly,
-    exp_divided_difference,
     hermitian_eig,
     require_hermitian,
 )
@@ -247,15 +246,3 @@ def entropy_and_gradient(point: ExpFamilyPoint) -> tuple[float, np.ndarray]:
     """Entropy H(theta) = psi - theta . mu and its exact gradient -G theta."""
     return point.entropy, -metric_theta(point)
 
-
-def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
-    """Stack of partial derivatives d rho / d theta_b, shape (m, d, d).
-
-    Each derivative is the directional derivative of exp at K - psi I along
-    F_b - mu_b I, evaluated in the eigenbasis of rho via the divided
-    difference kernel of exp (equal to the BKM kernel on the spectrum).
-    """
-    U = point.eigvecs
-    phi = exp_divided_difference(np.log(point.eigvals))
-    D = U @ (_centred_rotation(point, slice(None)).transpose(1, 0, 2) * phi) @ U.conj().T
-    return 0.5 * (D + D.conj().transpose(0, 2, 1))

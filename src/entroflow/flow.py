@@ -152,10 +152,7 @@ def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
     d = basis.shape.total_dim
     if xi.shape != (d, d):
         raise ValueError(f"generator shape {xi.shape} does not match state {(d, d)}")
-    local = basis.stack[basis.local_indices()]
-    coeffs = np.real(np.einsum("aij,ji->a", local, xi))
-    xi_local = np.einsum("a,aij->ij", coeffs, local) + (np.trace(xi) / d) * np.eye(d)
-    defect = float(np.linalg.norm(xi - xi_local))
+    defect = float(np.linalg.norm(basis.coordinates(xi)[basis.correlation_indices()]))
     if defect > LOCALITY_TOL * max(1.0, float(np.linalg.norm(xi))):
         raise NonLocalGeneratorError(
             f"generator has a correlation-sector component of norm {defect:.3e}"

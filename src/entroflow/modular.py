@@ -23,7 +23,6 @@ from .operators import hermitian_eig, marginals, require_hermitian
 from .states import FULL_RANK_FLOOR, marginal_entropies
 
 GENERATOR_TRIVIAL_TOL = 1e-12
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def modular_hamiltonian(rho_i) -> np.ndarray:
@@ -93,8 +92,9 @@ def gibbs_lock_residual(rho_i, H_local) -> tuple[float, float]:
     Minimises |K_i - beta H - c(beta) I|_F over beta (the identity component
     is projected out, which fixes c).  Returns (beta_star, residual); the
     residual is zero iff the marginal is exactly Gibbs with respect to
-    H_local.  The search brackets the minimum by doubling and refines it by
-    golden-section.
+    H_local.  With T and K the traceless parts of H_local and K_i the
+    objective |K - beta T|^2 is quadratic in beta, so
+    beta_star = Re<T, K> / |T|^2 in closed form.
     """
     H_local = require_hermitian(H_local, name="local generator")
     T = _traceless(H_local)
@@ -102,40 +102,8 @@ def gibbs_lock_residual(rho_i, H_local) -> tuple[float, float]:
     if t_norm < GENERATOR_TRIVIAL_TOL:
         raise ValueError("local generator is a multiple of the identity; beta is unidentifiable")
     K = _traceless(modular_hamiltonian(rho_i))
-
-    def objective(beta: float) -> float:
-        diff = K - beta * T
-        return float(np.real(np.vdot(diff, diff)))
-
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = objective(lo), objective(hi)
-    f_mid = objective(0.0)
-    for _ in range(200):
-        if f_mid <= f_lo and f_mid <= f_hi:
-            break
-        if f_lo < f_hi:
-            lo, hi = 2.0 * lo, hi
-            f_lo = objective(lo)
-        else:
-            lo, hi = lo, 2.0 * hi
-            f_hi = objective(hi)
-        f_mid = objective(0.5 * (lo + hi))
-
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    while b - a > 1e-10 * max(1.0, abs(a), abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
-    beta_star = 0.5 * (a + b)
-    return beta_star, float(np.sqrt(objective(beta_star)))
+    beta_star = float(np.real(np.vdot(T, K))) / t_norm**2
+    return beta_star, float(np.linalg.norm(K - beta_star * T))
 
 
 def confined_regime_check(rho, shape, tol: float = 1e-8) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import string
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,8 +24,6 @@ ORTHONORMALITY_TOL = 1e-10
 # Spread of an eigenvalue triple at or below which second divided differences
 # of exp switch from the difference quotient to their Taylor series.
 SECOND_DIVIDED_DIFFERENCE_SERIES_SPREAD = 1e-3
-
-_LETTERS = string.ascii_lowercase
 
 
 @dataclass(frozen=True)
@@ -108,14 +105,6 @@ def embed_local(op, index: int, shape) -> np.ndarray:
     return out
 
 
-def _ptrace_subscripts(n: int, keep: int) -> str:
-    row = list(_LETTERS[:n])
-    col = list(row)
-    kept_col = _LETTERS[n]
-    col[keep] = kept_col
-    return f"z{''.join(row)}{''.join(col)}->z{row[keep]}{kept_col}"
-
-
 @functools.lru_cache(maxsize=None)
 def _marginal_map(shape: SubsystemShape) -> np.ndarray:
     """0/1 matrix taking the flat entries of X to those of every marginal.
@@ -167,18 +156,6 @@ def partial_trace(rho, shape, keep: int) -> np.ndarray:
     if not 0 <= keep < shape.n_subsystems:
         raise ValueError(f"keep={keep} out of range for {shape.dims}")
     return marginals(rho, shape)[keep]
-
-
-def partial_trace_stack(ops, shape, keep: int) -> np.ndarray:
-    """Partial trace applied along the first axis of a stack of operators."""
-    shape = as_shape(shape)
-    n = shape.n_subsystems
-    ops = np.asarray(ops, dtype=complex)
-    m = ops.shape[0]
-    if n == 1:
-        return ops.copy()
-    resh = ops.reshape((m,) + shape.dims + shape.dims)
-    return np.einsum(_ptrace_subscripts(n, keep), resh)
 
 
 def hermitian_eig(A):
@@ -388,6 +365,11 @@ class OperatorBasis:
         return _readonly(self.local_indices())
 
     @cached_property
+    def local_blocks(self) -> tuple[np.ndarray, ...]:
+        """Indices of the local elements of each subsystem (read-only)."""
+        return tuple(_readonly(self.local_indices(i)) for i in range(self.shape.n_subsystems))
+
+    @cached_property
     def _local_side_by_side(self) -> np.ndarray:
         return _readonly(_side_by_side(self.stack[self.local_sector]))
 
@@ -403,10 +385,6 @@ class OperatorBasis:
         if index is self.local_sector:
             return self._local_side_by_side
         return _side_by_side(self.stack[index])
-
-    @property
-    def elements(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.stack[a] for a in range(self.size))
 
     def local_indices(self, subsystem: int | None = None) -> np.ndarray:
         if subsystem is None:

@@ -1,15 +1,18 @@
-"""Reference projection route, kept as a test oracle.
+"""Reference geometry routes, kept as test oracles.
 
-The library builds ker M from the local metric block alone
-(``entroflow.constraint``).  This module keeps the dense route it replaced:
-the marginal Jacobian M in Hermitian-vec coordinates, an orthonormal SVD
-kernel N of M, the G-orthogonal projector N (N^T G N)^{-1} N^T G, the
-gradient read from the ``state_derivatives`` stack, and the velocity
-helpers built on that projector.
+The library builds ker M and the constraint Hessian from the local columns
+of the metric alone (``entroflow.constraint``).  This module keeps the dense
+routes they replaced: the m x d x d stack d rho / d theta
+(``state_derivatives``) and its partial traces, the marginal Jacobian M in
+Hermitian-vec coordinates, an orthonormal SVD kernel N of M, the
+G-orthogonal projector N (N^T G N)^{-1} N^T G, the gradient and the Hessian
+read from the derivative stack, and the velocity helpers built on that
+projector.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +25,16 @@ from entroflow import (
     NumericalDegeneracyError,
     StationaryPointError,
     assemble_local_generator,
+    as_shape,
+    bkm_kernel_matrix,
+    embed_local,
+    exp_divided_difference,
+    exp_second_divided_difference,
     reversible_velocity,
-    state_derivatives,
 )
-from entroflow.constraint import PROJECTOR_COND_MAX, _marginal_logs
+from entroflow.constraint import PROJECTOR_COND_MAX, _marginal_logs, marginal_eigh
+from entroflow.expfamily import _centred_rotation
 from entroflow.flow import DEFAULT_RATE_MIN
-from entroflow.operators import partial_trace_stack
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
 KERNEL_RCOND = 1e-8
@@ -50,6 +57,67 @@ def hermitian_vec(X) -> np.ndarray:
     return np.concatenate(
         [diag, root2 * np.real(upper), root2 * np.imag(upper)], axis=-1
     )
+
+
+def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
+    """Stack of partial derivatives d rho / d theta_b, shape (m, d, d).
+
+    Each derivative is the directional derivative of exp at K - psi I along
+    F_b - mu_b I, evaluated in the eigenbasis of rho via the divided
+    difference kernel of exp (equal to the BKM kernel on the spectrum).
+    """
+    U = point.eigvecs
+    phi = exp_divided_difference(np.log(point.eigvals))
+    D = U @ (_centred_rotation(point, slice(None)).transpose(1, 0, 2) * phi) @ U.conj().T
+    return 0.5 * (D + D.conj().transpose(0, 2, 1))
+
+
+def partial_trace_stack(ops, shape, keep: int) -> np.ndarray:
+    """Partial trace applied along the first axis of a stack of operators."""
+    shape = as_shape(shape)
+    n = shape.n_subsystems
+    ops = np.asarray(ops, dtype=complex)
+    m = ops.shape[0]
+    if n == 1:
+        return ops.copy()
+    row = list(string.ascii_lowercase[:n])
+    col = list(row)
+    col[keep] = string.ascii_lowercase[n]
+    subscripts = f"z{''.join(row)}{''.join(col)}->z{row[keep]}{col[keep]}"
+    return np.einsum(subscripts, ops.reshape((m,) + shape.dims + shape.dims))
+
+
+def stack_hessian(point: ExpFamilyPoint) -> np.ndarray:
+    """Hess C with every marginal derivative read from the derivative stack.
+
+    Same formula as ``constraint_hessian``, except that the rows
+    V_i^dag (d_b rho_i) V_i / sqrt(k(lambda_i)) come from the partial traces
+    of ``state_derivatives`` instead of the local columns of G.
+    """
+    shape = point.basis.shape
+    m = point.basis.size
+    D = state_derivatives(point)
+    H = np.zeros((m, m))
+    Lam = np.zeros((point.dim, point.dim), dtype=complex)
+    trace_lam_rho = 0.0
+    for i, (lam, V) in enumerate(marginal_eigh(point)):
+        log_lam = np.log(lam)
+        Lam += embed_local((V * log_lam) @ V.conj().T, i, shape)
+        trace_lam_rho += float(lam @ log_lam)
+        Y = V.conj().T @ partial_trace_stack(D, shape, i) @ V / np.sqrt(bkm_kernel_matrix(lam))
+        Y = Y.reshape(m, -1)
+        H -= np.real(Y @ Y.conj().T)
+
+    U = point.eigvecs
+    Lam_t = U.conj().T @ Lam @ U
+    Fc = _centred_rotation(point, slice(None)).transpose(1, 0, 2)
+    # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
+    W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
+    Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))
+    T = Z.transpose(1, 0, 2).reshape(m, -1) @ Fc.reshape(m, -1).T
+    H -= np.real(T + T.T)
+    H += trace_lam_rho * point.metric
+    return 0.5 * (H + H.T)
 
 
 def stack_gradient(point: ExpFamilyPoint) -> np.ndarray:

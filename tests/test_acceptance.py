@@ -39,11 +39,11 @@ from entroflow import (
     random_joint_distribution,
     regularized_origin,
     soft_mode_count,
-    state_derivatives,
     state_from_params,
     stiffness_spectrum,
     von_neumann_entropy,
 )
+from tests.reference_geometry import state_derivatives
 from tests.test_expfamily import fd_hessian_psi
 
 LOG3 = np.log(3.0)

@@ -3,9 +3,11 @@ projector, and the stiffness spectrum.
 
 The independent Hessian oracles: at any point whose marginals are all
 maximally mixed, expanding h(I/d + X) = log d - (d/2)||X||_F^2 + O(X^3)
-gives the exact identity  grad2 C = -sum_i d_i M_i^T M_i; everywhere else
-the analytic Hessian is checked against a finite-difference stencil of the
-analytic gradient (``fd_constraint_hessian``).
+gives the exact identity  grad2 C = -sum_i d_i M_i^T M_i, which in the
+local columns of the metric reads -d G_{:L} G_{L:}; everywhere else the
+analytic Hessian is checked against a finite-difference stencil of the
+analytic gradient (``fd_constraint_hessian``) and against the same formula
+evaluated on the derivative stack (``stack_hessian``).
 """
 
 import numpy as np
@@ -15,11 +17,13 @@ import scipy.linalg
 from entroflow import (
     FullyConstrainedError,
     NumericalDegeneracyError,
+    OperatorBasis,
     as_shape,
     constraint_geometry,
     constraint_gradient,
     constraint_hessian,
     constraint_max,
+    local_block_projection,
     make_point,
     marginal_entropy_sum,
     modular_hamiltonian,
@@ -42,6 +46,7 @@ from tests.reference_geometry import (
     marginal_projector,
     reference_geometry,
     stack_gradient,
+    stack_hessian,
 )
 
 GRAD_FD_STEP = 1e-5
@@ -159,6 +164,10 @@ def test_gradient_single_qubit_closed_form(rng):
     np.testing.assert_allclose(constraint_gradient(pt), expected, atol=1e-12)
 
 
+def relative_gap(A, B) -> float:
+    return float(np.linalg.norm(A - B) / np.linalg.norm(B))
+
+
 def test_hessian_saturation_identity(qutrit_pair):
     shape, basis = qutrit_pair
     for eps in (0.05, 0.01):
@@ -167,6 +176,16 @@ def test_hessian_saturation_identity(qutrit_pair):
         oracle = saturation_hessian_oracle(pt, shape.dims)
         assert np.abs(H - oracle).max() < 1e-10
         assert np.abs(H - H.T).max() < 1e-12
+    # the same identity in the local columns of G: Hess C = -d G_{:L} G_{L:}
+    for dims in ([2, 2], [3, 3], [4, 4]):
+        shape = as_shape(dims)
+        basis = product_basis(shape)
+        L = basis.local_sector
+        for eps in (0.3, 0.05, 0.01):
+            pt = origin_point(shape, basis, eps)
+            G = pt.metric
+            closed = -shape.total_dim * G[:, L] @ G[L, :]
+            assert relative_gap(constraint_hessian(pt), closed) <= 1e-12
 
 
 def test_hessian_nsd_at_origin(qutrit_pair):
@@ -219,6 +238,35 @@ def test_analytic_hessian_matches_fd_oracle(dims, rng):
         H = constraint_hessian(pt)
         assert np.abs(H - H.T).max() <= 1e-12
         assert np.abs(H - fd_constraint_hessian(pt)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]])
+def test_hessian_matches_stack_oracle(dims, rng):
+    """Marginal derivatives from the local columns of G against the partial
+    traces of the derivative stack, at the points of the stencil test."""
+    shape = as_shape(dims)
+    basis = product_basis(shape)
+    if dims == [3, 3]:
+        correlated = origin_point(shape, basis, 0.05).theta
+    else:
+        correlated = params_from_state(mixed_ghz_state(dims, 0.2), basis)
+    for theta in (rng.normal(size=basis.size) * 0.4, correlated):
+        pt = make_point(theta, basis)
+        assert relative_gap(constraint_hessian(pt), stack_hessian(pt)) <= 1e-12
+
+
+def test_local_elements_must_span_each_subsystem(rng):
+    """A basis missing one local element of a subsystem would give a wrong
+    Hessian and a wrong ker M without any error; both are refused."""
+    full = product_basis(as_shape([2, 2]))
+    keep = np.delete(np.arange(full.size), full.local_indices(0)[0])
+    basis = OperatorBasis(
+        full.shape, full.stack[keep], tuple(full.sector_labels[a] for a in keep)
+    )
+    pt = make_point(rng.normal(size=basis.size) * 0.3, basis)
+    for build in (constraint_hessian, constraint_geometry, local_block_projection):
+        with pytest.raises(ValueError, match="local elements"):
+            build(pt)
 
 
 @pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]])
@@ -408,20 +456,10 @@ def test_geometry_bundle_consistency(qutrit_pair):
     assert geom_h.hessian is not None
 
 
-def test_geometry_builds_state_derivatives_once(qutrit_pair, monkeypatch):
-    import entroflow.constraint
-
+def test_geometry_hessian_matches_stack_oracle(qutrit_pair):
     shape, basis = qutrit_pair
     pt = origin_point(shape, basis, 0.05)
     expected = constraint_hessian(pt)
-    real = entroflow.constraint.state_derivatives
-    calls = []
-
-    def counting(point):
-        calls.append(None)
-        return real(point)
-
-    monkeypatch.setattr(entroflow.constraint, "state_derivatives", counting)
     geom = constraint_geometry(pt, include_hessian=True)
-    assert len(calls) == 1
+    assert relative_gap(geom.hessian, stack_hessian(pt)) <= 1e-12
     assert np.array_equal(geom.hessian, expected)

@@ -201,7 +201,7 @@ def test_metric_fd_hessian_oracle(rng):
 def test_metric_frechet_consistency(rng):
     """Two routes to G: the divided-difference Gram form inside make_point
     and tr(F_a dρ/dθ_b) with dρ from the Fréchet derivative."""
-    from entroflow import state_derivatives
+    from tests.reference_geometry import state_derivatives
 
     basis = product_basis(as_shape([2, 2]))
     theta = rng.normal(size=15) * 0.7

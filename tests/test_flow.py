@@ -37,7 +37,6 @@ from entroflow import (
     random_hermitian,
     regularized_origin,
     reversible_velocity,
-    state_derivatives,
     state_from_params,
     tensor_product,
 )
@@ -49,6 +48,7 @@ from tests.reference_geometry import (
     entropy_time_velocity,
     marginal_jacobian,
     reference_geometry,
+    state_derivatives,
 )
 
 EPS = 0.05

@@ -1,8 +1,9 @@
 """Modular generators of marginals, thermal locking, and the Gibbs family.
 
-Oracle for the beta fit: the objective |K - beta T|_F^2 is quadratic, so the
-optimum has the closed form beta = Re<T, K> / |T|^2 (traceless parts); the
-golden-section search must land on it.
+Oracles for the beta fit, which the library solves in closed form: the
+objective |K - beta T|_F^2 (traceless parts) is quadratic, so the optimum is
+beta = Re<T, K> / |T|^2 (``beta_fit_oracle``), and off the thermal family
+the residual must grow on both sides of the returned beta.
 """
 
 import numpy as np
@@ -110,7 +111,7 @@ def test_beta_zero_at_maximally_mixed(rng):
 
 
 def test_beta_fit_matches_quadratic_oracle_off_family(rng):
-    """Even where the residual cannot vanish the search must still find the
+    """Even where the residual cannot vanish the fit must still return the
     least-squares beta."""
     shape = as_shape([3, 3])
     for _ in range(5):
@@ -119,6 +120,10 @@ def test_beta_fit_matches_quadratic_oracle_off_family(rng):
         beta_star, resid = gibbs_lock_residual(rho_i, H)
         assert resid > 1e-6  # a random marginal is not thermal for a random H
         assert abs(beta_star - beta_fit_oracle(rho_i, H)) <= 1e-7
+        K = _traceless(modular_hamiltonian(rho_i))
+        T = _traceless(H)
+        for beta in (beta_star - 1e-3, beta_star + 1e-3):
+            assert np.linalg.norm(K - beta * T) > resid
 
 
 def test_beta_fit_rejects_trivial_generator():
