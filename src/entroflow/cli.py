@@ -16,6 +16,7 @@ CSV output, byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .constraint import (
     soft_mode_count,
     stiffness_spectrum,
 )
-from .errors import EntroflowError, IntegrationError
+from .errors import EntroflowError, FullyConstrainedError, IntegrationError
 from .expfamily import make_point, params_from_state
 from .flow import FlowConfig, entropy_time_fit, integrate
 from .modular import (
@@ -55,23 +56,22 @@ _LN2 = math.log(2.0)
 # holds (d^2 - 1) d^2 complex entries.
 MAX_TOTAL_DIM = 64
 
+# The simulate keys passed to FlowConfig as they are, with its defaults;
+# ``xi`` is parsed into ``xi_parts``.
+_FLOW_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(FlowConfig) if f.name != "xi_parts"
+}
+
 _DEFAULTS = {
     "simulate": {
         "shape": [3, 3],
         "eps": 0.05,
         "start": "origin",
         "start_scale": 1e-3,
-        "c": 1.0,
         "clock": "entropy",
         "kind": "dissipative",
         "duration": 10.0,
-        "rate_min": 1e-10,
-        "initial_step": 0.01,
-        "atol": 1e-8,
-        "rtol": 1e-8,
-        "max_steps": 100000,
-        "conservation_tol": 1e-6,
-        "reversible_rate": 1.0,
+        **_FLOW_DEFAULTS,
         "xi": None,
         "save_theta": False,
         "seed": 0,
@@ -224,9 +224,12 @@ def _parse_xi(raw) -> tuple:
     parts = []
     for item in raw:
         try:
-            parts.append((int(item["subsystem"]), _parse_matrix(item["matrix"])))
+            subsystem, matrix = item["subsystem"], _parse_matrix(item["matrix"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad xi entry {item!r}") from exc
+        if type(subsystem) is not int:  # JSON true or 0.7 names no subsystem
+            raise ConfigError(f"xi subsystem must be an integer, got {subsystem!r}")
+        parts.append((subsystem, matrix))
     return tuple(parts)
 
 
@@ -258,6 +261,10 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
         # At theta = 0, G = I/d and ker M is exactly the span of the
         # correlation axes: a Gaussian draw on them is a Gaussian in ker M.
         corr = basis.correlation_indices()
+        if corr.size == 0:
+            raise FullyConstrainedError(
+                f"shape {list(shape.dims)} has no correlation elements to start from"
+            )
         v = np.zeros(basis.size)
         v[corr] = rng.normal(size=corr.size)
         theta0 = cfg["start_scale"] * v / np.linalg.norm(v)
@@ -265,15 +272,7 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
         raise ConfigError(f"unknown start {cfg['start']!r}")
 
     flow_cfg = FlowConfig(
-        c=cfg["c"],
-        rate_min=cfg["rate_min"],
-        initial_step=cfg["initial_step"],
-        atol=cfg["atol"],
-        rtol=cfg["rtol"],
-        max_steps=cfg["max_steps"],
-        conservation_tol=cfg["conservation_tol"],
-        reversible_rate=cfg["reversible_rate"],
-        xi_parts=_parse_xi(cfg["xi"]),
+        **{key: cfg[key] for key in _FLOW_DEFAULTS}, xi_parts=_parse_xi(cfg["xi"])
     )
 
     failures = []

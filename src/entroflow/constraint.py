@@ -35,10 +35,9 @@ from .operators import (
     exp_second_divided_difference,
     marginals,
 )
-from .states import marginal_entropies
+from .states import FULL_RANK_FLOOR, marginal_entropies
 
 PROJECTOR_COND_MAX = 1e12
-MARGINAL_EIG_FLOOR = 1e-12
 SOFT_MODE_TOL = 1e-6
 
 
@@ -120,15 +119,15 @@ def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigendecomposition (w, U) of every marginal, eigenvalues ascending.
 
     Raises BoundaryStateError when a marginal eigenvalue is at or below
-    MARGINAL_EIG_FLOOR: the marginal logarithms behind the constraint
+    FULL_RANK_FLOOR: the marginal logarithms behind the constraint
     gradient are not trustworthy there.
     """
     out = []
     for i, rho_i in enumerate(marginals(point.rho, point.basis.shape)):
         w, U = np.linalg.eigh(rho_i)
-        if w[0] <= MARGINAL_EIG_FLOOR:
+        if w[0] <= FULL_RANK_FLOOR:
             raise BoundaryStateError(
-                f"marginal {i} eigenvalue {w[0]:.3e} at or below {MARGINAL_EIG_FLOOR}"
+                f"marginal {i} eigenvalue {w[0]:.3e} at or below {FULL_RANK_FLOOR}"
             )
         out.append((w, U))
     return out
@@ -204,7 +203,7 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
     Q_i = Re(Y Y^dag) over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i
     / sqrt(k(lambda_i)).  At saturation (every rho_i = I/d_i) Q_i = d I and
     the other terms cancel, so Hess C = -d G_{:L} G_{L:}, whose kernel is
-    ker M.  Marginals at or below MARGINAL_EIG_FLOOR raise BoundaryStateError
+    ker M.  Marginals at or below FULL_RANK_FLOOR raise BoundaryStateError
     (``marginal_eigh``); local elements that do not span raise ValueError
     (``_local_blocks``).
     """

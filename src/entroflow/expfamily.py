@@ -24,11 +24,10 @@ from .operators import (
     hermitian_eig,
     require_hermitian,
 )
+from .states import FULL_RANK_FLOOR
 
 # Relative eigenvalue gap below which the BKM kernel uses its diagonal limit.
 BKM_EQUAL_TOL = 1e-12
-# Spectrum floor used when inverting the chart (log of the state).
-CHART_EIG_FLOOR = 1e-12
 # Underflow guard: below this the state is numerically rank deficient.
 STATE_UNDERFLOW_FLOOR = 1e-250
 
@@ -220,29 +219,13 @@ def params_from_state(rho, basis: OperatorBasis) -> np.ndarray:
     """Invert the chart: theta_a = tr(F_a log rho).
 
     The state must be comfortably full rank (smallest eigenvalue above
-    1e-12); rank-deficient input is rejected rather than clipped.
+    FULL_RANK_FLOOR); rank-deficient input is rejected rather than clipped.
     """
     rho = require_hermitian(rho, name="density matrix")
     w, U = hermitian_eig(rho)
-    if w[0] <= CHART_EIG_FLOOR:
+    if w[0] <= FULL_RANK_FLOOR:
         raise BoundaryStateError(
-            f"state eigenvalue {w[0]:.3e} at or below {CHART_EIG_FLOOR}; chart inversion rejected"
+            f"state eigenvalue {w[0]:.3e} at or below {FULL_RANK_FLOOR}; chart inversion rejected"
         )
     L = (U * np.log(w)) @ U.conj().T
     return basis.coordinates(L)
-
-
-def mean_params(point: ExpFamilyPoint) -> np.ndarray:
-    """mu_a = tr(rho F_a) = d psi / d theta_a."""
-    return point.mu
-
-
-def bkm_metric(point: ExpFamilyPoint) -> np.ndarray:
-    """BKM metric G_ab = Hessian of psi at theta; symmetric positive definite."""
-    return point.metric
-
-
-def entropy_and_gradient(point: ExpFamilyPoint) -> tuple[float, np.ndarray]:
-    """Entropy H(theta) = psi - theta . mu and its exact gradient -G theta."""
-    return point.entropy, -metric_theta(point)
-

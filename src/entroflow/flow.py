@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import MARGINAL_EIG_FLOOR, _local_sector, _solve_local_block, marginal_eigh
+from .constraint import _local_sector, _solve_local_block, marginal_eigh
 from .errors import (
     BoundaryStateError,
     ConservationError,
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .expfamily import ExpFamilyPoint, _check_theta, _generator, make_point, metric_block, metric_theta
 from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
-from .states import marginal_entropies
+from .states import FULL_RANK_FLOOR, marginal_entropies
 
 LOCALITY_TOL = 1e-10
 DEFAULT_RATE_MIN = 1e-10
@@ -71,9 +71,10 @@ class FlowConfig:
     """Run parameters for the flows.
 
     ``xi_parts`` lists (subsystem index, Hermitian block) pairs defining the
-    local reversible generator xi = sum_i xi_i (x) I.  ``reversible_rate``
-    multiplies the reversible sector relative to the dissipative one; values
-    other than 1.0 are experimental.
+    local reversible generator xi = sum_i xi_i (x) I; the scale of xi sets
+    the speed of the reversible sector.  Runs containing the dissipative
+    sector stop with status "stationary" once the production rate falls
+    below ``rate_min``.
     """
 
     c: float = 1.0
@@ -83,8 +84,6 @@ class FlowConfig:
     rtol: float = 1e-8
     max_steps: int = 100_000
     conservation_tol: float = 1e-6
-    stop_at_stationary: bool = True
-    reversible_rate: float = 1.0
     xi_parts: tuple = ()
 
     def __post_init__(self):
@@ -102,8 +101,6 @@ class FlowConfig:
             raise ValueError("atol and rtol must not both be zero")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
-        if not math.isfinite(self.reversible_rate):
-            raise ValueError(f"reversible_rate must be finite, got {self.reversible_rate}")
 
 
 def assemble_local_generator(shape, parts) -> np.ndarray:
@@ -172,10 +169,10 @@ def _clear_radius(shape) -> float:
     |K|_F = |theta| (orthonormal basis), so the spectrum of K spans at most
     sqrt(2) |theta| and lambda_min(rho) >= e^(-sqrt(2) |theta|) / d.  A partial
     trace sums d / d_i diagonal blocks, so lambda_min(rho_i) >= e^(-sqrt(2)
-    |theta|) / d_i > 2 MARGINAL_EIG_FLOOR (2: round-off margin) at |theta| < R,
+    |theta|) / d_i > 2 FULL_RANK_FLOOR (2: round-off margin) at |theta| < R,
     and the state stays far above STATE_UNDERFLOW_FLOOR.
     """
-    return math.log(1.0 / (2.0 * MARGINAL_EIG_FLOOR * max(shape.dims))) / math.sqrt(2.0)
+    return math.log(1.0 / (2.0 * FULL_RANK_FLOOR * max(shape.dims))) / math.sqrt(2.0)
 
 
 def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
@@ -410,9 +407,9 @@ def integrate(
     After an accepted step h grows by ``_step_factor``; a rejected attempt
     shrinks it by max(0.2, 0.9 e^(-1/5)), a failed stage halves it.
 
-    Entropy-clock runs stop with status "stationary" once the production
-    rate falls below ``config.rate_min`` (so do game-clock runs containing
-    the dissipative sector, when ``config.stop_at_stationary`` is set).
+    Runs containing the dissipative sector, under either clock, stop with
+    status "stationary" once the production rate falls below
+    ``config.rate_min``.
     A drift of any marginal entropy h_i beyond ``config.conservation_tol``
     raises ConservationError; step-size underflow away from a stationary
     point raises StiffRegionError; an ill-conditioned local metric block
@@ -440,7 +437,6 @@ def integrate(
     xi = None
     if reversible:
         xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
-    check_rate = dissipative and (clock == "entropy" or config.stop_at_stationary)
     radius = _clear_radius(shape)
 
     def rhs(theta, out):
@@ -459,7 +455,7 @@ def integrate(
             v.fill(0.0)
         if reversible:
             K = _generator(theta, basis) if point is None else point.generator
-            v += config.reversible_rate * _commutator(basis, K, xi)
+            v += _commutator(basis, K, xi)
         if clock == "game":
             # The reversible sector is entropy-neutral by construction, so
             # dH/dtau is the production rate alone (0 in a reversible run).
@@ -494,7 +490,7 @@ def integrate(
     point, rate = rhs(theta0, stages[0])
     marg0 = record(0, 0.0, 0.0, point, rate)
 
-    if check_rate and rate < config.rate_min:
+    if dissipative and rate < config.rate_min:
         return rec.build(clock, kind, shape.dims, "stationary")
 
     pos = 0.0
@@ -550,7 +546,7 @@ def integrate(
         if factor is not None:
             h *= factor
             if h < h_min:
-                if check_rate and rate < 10.0 * config.rate_min:
+                if dissipative and rate < 10.0 * config.rate_min:
                     status = "stationary"
                     break
                 raise StiffRegionError(
@@ -573,7 +569,7 @@ def integrate(
                 f"exceeds {config.conservation_tol:.1e}",
                 rec.build(clock, kind, shape.dims, "conservation"),
             )
-        if check_rate and rate < config.rate_min:
+        if dissipative and rate < config.rate_min:
             status = "stationary"
             break
         factor = _step_factor(err_norm, h, prev)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BoundaryStateError
 from .expfamily import _log_sum_exp
 from .operators import hermitian_eig, marginals, require_hermitian
-from .states import FULL_RANK_FLOOR, marginal_entropies
+from .states import FULL_RANK_FLOOR, gibbs_state, marginal_entropies
 
 GENERATOR_TRIVIAL_TOL = 1e-12
 
@@ -55,10 +55,7 @@ class GibbsFamily:
 
     @property
     def state(self) -> np.ndarray:
-        w, U = hermitian_eig(self.generator)
-        p = np.exp(-self.beta * w - np.log(self.partition))
-        rho = (U * p) @ U.conj().T
-        return 0.5 * (rho + rho.conj().T)
+        return gibbs_state(self.generator, self.beta)
 
 
 def gibbs_family(generator, beta: float) -> GibbsFamily:

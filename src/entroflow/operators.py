@@ -1,8 +1,8 @@
 """Hermitian operator algebra on multipartite systems.
 
-Tensor products, partial traces, spectral matrix functions, directional
-derivatives of the matrix exponential, and orthonormal traceless operator
-bases.  Operators are plain complex numpy arrays; subsystem 0 is always the
+Local embeddings, marginals (partial traces), spectral matrix functions,
+directional derivatives of the matrix exponential, and orthonormal traceless
+operator bases.  Operators are plain complex numpy arrays; subsystem 0 is always the
 slowest-varying Kronecker factor.
 """
 
@@ -83,11 +83,6 @@ def require_hermitian(A, tol: float = HERMITICITY_TOL, name: str = "operator") -
     return 0.5 * (A + A.conj().T)
 
 
-def tensor_product(A, B) -> np.ndarray:
-    """Kronecker product with the first factor slowest-varying."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
 def embed_local(op, index: int, shape) -> np.ndarray:
     """Embed a single-subsystem operator as I x .. x op x .. x I."""
     shape = as_shape(shape)
@@ -146,18 +141,6 @@ def marginals(X, shape) -> list[np.ndarray]:
     return out
 
 
-def partial_trace(rho, shape, keep: int) -> np.ndarray:
-    """Reduced operator on subsystem ``keep``, tracing out all others.
-
-    Works for any square operator and any number of subsystems; ``keep`` is
-    an index into ``shape.dims``.
-    """
-    shape = as_shape(shape)
-    if not 0 <= keep < shape.n_subsystems:
-        raise ValueError(f"keep={keep} out of range for {shape.dims}")
-    return marginals(rho, shape)[keep]
-
-
 def hermitian_eig(A):
     """Eigendecomposition of (A + A^dag)/2, eigenvalues ascending."""
     A = np.asarray(A, dtype=complex)
@@ -183,19 +166,6 @@ def matrix_function(A, f, *, positive: bool = False) -> np.ndarray:
     fw = np.asarray(f(w), dtype=float)
     out = (U * fw) @ U.conj().T
     return 0.5 * (out + out.conj().T)
-
-
-def matrix_exp(A) -> np.ndarray:
-    return matrix_function(A, np.exp)
-
-
-def matrix_log(A) -> np.ndarray:
-    return matrix_function(A, np.log, positive=True)
-
-
-def matrix_power(A, exponent: float) -> np.ndarray:
-    needs_pd = not float(exponent).is_integer()
-    return matrix_function(A, lambda w: w ** exponent, positive=needs_pd)
 
 
 def _exp_pair_difference(x, y) -> np.ndarray:
@@ -263,12 +233,6 @@ def frechet_exp(A, E) -> np.ndarray:
     w, U = hermitian_eig(A)
     Et = U.conj().T @ np.asarray(E, dtype=complex) @ U
     return U @ (Et * exp_divided_difference(w)) @ U.conj().T
-
-
-def commutator(A, B) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    return A @ B - B @ A
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryStateError, UnsupportedShapeError
-from .operators import as_shape, hermitian_eig, is_hermitian, marginals, matrix_log, require_hermitian
+from .errors import UnsupportedShapeError
+from .operators import as_shape, hermitian_eig, is_hermitian, marginals, require_hermitian
 
 TRACE_TOL = 1e-12
 # Spectrum floor: eigenvalues in [EIG_CLIP_FLOOR, 0) are treated as exact
 # zeros; anything below is an invariant violation, not round-off.
 EIG_CLIP_FLOOR = -1e-10
+# Smallest eigenvalue a state or marginal must exceed before its logarithm is
+# taken (chart inversion, modular generator, constraint gradient); at or
+# below it those raise BoundaryStateError.
 FULL_RANK_FLOOR = 1e-12
 
 
@@ -49,11 +52,6 @@ def von_neumann_entropy(rho) -> float:
     """Entropy -tr(rho log rho) in nats of a density matrix."""
     rho = require_hermitian(rho, name="density matrix")
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
-
-
-def purity(rho) -> float:
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))
 
 
 def lme_origin(shape) -> np.ndarray:
@@ -108,25 +106,19 @@ def multi_information(rho, shape) -> float:
 
 
 def gibbs_state(H, beta: float) -> np.ndarray:
-    """exp(-beta H) / Z for Hermitian H, computed through the spectrum."""
+    """exp(-beta H) / Z for Hermitian H, computed through the spectrum.
+
+    The exponent is shifted to the most populated level before scaling, so
+    it is <= 0; a beta too large for the gaps overflows it to -inf, which
+    exp takes to an exact 0 (a rank-deficient state, not NaN).
+    """
     w, U = hermitian_eig(require_hermitian(H, name="generator"))
-    x = -beta * w
-    x -= x.max()
+    with np.errstate(over="ignore"):
+        x = -beta * (w - (w[0] if beta >= 0 else w[-1]))
     p = np.exp(x)
     p /= p.sum()
     rho = (U * p) @ U.conj().T
     return 0.5 * (rho + rho.conj().T)
-
-
-def state_log(rho) -> np.ndarray:
-    """Matrix log of a full-rank density matrix; near-singular input is rejected."""
-    rho = require_hermitian(rho, name="density matrix")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] <= FULL_RANK_FLOOR:
-        raise BoundaryStateError(
-            f"state eigenvalue {w[0]:.3e} at or below the full-rank floor {FULL_RANK_FLOOR}"
-        )
-    return matrix_log(rho)
 
 
 def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:

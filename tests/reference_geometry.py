@@ -244,5 +244,5 @@ def combined_velocity(
     v = dissipative_velocity(point, geometry)
     if config.xi_parts:
         xi = assemble_local_generator(point.basis.shape, config.xi_parts)
-        v = v + config.reversible_rate * reversible_velocity(point, xi)
+        v = v + reversible_velocity(point, xi)
     return (config.c / rate) * v

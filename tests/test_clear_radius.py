@@ -24,8 +24,9 @@ from entroflow import (
     random_hermitian,
     regularized_origin,
 )
-from entroflow.constraint import MARGINAL_EIG_FLOOR, marginal_eigh
+from entroflow.constraint import marginal_eigh
 from entroflow.operators import marginals
+from entroflow.states import FULL_RANK_FLOOR
 
 BOUND_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4)]
 # Largest |theta| drawn: past R at every shape (R = 18.27 at [3,3]), while the
@@ -84,7 +85,7 @@ def test_inside_radius_marginal_guard_passes():
         theta = np.zeros(basis.size)
         theta[a] = 0.999 * radius
         for w, _ in marginal_eigh(make_point(theta, basis)):
-            assert w[0] > 2.0 * MARGINAL_EIG_FLOOR
+            assert w[0] > 2.0 * FULL_RANK_FLOOR
 
 
 def _xi_parts(rng):
@@ -161,13 +162,13 @@ def test_reversible_run_builds_points_only_to_record(monkeypatch):
 
 def test_reversible_run_past_radius_still_hits_marginal_floor(qutrit_pair):
     """theta0 on one local diagonal element, far past R: a marginal eigenvalue
-    is below MARGINAL_EIG_FLOOR, and the exact guard raises as before."""
+    is below FULL_RANK_FLOOR, and the exact guard raises as before."""
     shape, basis = qutrit_pair
     theta0 = np.zeros(basis.size)
     theta0[basis.local_indices(0)[-1]] = 60.0
     assert np.linalg.norm(theta0) > entroflow.flow._clear_radius(shape)
     cfg = FlowConfig(xi_parts=_xi_parts(np.random.default_rng(2)))
-    with pytest.raises(BoundaryStateError, match=f"{MARGINAL_EIG_FLOOR}"):
+    with pytest.raises(BoundaryStateError, match=f"{FULL_RANK_FLOOR}"):
         integrate(theta0, basis, cfg, clock="game", duration=0.1, kind="reversible")
 
 

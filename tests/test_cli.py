@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import as_shape, product_basis
+from entroflow import FlowConfig, as_shape, product_basis
 from entroflow.cli import main
 
 LN2 = np.log(2.0)
@@ -225,8 +225,6 @@ def test_invalid_step_control_exits_two(tmp_path, capsys, monkeypatch, cfg):
 @pytest.mark.parametrize(
     "raw",
     [
-        '{"reversible_rate": NaN}',
-        '{"reversible_rate": Infinity}',
         '{"c": NaN}',
         '{"c": Infinity}',
         '{"rate_min": Infinity}',
@@ -283,6 +281,37 @@ def test_non_finite_xi_entry_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "xi block for subsystem 1" in err
     assert "finite" in err
+
+
+@pytest.mark.parametrize("key, value", [("reversible_rate", 1.0), ("stop_at_stationary", True)])
+def test_removed_flow_settings_are_rejected(tmp_path, capsys, key, value):
+    """Scale xi to change the speed of the reversible sector; a run with the
+    dissipative sector always stops at a stationary point."""
+    assert run_cli(tmp_path, "simulate", {key: value}) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        FlowConfig(**{key: value})
+
+
+def test_random_kernel_start_without_correlations_exits_two(tmp_path, capsys):
+    """A single subsystem has no correlation axes to draw the start on."""
+    assert run_cli(tmp_path, "simulate", {"shape": [3], "start": "random_kernel"}) == 2
+    assert "no correlation elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subsystem", [True, 0.7, 1.0, "0"])
+def test_xi_subsystem_must_be_an_integer(tmp_path, capsys, subsystem):
+    cfg = {"kind": "combined", "duration": 0.1,
+           "xi": [{"subsystem": subsystem, "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 0]]}]}
+    assert run_cli(tmp_path, "simulate", cfg) == 2
+    assert "xi subsystem must be an integer" in capsys.readouterr().err
+
+
+def test_gibbs_check_huge_beta_exits_two(tmp_path, capsys):
+    """beta = 1e308 gives a pure planted state: the full-rank floor rejects it
+    (exit 2) and no overflow warning escapes on the way."""
+    assert run_cli(tmp_path, "gibbs-check", {"beta_range": [1e308, 1e308]}) == 2
+    assert "at or below 1e-12" in capsys.readouterr().err
 
 
 def test_simulate_default_reports_integrator_block(tmp_path, capsys):
@@ -419,56 +448,120 @@ def test_import_leaves_scipy_special_unloaded():
 
 # Mutations for the exit-code property: every pool mixes values of the wrong
 # type, null, NaN and infinities, negatives, a nested list and an unknown
-# name with well-typed values (valid ones, and xi blocks that name a missing
-# subsystem, are not square or lack their matrix).  The run-length keys draw only from bounded pools,
-# so every example finishes quickly.
+# name with well-typed values (valid ones, and edge cases such as a shape
+# without correlations, xi blocks that name a missing or non-integer
+# subsystem, are not square or lack their matrix, and a beta that overflows).
+# Keys that set a run length draw only from bounded pools, so every example
+# finishes quickly.
 _BAD = ["x", None, math.nan, math.inf, -math.inf, -1, -1e-3, [[1.0]], "bogus"]
 _BOUNDED_BAD = ["x", None, math.nan, -1, 0, [[1.0]]]
-_VALID = {
-    "shape": [[2, 2], [2, 3]],
-    "eps": [0.1],
-    "start": ["origin", "random_kernel"],
-    "start_scale": [1e-2],
-    "c": [2.0],
-    "clock": ["game", "entropy"],
-    "kind": ["dissipative", "combined", "reversible"],
-    "rate_min": [1e-6],
-    "initial_step": [0.05],
-    "atol": [1e-6, 0],
-    "rtol": [1e-6],
-    "conservation_tol": [1e-5],
-    "reversible_rate": [0.5],
-    "xi": [
-        [{"subsystem": 0, "matrix": [[1, [0, -1]], [[0, 1], -1]]}],
-        [{"subsystem": 3, "matrix": [[1, 0], [0, -1]]}],
-        [{"subsystem": 0, "matrix": [[1, 2]]}],
-        [{"subsystem": 0}],
-    ],
-    "save_theta": [True, False],
-    "seed": [1, 2],
+_XI_Z = [[1, 0], [0, -1]]
+_CONTRACT = {
+    "simulate": (
+        {"shape": [2, 2], "clock": "game", "duration": 0.1, "max_steps": 40},
+        {
+            "shape": [[2, 2], [2, 3], [3]],
+            "eps": [0.1],
+            "start": ["origin", "random_kernel"],
+            "start_scale": [1e-2],
+            "c": [2.0],
+            "clock": ["game", "entropy"],
+            "kind": ["dissipative", "combined", "reversible"],
+            "rate_min": [1e-6],
+            "initial_step": [0.05],
+            "atol": [1e-6, 0],
+            "rtol": [1e-6],
+            "conservation_tol": [1e-5],
+            "xi": [
+                [{"subsystem": 0, "matrix": [[1, [0, -1]], [[0, 1], -1]]}],
+                [{"subsystem": 3, "matrix": _XI_Z}],
+                [{"subsystem": True, "matrix": _XI_Z}],
+                [{"subsystem": 0.5, "matrix": _XI_Z}],
+                [{"subsystem": 0, "matrix": [[1, 2]]}],
+                [{"subsystem": 0}],
+            ],
+            "save_theta": [True, False],
+            "seed": [1, 2],
+        },
+        {"duration": [0.05, 0.2], "max_steps": [3, 40, 2.5]},
+    ),
+    "origin-analysis": (
+        {"shape": [2, 2], "eps_sweep": [0.1]},
+        {
+            "shape": [[2, 2], [3, 3], [2, 3], [3]],
+            "eps_sweep": [[0.3, 0.01], [0.5], [1e-9]],
+            "soft_tol": [1e-6, 0],
+            "grad_norm_tol": [1e-8, 0],
+            "hessian_max_eig_tol": [1e-6, 0],
+            "angle_tol": [1e-3, 0],
+            "seed": [1],
+        },
+        {},
+    ),
+    "stiffness": (
+        {"shape": [2, 2]},
+        {
+            "shape": [[2, 2], [3, 3], [2, 3], [3]],
+            "eps": [0.05, 1e-9],
+            "soft_tol": [1e-6, 0],
+            "seed": [1],
+        },
+        {},
+    ),
+    "obstruction-check": (
+        {"samples": 20},
+        {"max_alphabet": [2, 6], "witness_q": [2, 8], "slack": [1e-12, 0], "seed": [1]},
+        {"samples": [1, 50]},
+    ),
+    "gibbs-check": (
+        {"shape": [2, 2], "n_states": 3, "n_planted": 3},
+        {
+            "shape": [[2, 2], [3, 3], [3], [2, 2, 2]],
+            "identity_tol": [1e-10, 0],
+            "planted_dim": [2, 64],
+            "beta_range": [[0.1, 2.0], [-1.0, 1.0], [1e308, 1e308], [0.0]],
+            "recovery_tol": [1e-6, 0],
+            "derivative_tol": [1e-7, 0],
+            "seed": [1],
+        },
+        {"n_states": [1, 5], "n_planted": [1, 5]},
+    ),
 }
-_MUTATIONS = [
-    (key, st.one_of(st.sampled_from(values), st.sampled_from(_BAD)))
-    for key, values in _VALID.items()
-] + [
-    ("duration", st.one_of(st.sampled_from([0.05, 0.2]), st.sampled_from(_BOUNDED_BAD))),
-    ("max_steps", st.one_of(st.sampled_from([3, 40, 2.5]), st.sampled_from(_BOUNDED_BAD))),
-]
 
 
 @st.composite
-def simulate_configs(draw):
-    cfg = {"shape": [2, 2], "clock": "game", "duration": 0.1, "max_steps": 40}
-    for key, values in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
+def mutated_configs(draw, mode):
+    base, valid, bounded = _CONTRACT[mode]
+    mutations = [
+        (key, st.one_of(st.sampled_from(values), st.sampled_from(_BAD)))
+        for key, values in valid.items()
+    ] + [
+        (key, st.one_of(st.sampled_from(values), st.sampled_from(_BOUNDED_BAD)))
+        for key, values in bounded.items()
+    ]
+    cfg = dict(base)
+    for key, values in draw(st.lists(st.sampled_from(mutations), min_size=1, max_size=2)):
         cfg[key] = draw(values)
     return cfg
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(simulate_configs())
-def test_simulate_exit_code_contract(cfg):
-    """Any mistyped or out-of-range config ends in exit 0, 1 or 2, never a traceback."""
+def _exit_code(mode, cfg):
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["simulate", "--out", out, "--config", str(path)]) in (0, 1, 2)
+        return main([mode, "--out", out, "--config", str(path)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(mutated_configs("simulate"))
+def test_simulate_exit_code_contract(cfg):
+    """Any mistyped or out-of-range config ends in exit 0, 1 or 2, never a traceback."""
+    assert _exit_code("simulate", cfg) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("mode", ["origin-analysis", "stiffness", "obstruction-check", "gibbs-check"])
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_exit_code_contract(mode, data):
+    """The same contract for the other modes."""
+    assert _exit_code(mode, data.draw(mutated_configs(mode))) in (0, 1, 2)

@@ -11,12 +11,11 @@ from entroflow import (
     BoundaryStateError,
     OperatorBasis,
     as_shape,
-    entropy_and_gradient,
     gibbs_state,
     log_partition,
     make_point,
     marginal_entropies,
-    mean_params,
+    metric_theta,
     params_from_state,
     product_basis,
     random_density_matrix,
@@ -146,7 +145,7 @@ def test_near_pure_parameters_diverge():
     basis = product_basis(shape)
     theta = params_from_state(regularized_origin(shape, 1e-6), basis)
     assert np.linalg.norm(theta) > 10.0
-    _, grad = entropy_and_gradient(make_point(theta, basis))
+    grad = -metric_theta(make_point(theta, basis))
     # metric degeneracy: gradient stays small though theta diverges
     assert np.linalg.norm(grad) < 1e-3
 
@@ -155,14 +154,14 @@ def test_mean_params_fd_oracle(rng):
     for dims in ([2], [3], [2, 2]):
         basis = product_basis(as_shape(dims))
         theta = rng.normal(size=basis.size) * 0.6
-        mu = mean_params(make_point(theta, basis))
+        mu = make_point(theta, basis).mu
         np.testing.assert_allclose(mu, fd_gradient_psi(theta, basis), atol=1e-8)
 
 
 def test_mean_params_qubit_closed_form():
     basis = qubit_sigma_z_basis()
     for s in (-1.5, 0.2, 2.0):
-        mu = mean_params(make_point(np.array([s]), basis))
+        mu = make_point(np.array([s]), basis).mu
         assert abs(mu[0] - np.tanh(s / np.sqrt(2)) / np.sqrt(2)) < 1e-12
 
 
@@ -220,7 +219,8 @@ def test_metric_boundary_error():
 
 def test_entropy_and_gradient_reference_point():
     basis = product_basis(as_shape([3, 3]))
-    H, grad = entropy_and_gradient(make_point(np.zeros(80), basis))
+    point = make_point(np.zeros(80), basis)
+    H, grad = point.entropy, -metric_theta(point)
     assert abs(H - np.log(9.0)) < 1e-12
     assert np.abs(grad).max() < 1e-12
 
@@ -237,7 +237,7 @@ def test_entropy_gradient_fd_oracle(rng):
         basis = product_basis(as_shape(dims))
         for _ in range(3):
             theta = rng.normal(size=basis.size) * 0.6
-            _, grad = entropy_and_gradient(make_point(theta, basis))
+            grad = -metric_theta(make_point(theta, basis))
             fd = np.empty(basis.size)
             for a in range(basis.size):
                 e = np.zeros(basis.size)

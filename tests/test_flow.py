@@ -26,20 +26,18 @@ from entroflow import (
     constraint_geometry,
     entropy_time_fit,
     as_shape,
-    commutator,
     integrate,
     local_block_projection,
     make_point,
     metric_theta,
     params_from_state,
-    partial_trace,
     product_basis,
     random_hermitian,
     regularized_origin,
     reversible_velocity,
     state_from_params,
-    tensor_product,
 )
+from entroflow.operators import marginals
 from tests.conftest import origin_point
 from tests.reference_geometry import (
     combined_velocity,
@@ -159,7 +157,7 @@ def test_reversible_velocity_identities(qutrit_pair, rng):
     lam = np.zeros((3, 3))
     lam[:2, :2] = sx
     with pytest.raises(NonLocalGeneratorError):
-        reversible_velocity(pt, tensor_product(lam, lam))
+        reversible_velocity(pt, np.kron(lam, lam))
 
 
 def test_reversible_velocity_pushforward(qutrit_pair, rng):
@@ -190,7 +188,7 @@ def test_reversible_step_preserves_origin_marginals(qutrit_pair):
     def drift(h):
         rho_step = state_from_params(pt.theta + h * v, basis)
         return max(
-            np.linalg.norm(partial_trace(rho_step, shape, i) - np.eye(3) / 3) for i in (0, 1)
+            np.linalg.norm(marginals(rho_step, shape)[i] - np.eye(3) / 3) for i in (0, 1)
         )
 
     d3, d4 = drift(1e-3), drift(1e-4)
@@ -251,7 +249,7 @@ def test_local_block_field_matches_geometry_oracle(dims, start, rng):
     xi = assemble_local_generator(
         shape, [(i, random_hermitian(q, rng)) for i, q in enumerate(shape.dims)]
     )
-    w = basis.coordinates(-1j * commutator(xi, pt.rho))
+    w = basis.coordinates(-1j * (xi @ pt.rho - pt.rho @ xi))
     assert np.abs(reversible_velocity(pt, xi) - np.linalg.solve(pt.metric, w)).max() <= 1e-12
 
 
@@ -264,7 +262,7 @@ def test_integrate_rejects_correlated_generator(qutrit_pair, monkeypatch):
     lam = np.zeros((3, 3))
     lam[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
     monkeypatch.setattr(
-        entroflow.flow, "assemble_local_generator", lambda shape, parts: tensor_product(lam, lam)
+        entroflow.flow, "assemble_local_generator", lambda shape, parts: np.kron(lam, lam)
     )
     theta0 = origin_point(shape, basis, EPS).theta
     cfg = FlowConfig(xi_parts=((0, lam),))
@@ -344,7 +342,7 @@ def test_kernel_start_stays_on_manifold(qutrit_pair, rng):
     for th in traj.theta[:: max(1, traj.n_samples // 8)]:
         rho = state_from_params(th, basis)
         for i in (0, 1):
-            assert np.linalg.norm(partial_trace(rho, shape, i) - np.eye(3) / 3) <= 1e-6
+            assert np.linalg.norm(marginals(rho, shape)[i] - np.eye(3) / 3) <= 1e-6
 
 
 def test_integrate_status_max_steps(qutrit_pair):

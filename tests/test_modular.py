@@ -22,7 +22,6 @@ from entroflow import (
     modular_energy_sum,
     modular_hamiltonian,
     params_from_state,
-    partial_trace,
     random_density_matrix,
     random_hermitian,
     regularized_origin,
@@ -30,6 +29,7 @@ from entroflow import (
     total_modular_consistency,
     von_neumann_entropy,
 )
+from entroflow.operators import marginals
 
 LOG3 = np.log(3.0)
 
@@ -115,7 +115,7 @@ def test_beta_fit_matches_quadratic_oracle_off_family(rng):
     least-squares beta."""
     shape = as_shape([3, 3])
     for _ in range(5):
-        rho_i = partial_trace(random_density_matrix(9, rng), shape, 0)
+        rho_i = marginals(random_density_matrix(9, rng), shape)[0]
         H = random_hermitian(3, rng)
         beta_star, resid = gibbs_lock_residual(rho_i, H)
         assert resid > 1e-6  # a random marginal is not thermal for a random H
