@@ -83,13 +83,11 @@ _DEFAULTS = {
         "grad_norm_tol": 1e-8,
         "hessian_max_eig_tol": 1e-6,
         "angle_tol": 1e-3,
-        "seed": 0,
     },
     "stiffness": {
         "shape": [3, 3],
         "eps": 0.05,
         "soft_tol": 1e-6,
-        "seed": 0,
     },
     "obstruction-check": {
         "samples": 10000,
@@ -449,8 +447,8 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
         "max_alphabet": max_alpha,
         "violations_mutual": violations_mutual,
         "violations_conditional": violations_conditional,
-        "max_mutual_excess": float(max_mutual_excess),
-        "min_conditional_entropy": float(min_conditional),
+        "max_mutual_excess": _scale(float(max_mutual_excess), bits),
+        "min_conditional_entropy": _scale(float(min_conditional), bits),
         "witness": {
             "q": q,
             "multi_information": _scale(witness_I, bits),
@@ -503,7 +501,7 @@ def cmd_gibbs_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     report = {
         "units": "bits" if bits else "nats",
         "n_states": int(cfg["n_states"]),
-        "max_identity_gap": worst_identity,
+        "max_identity_gap": _scale(worst_identity, bits),
         "n_planted": int(cfg["n_planted"]),
         "max_beta_error": worst_beta_err,
         "max_lock_residual": worst_residual,

@@ -192,6 +192,7 @@ def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
 class Trajectory:
     """Diagnostics sampled at the accepted steps of one integration run.
 
+    Row k is the state after k accepted steps (row 0 is the start).
     ``integrator`` holds the run's step-control counts (see ``integrate``).
     """
 
@@ -199,48 +200,55 @@ class Trajectory:
     kind: str
     dims: tuple
     status: str
-    step: np.ndarray
     tau: np.ndarray
     t: np.ndarray
     H: np.ndarray
-    C: np.ndarray
     marginals: np.ndarray
     rate: np.ndarray
-    theta_norm: np.ndarray
     theta: np.ndarray
     integrator: dict
 
     @property
     def n_samples(self) -> int:
-        return len(self.step)
+        return len(self.H)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The constraint C = sum_i h_i at every sample."""
+        return self.marginals.sum(axis=1)
 
     def summary(self) -> dict:
         slope = None
         if self.n_samples >= 2 and float(np.ptp(self.t)) > 0.0:
             slope = float(np.polyfit(self.t, self.H, 1)[0])
+        C = self.C
         return {
             "H_initial": float(self.H[0]),
             "H_final": float(self.H[-1]),
-            "C_drift_max": float(np.max(np.abs(self.C - self.C[0]))),
+            "C_drift_max": float(np.max(np.abs(C - C[0]))),
             "slope_of_H_vs_t": slope,
             "termination_status": self.status,
             "integrator": self.integrator,
         }
 
     def write_csv(self, path, *, bits: bool = False) -> None:
-        """Write the per-sample table; --bits rescales entropic columns only."""
+        """Write the per-sample table; --bits rescales entropic columns only.
+
+        ``step`` is the row index k and ``theta_norm`` is |theta_k|.
+        """
         conv = 1.0 / math.log(2.0) if bits else 1.0
         nsub = self.marginals.shape[1]
         header = ["step", "tau", "t", "H", "C"]
         header += [f"h_{i}" for i in range(nsub)]
         header += ["rate", "theta_norm", "status"]
         lines = [",".join(header)]
+        C = self.C
         last = self.n_samples - 1
         for k in range(self.n_samples):
-            vals = [str(int(self.step[k]))]
-            floats = [self.tau[k], self.t[k], conv * self.H[k], conv * self.C[k]]
+            vals = [str(k)]
+            floats = [self.tau[k], self.t[k], conv * self.H[k], conv * C[k]]
             floats += [conv * self.marginals[k, i] for i in range(nsub)]
-            floats += [conv * self.rate[k], self.theta_norm[k]]
+            floats += [conv * self.rate[k], np.linalg.norm(self.theta[k])]
             vals += [f"{x:.17g}" for x in floats]
             vals.append(self.status if k == last else "ok")
             lines.append(",".join(vals))
@@ -255,7 +263,7 @@ class Trajectory:
             "status": self.status,
             "samples": [
                 {
-                    "step": int(self.step[k]),
+                    "step": k,
                     "tau": float(self.tau[k]),
                     "t": float(self.t[k]),
                     "theta": [float(x) for x in self.theta[k]],
@@ -276,65 +284,6 @@ def entropy_time_fit(traj: Trajectory) -> tuple[float, float, float]:
     ss_tot = float(centred @ centred)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
     return float(slope), float(intercept), r2
-
-
-class _Recorder:
-    def __init__(self):
-        self.rows = {
-            "step": [], "tau": [], "t": [], "H": [], "C": [],
-            "marg": [], "rate": [], "norm": [], "theta": [],
-        }
-        self.rhs_evals = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.failed_stages = {"stationary": 0, "boundary": 0}
-        self.h_min = None
-        self.h_max = None
-        self.last_err_norm = None
-
-    def accept(self, h):
-        self.accepted += 1
-        self.h_min = h if self.h_min is None else min(self.h_min, h)
-        self.h_max = h if self.h_max is None else max(self.h_max, h)
-
-    def add(self, step, tau, t, H, C, marg, rate, theta):
-        r = self.rows
-        r["step"].append(step)
-        r["tau"].append(tau)
-        r["t"].append(t)
-        r["H"].append(H)
-        r["C"].append(C)
-        r["marg"].append(marg)
-        r["rate"].append(rate)
-        r["norm"].append(float(np.linalg.norm(theta)))
-        r["theta"].append(np.array(theta))
-
-    def build(self, clock, kind, dims, status) -> Trajectory:
-        r = self.rows
-        return Trajectory(
-            clock=clock,
-            kind=kind,
-            dims=tuple(dims),
-            status=status,
-            step=np.array(r["step"], dtype=int),
-            tau=np.array(r["tau"]),
-            t=np.array(r["t"]),
-            H=np.array(r["H"]),
-            C=np.array(r["C"]),
-            marginals=np.array(r["marg"]),
-            rate=np.array(r["rate"]),
-            theta_norm=np.array(r["norm"]),
-            theta=np.array(r["theta"]),
-            integrator={
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "failed_stages": dict(self.failed_stages),
-                "rhs_evals": self.rhs_evals,
-                "h_min": self.h_min,
-                "h_max": self.h_max,
-                "last_err_norm": self.last_err_norm,
-            },
-        )
 
 
 def _step_factor(err_norm: float, h: float, prev) -> float:
@@ -441,7 +390,7 @@ def integrate(
 
     def rhs(theta, out):
         """Write the field at theta into ``out``; return (point, rate), point None if unbuilt."""
-        rec.rhs_evals += 1
+        stats["rhs_evals"] += 1
         clear = np.linalg.norm(theta) < radius  # a non-finite theta is never clear
         point = make_point(theta, basis) if dissipative or not clear else None
         if not clear:
@@ -471,27 +420,37 @@ def integrate(
     theta0 = _check_theta(theta0, basis)
     m = basis.size
     y = np.concatenate([theta0, [0.0]])
-    rec = _Recorder()
+    rows = []  # one (tau, t, H, marginal entropies, rate, theta) per sample
+    stats = {
+        "accepted": 0,
+        "rejected": 0,
+        "failed_stages": {"stationary": 0, "boundary": 0},
+        "rhs_evals": 0,
+        "h_min": None,
+        "h_max": None,
+        "last_err_norm": None,
+    }
     # Row s holds the field of stage s; row 6 is the new point's, copied to
     # row 0 when the step is accepted.
     stages = np.empty((7, m + 1))
 
-    def clocks(pos, aux):
-        return (pos, aux) if clock == "game" else (aux, pos)
-
-    def record(step_index, pos, aux, point, rate):
+    def record(pos, aux, point, rate):
         if point is None:
             point = make_point(y[:m], basis)
-        tau, t = clocks(pos, aux)
         marg = marginal_entropies(point.rho, shape)
-        rec.add(step_index, tau, t, point.entropy, float(marg.sum()), marg, rate, point.theta)
+        tau, t = (pos, aux) if clock == "game" else (aux, pos)
+        rows.append((tau, t, point.entropy, marg, rate, point.theta))
         return marg
 
+    def build(status):
+        tau, t, H, marg, rate, theta = (np.array(col) for col in zip(*rows))
+        return Trajectory(clock, kind, shape.dims, status, tau, t, H, marg, rate, theta, stats)
+
     point, rate = rhs(theta0, stages[0])
-    marg0 = record(0, 0.0, 0.0, point, rate)
+    marg0 = record(0.0, 0.0, point, rate)
 
     if dissipative and rate < config.rate_min:
-        return rec.build(clock, kind, shape.dims, "stationary")
+        return build("stationary")
 
     pos = 0.0
     h = min(config.initial_step, duration)
@@ -499,7 +458,7 @@ def integrate(
     status = "max_steps"
     prev = None
 
-    while rec.accepted < config.max_steps:
+    while stats["accepted"] < config.max_steps:
         remaining = duration - pos
         if remaining <= h_min:
             status = "completed"
@@ -517,13 +476,11 @@ def integrate(
         except BoundaryStateError:
             failed = "boundary"
         except NumericalDegeneracyError as exc:
-            raise DegenerateProjectionError(
-                str(exc), rec.build(clock, kind, shape.dims, "degenerate")
-            ) from exc
+            raise DegenerateProjectionError(str(exc), build("degenerate")) from exc
 
         factor = None
         if failed:
-            rec.failed_stages[failed] += 1
+            stats["failed_stages"][failed] += 1
             factor = 0.5
         else:
             err = h * (_DP_ERR @ stages)
@@ -535,12 +492,12 @@ def integrate(
             ratio[err == 0.0] = 0.0
             err_norm = float(np.sqrt(np.mean(ratio**2)))
             if not np.isfinite(err_norm):
-                rec.rejected += 1
+                stats["rejected"] += 1
                 factor = 0.5
             else:
-                rec.last_err_norm = err_norm
+                stats["last_err_norm"] = err_norm
                 if err_norm > 1.0:
-                    rec.rejected += 1
+                    stats["rejected"] += 1
                     factor = max(0.2, 0.9 * err_norm ** -0.2)
 
         if factor is not None:
@@ -549,25 +506,24 @@ def integrate(
                 if dissipative and rate < 10.0 * config.rate_min:
                     status = "stationary"
                     break
-                raise StiffRegionError(
-                    f"step size underflowed below {h_min:.1e}",
-                    rec.build(clock, kind, shape.dims, "stiff"),
-                )
+                raise StiffRegionError(f"step size underflowed below {h_min:.1e}", build("stiff"))
             continue
 
         # Accepted step.
-        rec.accept(h)
+        stats["accepted"] += 1
+        stats["h_min"] = h if stats["h_min"] is None else min(stats["h_min"], h)
+        stats["h_max"] = h if stats["h_max"] is None else max(stats["h_max"], h)
         pos += h
         y = y_new
         point, rate = new_point, new_rate
         stages[0] = stages[6]
-        drift = np.abs(record(rec.accepted, pos, float(y[m]), point, rate) - marg0)
+        drift = np.abs(record(pos, float(y[m]), point, rate) - marg0)
         if drift.max() > config.conservation_tol:
             worst = int(np.argmax(drift))
             raise ConservationError(
                 f"marginal-entropy drift {drift[worst]:.3e} in subsystem {worst} "
                 f"exceeds {config.conservation_tol:.1e}",
-                rec.build(clock, kind, shape.dims, "conservation"),
+                build("conservation"),
             )
         if dissipative and rate < config.rate_min:
             status = "stationary"
@@ -576,4 +532,4 @@ def integrate(
         prev = (h, max(err_norm, PREV_ERR_FLOOR))
         h *= factor
 
-    return rec.build(clock, kind, shape.dims, status)
+    return build(status)

@@ -47,11 +47,15 @@ def modular_energy_sum(rho, shape) -> float:
 
 @dataclass(frozen=True)
 class GibbsFamily:
-    """One-parameter thermal family exp(-beta H) / Z along a fixed generator."""
+    """One-parameter thermal family exp(-beta H) / Z along a fixed generator.
+
+    ``log_partition`` is log Z, stored as a logarithm so that it stays finite
+    where Z itself overflows.
+    """
 
     generator: np.ndarray
     beta: float
-    partition: float
+    log_partition: float
 
     @property
     def state(self) -> np.ndarray:
@@ -61,8 +65,8 @@ class GibbsFamily:
 def gibbs_family(generator, beta: float) -> GibbsFamily:
     generator = require_hermitian(generator, name="generator")
     w = np.linalg.eigvalsh(generator)
-    Z = float(np.exp(_log_sum_exp(np.sort(-beta * w))))
-    return GibbsFamily(generator=generator, beta=float(beta), partition=Z)
+    log_z = _log_sum_exp(np.sort(-beta * w))
+    return GibbsFamily(generator=generator, beta=float(beta), log_partition=log_z)
 
 
 def gibbs_entropy_derivative(family: GibbsFamily) -> float:

@@ -283,17 +283,19 @@ class OperatorBasis:
             raise ValueError(f"basis stack shape {stack.shape} does not match dim {d}")
         if len(self.sector_labels) != stack.shape[0]:
             raise ValueError("sector_labels length must match the number of elements")
-        herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"basis elements must be Hermitian (defect {herm:.3e})")
+        # Written so that NaN fails every test: a non-finite entry has a NaN
+        # or infinite hermiticity defect and is rejected here.
+        herm = hermiticity_defect(stack).max()
+        if not herm <= HERMITICITY_TOL:
+            raise ValueError(f"basis elements must be Hermitian and finite (defect {herm:.3e})")
         traces = np.abs(np.trace(stack, axis1=1, axis2=2))
-        if traces.max() > TRACELESS_TOL:
+        if not traces.max() <= TRACELESS_TOL:
             raise ValueError(f"basis elements must be traceless (max |tr| {traces.max():.3e})")
         m = stack.shape[0]
         flat = stack.reshape(m, -1)
         gram = np.real(flat @ flat.conj().T)
         defect = np.max(np.abs(gram - np.eye(m)))
-        if defect > ORTHONORMALITY_TOL:
+        if not defect <= ORTHONORMALITY_TOL:
             raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
         object.__setattr__(self, "stack", _readonly(stack))
         object.__setattr__(self, "sector_labels", tuple(self.sector_labels))

@@ -6,6 +6,8 @@ beta = Re<T, K> / |T|^2 (``beta_fit_oracle``), and off the thermal family
 the residual must grow on both sides of the returned beta.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_modular_hamiltonian_of_gibbs_state(rng):
     H = random_hermitian(3, rng)
     fam = gibbs_family(H, 0.9)
     K = modular_hamiltonian(fam.state)
-    np.testing.assert_allclose(K, 0.9 * H + np.log(fam.partition) * np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(K, 0.9 * H + fam.log_partition * np.eye(3), atol=1e-10)
 
 
 def test_modular_hamiltonian_roundtrip(rng):
@@ -166,7 +168,15 @@ def test_gibbs_family_state_invariants(rng):
     assert np.linalg.norm(rho - rho.conj().T) < 1e-14
     assert np.linalg.eigvalsh(rho)[0] > 0
     w = np.linalg.eigvalsh(H)
-    assert abs(fam.partition - np.exp(-1.3 * w).sum()) < 1e-10 * fam.partition
+    assert abs(fam.log_partition - np.log(np.exp(-1.3 * w).sum())) < 1e-10
+
+
+def test_gibbs_family_log_partition_at_large_beta():
+    # Z = e^800 + e^-200 + e^-1200 overflows a float; log Z does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = gibbs_family(np.diag([-2.0, 0.5, 3.0]), 400.0)
+    assert abs(fam.log_partition - 800.0) <= 1e-12 * 800.0
 
 
 def test_confined_regime_check(qutrit_pair, rng):

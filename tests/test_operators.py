@@ -1,12 +1,15 @@
 """Operator-algebra layer: partial-trace index oracles, matrix functions,
 divided differences and the Fréchet derivative of exp."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from entroflow import (
     DomainError,
+    OperatorBasis,
     UnsupportedShapeError,
     as_shape,
     embed_local,
@@ -332,6 +335,18 @@ def test_product_basis_single_system():
     basis = product_basis(as_shape([3]))
     assert basis.size == 8
     assert set(basis.sector_labels) == {"local:0"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("index", [(0, 0), (0, 1)])
+def test_operator_basis_rejects_non_finite_entries(bad, index):
+    """A non-finite element fails validation with a ValueError and no warning."""
+    stack = np.diag([1.0, -1.0]).astype(complex)[None] / np.sqrt(2.0)
+    stack[(0, *index)] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Hermitian and finite"):
+            OperatorBasis(as_shape([2]), stack, ("local:0",))
 
 
 def test_as_shape_rejects_bad_dims():
