@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import entropy_of_spectrum
+
 TABLE_TOL = 1e-12
 CHECK_SLACK = 1e-12
-
-
-def _entropy(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float).ravel()
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,9 @@ class ShannonSummary:
 
 def shannon_entropies(joint: JointDistribution) -> ShannonSummary:
     """Marginal, joint, mutual and conditional entropies in nats."""
-    h1 = _entropy(joint.marginal_1)
-    h2 = _entropy(joint.marginal_2)
-    h12 = _entropy(joint.table)
+    h1 = entropy_of_spectrum(joint.marginal_1)
+    h2 = entropy_of_spectrum(joint.marginal_2)
+    h12 = entropy_of_spectrum(joint.table)
     return ShannonSummary(
         h1=h1,
         h2=h2,

@@ -9,8 +9,9 @@ Modes:
   gibbs-check        modular identities and thermal-lock recovery
 
 All numbers are reported in nats unless --bits is given, which converts the
-entropic output values only.  A fixed --seed makes every mode, including the
-CSV output, byte-reproducible.
+entropic output values only.  A fixed --seed makes every mode that draws at
+random (simulate, obstruction-check, gibbs-check), including the CSV output,
+byte-reproducible; origin-analysis and stiffness draw nothing and reject it.
 """
 
 from __future__ import annotations
@@ -194,6 +195,8 @@ def _load_config(mode: str, path: str | None, seed_override: int | None) -> dict
                 )
         cfg.update(user)
     if seed_override is not None:
+        if "seed" not in cfg:
+            raise ConfigError(f"mode {mode!r} draws nothing at random; --seed does not apply")
         cfg["seed"] = seed_override
     for key, (allowed, ok) in _RANGES[mode].items():
         value = cfg[key]

@@ -31,8 +31,8 @@ from .operators import (
     OperatorBasis,
     _marginal_map,
     embed_local,
-    exp_divided_difference,
     exp_second_divided_difference,
+    frechet_exp,
     marginals,
 )
 from .states import FULL_RANK_FLOOR, marginal_entropies
@@ -133,8 +133,11 @@ def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _marginal_logs(point: ExpFamilyPoint) -> list[np.ndarray]:
-    return [(U * np.log(w)) @ U.conj().T for w, U in marginal_eigh(point)]
+def _marginal_log_sum(shape, spectra) -> np.ndarray:
+    """Lambda = sum_i log rho_i (x) I from the marginal spectra of ``marginal_eigh``."""
+    return sum(
+        embed_local((U * np.log(w)) @ U.conj().T, i, shape) for i, (w, U) in enumerate(spectra)
+    )
 
 
 def constraint_gradient(point: ExpFamilyPoint) -> np.ndarray:
@@ -142,15 +145,12 @@ def constraint_gradient(point: ExpFamilyPoint) -> np.ndarray:
 
     d rho / d theta_b = Dexp_A[F~_b] with A = K - psi I and F~_b = F_b - mu_b I,
     and the Daleckii-Krein derivative is self-adjoint, so with X = Dexp_A[Lambda]
-    a_b = -tr(X F_b) + mu_b tr(X): one derivative in the eigenbasis of rho and
-    one ``coordinates`` product, O(d^3 + m d^2).  Vanishes identically
-    wherever every marginal is maximally mixed.
+    a_b = -tr(X F_b) + mu_b tr(X): one ``frechet_exp`` and one ``coordinates``
+    product, O(d^3 + m d^2).  Vanishes identically wherever every marginal is
+    maximally mixed.
     """
-    shape = point.basis.shape
-    Lam = sum(embed_local(L, i, shape) for i, L in enumerate(_marginal_logs(point)))
-    U = point.eigvecs
-    phi = exp_divided_difference(np.log(point.eigvals))
-    X = U @ ((U.conj().T @ Lam @ U) * phi) @ U.conj().T
+    Lam = _marginal_log_sum(point.basis.shape, marginal_eigh(point))
+    X = frechet_exp(point.generator - point.psi * np.eye(point.dim), Lam)
     return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
 
 
@@ -212,13 +212,9 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
     m = basis.size
     G = point.metric
     H = np.zeros((m, m))
-    Lam = np.zeros((point.dim, point.dim), dtype=complex)
-    trace_lam_rho = 0.0
+    spectra = marginal_eigh(point)
     start = 0
-    for i, ((lam, V), L_i) in enumerate(zip(marginal_eigh(point), _local_blocks(basis))):
-        log_lam = np.log(lam)
-        Lam += embed_local((V * log_lam) @ V.conj().T, i, shape)
-        trace_lam_rho += float(lam @ log_lam)
+    for (lam, V), L_i in zip(spectra, _local_blocks(basis)):
         di = lam.size
         # f[alpha] = tr_{-i} F_alpha for every alpha in L_i, from one product
         block = _marginal_map(shape)[start : start + di * di]
@@ -230,47 +226,26 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
         H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 
     U = point.eigvecs
-    Lam_t = U.conj().T @ Lam @ U
+    Lam_t = U.conj().T @ _marginal_log_sum(shape, spectra) @ U
     Fc = _centred_rotation(point, slice(None)).transpose(1, 0, 2)
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))
     T = Z.transpose(1, 0, 2).reshape(m, -1) @ Fc.reshape(m, -1).T
     H -= np.real(T + T.T)
-    H += trace_lam_rho * G
+    H += sum(float(lam @ np.log(lam)) for lam, _ in spectra) * G
     return 0.5 * (H + H.T)
 
 
-def second_order_admissibility(point: ExpFamilyPoint, v, hessian=None) -> float:
-    """Quadratic form v^T (Hess C) v; at saturation admissible velocities make it 0.
-
-    Negative values mean the direction strictly loses marginal entropy at
-    second order; at a saturated point (every marginal maximally mixed) the
-    form is negative semidefinite and vanishes exactly on ker M.
-    """
-    v = np.asarray(v, dtype=float)
-    if hessian is None:
-        hessian = constraint_hessian(point)
-    return float(v @ hessian @ v)
-
-
-def stiffness_spectrum(point: ExpFamilyPoint, hessian=None):
+def stiffness_spectrum(point: ExpFamilyPoint, hessian: np.ndarray):
     """Generalised eigenproblem -(Hess C) v = lambda G v, ascending.
 
     Rayleigh quotients kappa(v) = -v^T Hess C v / v^T G v measure how hard
     the constraint curvature resists a unit-metric move along v.  Returns
     (eigenvalues, eigenvectors); eigenvectors are G-orthonormal columns.
+    ``hessian`` is ``constraint_hessian(point)``, computed once by the caller.
     """
-    if hessian is None:
-        hessian = constraint_hessian(point)
     return scipy.linalg.eigh(-hessian, point.metric)
-
-
-def stiffness_rayleigh(point: ExpFamilyPoint, v, hessian=None) -> float:
-    v = np.asarray(v, dtype=float)
-    if hessian is None:
-        hessian = constraint_hessian(point)
-    return float(-(v @ hessian @ v) / (v @ point.metric @ v))
 
 
 def soft_mode_count(eigenvalues, tol: float = SOFT_MODE_TOL) -> int:

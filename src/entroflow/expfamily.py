@@ -21,13 +21,12 @@ from .errors import BoundaryStateError
 from .operators import (
     OperatorBasis,
     _readonly,
+    exp_divided_difference,
     hermitian_eig,
     require_hermitian,
 )
 from .states import FULL_RANK_FLOOR
 
-# Relative eigenvalue gap below which the BKM kernel uses its diagonal limit.
-BKM_EQUAL_TOL = 1e-12
 # Underflow guard: below this the state is numerically rank deficient.
 STATE_UNDERFLOW_FLOOR = 1e-250
 
@@ -66,11 +65,6 @@ class ExpFamilyPoint:
         return metric_block(self, slice(None))
 
 
-def family_generator(theta, basis: OperatorBasis) -> np.ndarray:
-    """K(theta) = sum_a theta_a F_a."""
-    return _generator(_check_theta(theta, basis), basis)
-
-
 def _generator(theta: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """K(theta) from one real GEMV on the interleaved view of the stack."""
     d = basis.shape.total_dim
@@ -98,28 +92,22 @@ def _log_sum_exp(w: np.ndarray) -> float:
 
 def log_partition(theta, basis: OperatorBasis) -> float:
     """psi(theta) = log tr exp(K(theta)), overflow-safe via the spectrum."""
-    w, _ = hermitian_eig(family_generator(theta, basis))
-    return _log_sum_exp(w)
+    return _log_sum_exp(np.linalg.eigvalsh(_generator(_check_theta(theta, basis), basis)))
 
 
 def bkm_kernel_matrix(p) -> np.ndarray:
     """BKM kernel k(p_j, p_k) = (p_j - p_k) / (log p_j - log p_k) on a spectrum.
 
-    Diagonal and nearly equal pairs (|p - q| < 1e-12 max(p, q)) take the
-    limit value p.
+    This is the first divided difference of exp at w = log p, so it is
+    ``exp_divided_difference(log p)``: cancellation-free at every spacing,
+    with the limit value p on the diagonal and at equal pairs.
     """
     p = np.asarray(p, dtype=float)
     if p.min() <= STATE_UNDERFLOW_FLOOR:
         raise BoundaryStateError(
             f"spectrum entry {p.min():.3e} underflowed; state is numerically rank deficient"
         )
-    logp = np.log(p)
-    dp = p[:, None] - p[None, :]
-    dl = logp[:, None] - logp[None, :]
-    near = np.abs(dp) < BKM_EQUAL_TOL * np.maximum(p[:, None], p[None, :])
-    out = np.zeros_like(dp)
-    np.divide(dp, dl, out=out, where=~near)
-    return np.where(near, p[:, None], out)
+    return exp_divided_difference(np.log(p))
 
 
 def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:

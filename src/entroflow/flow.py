@@ -220,7 +220,7 @@ class Trajectory:
     def summary(self) -> dict:
         slope = None
         if self.n_samples >= 2 and float(np.ptp(self.t)) > 0.0:
-            slope = float(np.polyfit(self.t, self.H, 1)[0])
+            slope = entropy_time_fit(self)[0]
         C = self.C
         return {
             "H_initial": float(self.H[0]),

@@ -368,7 +368,6 @@ def _side_by_side(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(d, n * d)
 
 
-@functools.lru_cache(maxsize=None)
 def product_basis(shape) -> OperatorBasis:
     """Full traceless orthonormal product basis for a multipartite shape.
 
@@ -376,8 +375,14 @@ def product_basis(shape) -> OperatorBasis:
     set S and normalised identities I/sqrt(d_i) elsewhere.  Singleton
     supports give the local sectors; larger supports the correlation
     sector.  For a single subsystem this is just the Gell-Mann basis.
+    The basis is cached per ``SubsystemShape``, so every spelling of one
+    shape (list, tuple or SubsystemShape) returns the same object.
     """
-    shape = as_shape(shape)
+    return _product_basis(as_shape(shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _product_basis(shape: SubsystemShape) -> OperatorBasis:
     n = shape.n_subsystems
     local = [gell_mann_basis(d) for d in shape.dims]
     idents = [np.eye(d, dtype=complex) / np.sqrt(d) for d in shape.dims]

@@ -32,7 +32,7 @@ from entroflow import (
     exp_second_divided_difference,
     reversible_velocity,
 )
-from entroflow.constraint import PROJECTOR_COND_MAX, _marginal_logs, marginal_eigh
+from entroflow.constraint import PROJECTOR_COND_MAX, marginal_eigh
 from entroflow.expfamily import _centred_rotation
 from entroflow.flow import DEFAULT_RATE_MIN
 
@@ -124,7 +124,7 @@ def stack_gradient(point: ExpFamilyPoint) -> np.ndarray:
     """a_b = -sum_i tr[log rho_i . tr_{-i}(d rho / d theta_b)] from the derivative stack."""
     D = state_derivatives(point)
     shape = point.basis.shape
-    logs = _marginal_logs(point)
+    logs = [(U * np.log(w)) @ U.conj().T for w, U in marginal_eigh(point)]
     a = np.zeros(point.basis.size)
     for i in range(shape.n_subsystems):
         P = partial_trace_stack(D, shape, i)

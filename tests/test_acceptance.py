@@ -19,7 +19,6 @@ from entroflow import (
     constraint_geometry,
     constraint_max,
     entropy_time_fit,
-    family_generator,
     gibbs_entropy_derivative,
     gibbs_family,
     gibbs_lock_residual,
@@ -151,7 +150,7 @@ def test_acceptance_4_entropy_gradient():
         grad = -metric_theta(point)
         # K is linear in theta, so K(theta + h e_a) = K + h F_a for every a
         # at once; the FD oracle then needs two batched eigh calls per point.
-        K = family_generator(theta, basis)
+        K = point.generator
         fd = (
             _batched_spectral_entropy(K[None] + h * basis.stack)
             - _batched_spectral_entropy(K[None] - h * basis.stack)

@@ -301,6 +301,21 @@ def test_seed_is_not_a_key_of_the_deterministic_modes(tmp_path, capsys, mode):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["origin-analysis", "stiffness"])
+def test_seed_override_is_rejected_by_the_deterministic_modes(tmp_path, capsys, mode):
+    assert run_cli(tmp_path, mode, extra=["--seed", "3"]) == 2
+    assert "draws nothing at random" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, cfg",
+    [("obstruction-check", {"samples": 10}), ("gibbs-check", {"n_states": 2, "n_planted": 2})],
+)
+def test_seed_override_is_reported_by_the_sampling_modes(tmp_path, capsys, mode, cfg):
+    assert run_cli(tmp_path, mode, cfg, extra=["--seed", "3"]) == 0
+    assert read_report(capsys)["seed"] == 3
+
+
 def test_random_kernel_start_without_correlations_exits_two(tmp_path, capsys):
     """A single subsystem has no correlation axes to draw the start on."""
     assert run_cli(tmp_path, "simulate", {"shape": [3], "start": "random_kernel"}) == 2

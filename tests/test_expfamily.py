@@ -6,11 +6,13 @@ gradient formulas are checked against an independent route.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from entroflow import (
     BoundaryStateError,
     OperatorBasis,
     as_shape,
+    bkm_kernel_matrix,
     gibbs_state,
     log_partition,
     make_point,
@@ -301,3 +303,18 @@ def test_commutative_reduction_to_classical_covariance(rng):
     mean = stats @ rho_diag
     cov = (stats * rho_diag) @ stats.T - np.outer(mean, mean)
     np.testing.assert_allclose(pt.metric, cov, atol=1e-10)
+
+
+def test_bkm_kernel_close_pairs_opitz_oracle():
+    """k(p_j, p_k) is the first divided difference of exp at w = log p: the
+    (0, 1) entry of expm([[w_j, 1], [0, w_k]]).  Pairs 1e-11..1e-3 apart,
+    where the quotient (p_j - p_k) / (log p_j - log p_k) loses digits."""
+    p = np.array([0.2, 0.2 * (1 + 1e-11), 0.3, 0.3 * (1 + 1e-7), 0.1, 0.1 * (1 + 1e-3)])
+    p /= p.sum()
+    w = np.log(p)
+    B = np.zeros((w.size, w.size, 2, 2))
+    B[..., 0, 0] = w[:, None]
+    B[..., 1, 1] = w[None, :]
+    B[..., 0, 1] = 1.0
+    ref = scipy.linalg.expm(B.reshape(-1, 2, 2))[:, 0, 1].reshape(w.size, w.size)
+    assert np.max(np.abs(bkm_kernel_matrix(p) - ref) / ref) <= 1e-12

@@ -1,11 +1,13 @@
 """Flow layer: velocity fields, the adaptive integrator, and the exact
-two-qutrit ray solution.
+isotropic-line solution.
 
-Closed-form oracle used throughout: from the regularised origin the radial
-direction is fixed by the projector at every point of the ray, so game time
-acts by pure exponential decay, theta(tau) = exp(-tau) * theta0, and every
-trajectory quantity follows from the one-parameter spectrum
-(e^{s c}, 1, ..., 1)/(e^{s c} + 8) with s = exp(-tau), c = log(p1/p2).
+Closed-form oracle used throughout: regularized_origin(eps) on [q, q] is
+invariant under every U (x) conj(U), and so is the flow, so K(theta) stays
+s F with F = |psi><psi| - I/d.  F has zero partial traces and the local part
+of G theta vanishes, so game time acts by pure exponential decay,
+theta(tau) = exp(-tau) * theta0, and every trajectory quantity follows from
+the one-parameter spectrum (e^s, 1, ..., 1)/(e^s + d - 1) with
+s = s0 exp(-tau), s0 = log(1 + d (1 - eps) / eps).
 """
 
 import numpy as np
@@ -53,15 +55,24 @@ EPS = 0.05
 LOG3 = np.log(3.0)
 
 
+def line_s0(d, eps):
+    """s0 with K(theta0) = s0 F at regularized_origin(eps), total dimension d."""
+    return np.log1p(d * (1.0 - eps) / eps)
+
+
+def line_entropy(s, d):
+    """H(s) = log(e^s + d - 1) - s e^s / (e^s + d - 1), the entropy at K = s F."""
+    z = np.exp(s)
+    return np.log(z + d - 1.0) - s * z / (z + d - 1.0)
+
+
 def ray_constant(eps):
     p1 = 1.0 - 8.0 * eps / 9.0
     return np.log(p1 / (eps / 9.0)), p1
 
 
 def ray_entropy(s, eps):
-    c, _ = ray_constant(eps)
-    z = np.exp(s * c)
-    return np.log(z + 8.0) - s * c * z / (z + 8.0)
+    return line_entropy(s * ray_constant(eps)[0], 9.0)
 
 
 def ray_rate(s, eps):
@@ -330,6 +341,31 @@ def test_entropy_run_traces_the_same_ray(qutrit_pair, ray_runs):
         assert np.linalg.norm(ent.theta[k] - s * theta0) <= 1e-5 * norm0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_isotropic_line_matches_closed_form(q, eps):
+    """theta = theta0 e^-tau and H = H(s0 e^-tau) under both clocks, the
+    entropy clock read at the tau it records.  Measured: game clock theta
+    <= 1.4e-8 relative and H <= 2.6e-8; entropy clock theta <= 1.7e-6 and
+    H <= 4.4e-7.  On [2, 2] the entropy clock meets the maximum log 4 first."""
+    d = q * q
+    basis = product_basis(as_shape([q, q]))
+    s0 = line_s0(d, eps)
+    theta0 = params_from_state(regularized_origin([q, q], eps), basis)
+    assert abs(np.linalg.norm(theta0) - s0 * np.sqrt(1.0 - 1.0 / d)) <= 1e-10 * s0
+    reaches_max = line_entropy(s0, d) + 1.5 > np.log(d)
+    for clock, status, tol in (
+        ("game", "completed", 1e-7),
+        ("entropy", "stationary" if reaches_max else "completed", 1e-5),
+    ):
+        traj = integrate(theta0, basis, FlowConfig(), clock=clock, duration=1.5)
+        assert traj.status == status
+        decay = np.exp(-traj.tau)
+        gap = np.linalg.norm(traj.theta - decay[:, None] * theta0, axis=1)
+        assert np.max(gap / (decay * np.linalg.norm(theta0))) <= tol
+        assert np.max(np.abs(traj.H - line_entropy(s0 * decay, d))) <= tol
+
+
 def test_kernel_start_stays_on_manifold(qutrit_pair, rng):
     shape, basis = qutrit_pair
     geom0 = constraint_geometry(make_point(np.zeros(80), basis))
@@ -539,9 +575,12 @@ def test_affine_time_degenerates_toward_the_origin(qutrit_pair):
     """Entropy time to H = 1 nat stays at most 1/c from any regularised origin,
     while the game (affine) time needed keeps growing as eps falls.  Starts
     with eps <= 1e-8 lie past the flow's clear radius, so both guard paths run.
-    Measured tau_end: 0.717, 1.235, 1.574, 1.827, 2.028."""
+    On the isotropic line tau_end = log(s0 / s*) with H(s*) = 1 nat, which
+    grows like log log(1/eps).  Measured tau_end: 0.717, 1.235, 1.574, 1.827,
+    2.028, each within 1.1e-7 of log(s0 / s*)."""
     shape, basis = qutrit_pair
     cfg = FlowConfig()
+    s_star = brentq(lambda s: line_entropy(s, 9.0) - 1.0, 1e-3, 50.0, xtol=1e-15)
     tau_end = []
     for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
         theta0 = params_from_state(regularized_origin(shape, eps), basis)
@@ -549,6 +588,7 @@ def test_affine_time_degenerates_toward_the_origin(qutrit_pair):
         traj = integrate(theta0, basis, cfg, clock="entropy", duration=1.0 - H0)
         assert traj.status == "completed"
         assert abs(traj.H[-1] - H0 - cfg.c * traj.t[-1]) <= 1e-6
+        assert abs(traj.tau[-1] - np.log(line_s0(9, eps) / s_star)) <= 1e-6
         tau_end.append(traj.tau[-1])
     assert np.all(np.diff(tau_end) > 0), tau_end
 

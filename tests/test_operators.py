@@ -331,6 +331,13 @@ def test_product_basis_sector_structure():
     np.testing.assert_allclose(gram, np.eye(80), atol=1e-10)
 
 
+def test_product_basis_is_cached_per_shape():
+    """The list, tuple and SubsystemShape spellings of one shape share one basis."""
+    basis = product_basis(as_shape([2, 2]))
+    assert product_basis([2, 2]) is basis
+    assert product_basis((2, 2)) is basis
+
+
 def test_product_basis_single_system():
     basis = product_basis(as_shape([3]))
     assert basis.size == 8
