@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
-from .expfamily import ExpFamilyPoint, _centred_rotation, bkm_kernel_matrix
+from .expfamily import ExpFamilyPoint, _rotation, bkm_kernel_matrix
 from .operators import (
     OperatorBasis,
     _marginal_map,
@@ -140,16 +140,16 @@ def _marginal_log_sum(shape, spectra) -> np.ndarray:
     )
 
 
-def constraint_gradient(point: ExpFamilyPoint) -> np.ndarray:
+def constraint_gradient(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     """Exact gradient a_b = -tr(Lambda d rho / d theta_b), Lambda = sum_i log rho_i (x) I.
 
     d rho / d theta_b = Dexp_A[F~_b] with A = K - psi I and F~_b = F_b - mu_b I,
     and the Daleckii-Krein derivative is self-adjoint, so with X = Dexp_A[Lambda]
     a_b = -tr(X F_b) + mu_b tr(X): one ``frechet_exp`` and one ``coordinates``
     product, O(d^3 + m d^2).  Vanishes identically wherever every marginal is
-    maximally mixed.
+    maximally mixed.  ``spectra`` is ``marginal_eigh(point)`` if the caller has it.
     """
-    Lam = _marginal_log_sum(point.basis.shape, marginal_eigh(point))
+    Lam = _marginal_log_sum(point.basis.shape, spectra or marginal_eigh(point))
     X = frechet_exp(point.generator - point.psi * np.eye(point.dim), Lam)
     return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
 
@@ -173,19 +173,21 @@ def constraint_geometry(
 ) -> ConstraintGeometry:
     """Bundle C, its gradient, a basis of ker M and optionally the Hessian.
 
-    Raises FullyConstrainedError for a single-subsystem basis and
-    NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
+    One ``marginal_eigh`` serves all three.  Raises FullyConstrainedError for
+    a single-subsystem basis and NumericalDegeneracyError when cond(G_LL)
+    exceeds PROJECTOR_COND_MAX.
     """
+    spectra = marginal_eigh(point)
     return ConstraintGeometry(
         point=point,
-        value=marginal_entropy_sum(point),
-        grad=constraint_gradient(point),
+        value=-sum(float(w @ np.log(w)) for w, _ in spectra),
+        grad=constraint_gradient(point, spectra=spectra),
         kernel=_kernel(point),
-        hessian=constraint_hessian(point) if include_hessian else None,
+        hessian=constraint_hessian(point, spectra=spectra) if include_hessian else None,
     )
 
 
-def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
+def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     """Exact Hessian of C from second-order Daleckii-Krein divided differences.
 
     With A = K - psi I, F~_a = F_a - mu_a I and Lambda = sum_i log rho_i (x) I
@@ -204,15 +206,15 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
     / sqrt(k(lambda_i)).  At saturation (every rho_i = I/d_i) Q_i = d I and
     the other terms cancel, so Hess C = -d G_{:L} G_{L:}, whose kernel is
     ker M.  Marginals at or below FULL_RANK_FLOOR raise BoundaryStateError
-    (``marginal_eigh``); local elements that do not span raise ValueError
-    (``_local_blocks``).
+    (``marginal_eigh``, or ``spectra`` from it); local elements that do not
+    span raise ValueError (``_local_blocks``).
     """
     basis = point.basis
     shape = basis.shape
     m = basis.size
     G = point.metric
     H = np.zeros((m, m))
-    spectra = marginal_eigh(point)
+    spectra = spectra or marginal_eigh(point)
     start = 0
     for (lam, V), L_i in zip(spectra, _local_blocks(basis)):
         di = lam.size
@@ -227,7 +229,10 @@ def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
 
     U = point.eigvecs
     Lam_t = U.conj().T @ _marginal_log_sum(shape, spectra) @ U
-    Fc = _centred_rotation(point, slice(None)).transpose(1, 0, 2)
+    idx = np.arange(point.dim)
+    Fc = _rotation(basis, U, slice(None))
+    Fc[idx, :, idx] -= point.mu  # U^dag F~_a U
+    Fc = Fc.transpose(1, 0, 2)
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))

@@ -38,8 +38,8 @@ class ExpFamilyPoint:
     The fields are computed at construction: the family generator K(theta),
     log partition psi, state rho with its eigendecomposition and mean
     parameters mu.  The full m x m BKM metric G is computed on first access
-    of ``metric`` and cached; the flow needs only G theta and a local block
-    (``metric_theta``, ``metric_block``).
+    of ``metric`` and cached; the flow needs only the local block
+    (``metric_block``).
     """
 
     theta: np.ndarray
@@ -90,6 +90,13 @@ def _log_sum_exp(w: np.ndarray) -> float:
     return float(top + np.log1p(np.exp(w[:-1] - top).sum()))
 
 
+def _spectrum(K: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """psi, the spectrum p of rho = exp(K - psi I) and its eigenvectors, from one eigh."""
+    w, U = np.linalg.eigh(K)  # K is exactly Hermitian: no symmetrisation
+    psi = _log_sum_exp(w)
+    return psi, np.exp(w - psi), U
+
+
 def log_partition(theta, basis: OperatorBasis) -> float:
     """psi(theta) = log tr exp(K(theta)), overflow-safe via the spectrum."""
     return _log_sum_exp(np.linalg.eigvalsh(_generator(_check_theta(theta, basis), basis)))
@@ -128,16 +135,13 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
     """
     theta = _check_theta(theta, basis)
     K = _generator(theta, basis)
-    w, U = np.linalg.eigh(K)  # K is exactly Hermitian: no symmetrisation
-    psi = _log_sum_exp(w)
-    p = np.exp(w - psi)
+    psi, p, U = _spectrum(K)
     if p[0] <= STATE_UNDERFLOW_FLOOR:
         raise BoundaryStateError(
             f"state eigenvalue underflowed at |theta| = {np.linalg.norm(theta):.3e}"
         )
     rho = (U * p) @ U.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-
     return ExpFamilyPoint(
         theta=_readonly(theta.copy()),
         basis=basis,
@@ -150,20 +154,29 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
     )
 
 
-def _centred_rotation(point: ExpFamilyPoint, index) -> np.ndarray:
-    """U^dag F_a U - mu_a I for the elements selected by ``index``, shape (d, n, d).
+def _rotation(basis: OperatorBasis, U: np.ndarray, index) -> np.ndarray:
+    """U^dag F_a U for the elements selected by ``index``, shape (d, n, d).
 
-    The element axis is the middle one: entry [k, a, l] is
-    (U^dag F_a U)_kl - mu_a delta_kl.  Two 2-D GEMMs on the layout of
-    ``OperatorBasis.side_by_side``: U^dag times the elements side by side,
-    then that product, read as (d n, d), times U.
+    Two 2-D GEMMs on the layout of ``OperatorBasis.side_by_side``: U^dag times
+    the elements side by side, then that product, read as (d n, d), times U.
     """
-    U = point.eigvecs
-    d = point.dim
-    R = ((U.conj().T @ point.basis.side_by_side(index)).reshape(-1, d) @ U).reshape(d, -1, d)
-    idx = np.arange(d)
-    R[idx, :, idx] -= point.mu[index]
-    return R
+    d = U.shape[0]
+    return ((U.conj().T @ basis.side_by_side(index)).reshape(-1, d) @ U).reshape(d, -1, d)
+
+
+def _bkm_gram(R: np.ndarray, p: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) from R = ``_rotation`` and mu.
+
+    The rows Y_a = sqrt(k) (R_a - mu_a I) are centred on their diagonal after
+    weighting; G = Y Y^T over their real views, so it is exactly symmetric.
+    """
+    d, n = p.size, R.shape[1]
+    root_k = np.sqrt(bkm_kernel_matrix(p))
+    Y = np.empty((n, d, d), dtype=complex)
+    np.multiply(R.transpose(1, 0, 2), root_k, out=Y)
+    Y.reshape(n, -1)[:, :: d + 1] -= mu[:, None] * np.diagonal(root_k)
+    Y = Y.view(float).reshape(n, -1)
+    return Y @ Y.T
 
 
 def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
@@ -172,30 +185,9 @@ def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
     G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) with F~ the centred
     basis elements in the eigenbasis of rho and k the BKM kernel.  ``index``
     is anything that selects basis elements (an index array or a slice).
-    G = Y Y^T for the real rows Y_a of the weighted F~_a, so it is exactly
-    symmetric.
     """
-    R = _centred_rotation(point, index)
-    d, n = point.dim, R.shape[1]
-    Y = np.empty((n, d, d), dtype=complex)
-    np.multiply(R.transpose(1, 0, 2), np.sqrt(bkm_kernel_matrix(point.eigvals)), out=Y)
-    Y = Y.view(float).reshape(n, -1)
-    return _readonly(Y @ Y.T)
-
-
-def metric_theta(point: ExpFamilyPoint) -> np.ndarray:
-    """G theta without forming G, in O(m d^2).
-
-    (G theta)_a = tr(F_a X) with X = U diag(p (w - <w>)) U^dag, the
-    covariance of F_a with K(theta) under rho: K commutes with rho, so the
-    BKM kernel meets only its diagonal k(p_j, p_j) = p_j.  Here w - <w> is
-    computed as log p - <log p>, which differs from it by psi only.
-    """
-    p = point.eigvals
-    U = point.eigvecs
-    logp = np.log(p)
-    X = (U * (p * (logp - p @ logp))) @ U.conj().T
-    return point.basis.coordinates(X)
+    R = _rotation(point.basis, point.eigvecs, index)
+    return _readonly(_bkm_gram(R, point.eigvals, point.mu[index]))
 
 
 def state_from_params(theta, basis: OperatorBasis) -> np.ndarray:

@@ -8,12 +8,12 @@ rate.  A reversible sector generated by a local Hermitian xi adds the
 pushforward of -i[xi, rho], which changes neither the entropy nor any
 marginal spectrum.
 
-Integration uses an embedded Dormand-Prince 4(5) pair; each stage rebuilds
-the chart point and the local-block projection (``local_block_projection``),
-while a reversible-only stage inside ``_clear_radius`` needs K alone.  The
-full constraint geometry is not needed on the hot path.  Each marginal entropy
-is monitored separately, never corrected: a drift beyond the budget in any
-subsystem aborts the run.
+Integration uses an embedded Dormand-Prince 4(5) pair.  A stage inside
+``_clear_radius`` builds no chart point: its dissipative field comes from one
+eigendecomposition of K(theta) and the local elements (``_stage_projection``),
+its reversible field from K alone.  Each marginal entropy is monitored
+separately, never corrected: a drift beyond the budget in any subsystem
+aborts the run.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .errors import (
     StationaryPointError,
     StiffRegionError,
 )
-from .expfamily import ExpFamilyPoint, _check_theta, _generator, make_point, metric_block, metric_theta
+from .expfamily import ExpFamilyPoint, _bkm_gram, _check_theta, _generator, _rotation, _spectrum
+from .expfamily import make_point
 from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
 from .states import FULL_RANK_FLOOR, marginal_entropies
 
@@ -114,13 +115,23 @@ def assemble_local_generator(shape, parts) -> np.ndarray:
     return xi
 
 
-def _project(point: ExpFamilyPoint, local: np.ndarray) -> tuple[np.ndarray, float]:
-    g = metric_theta(point)
-    g_local = g[local]
-    coeffs = _solve_local_block(metric_block(point, local), g_local)
-    proj = point.theta.copy()
+def _stage_projection(theta, basis: OperatorBasis, local, p, U) -> tuple[np.ndarray, float]:
+    """``local_block_projection`` from the spectrum p of rho and its eigenvectors U.
+
+    Only the local elements are rotated, R_a = U^dag F_a U; their diagonals give
+    mu_L = p . diag R_a and g_L = (p c) . diag R_a with c = log p - <log p>.
+    K commutes with rho, so theta^T G theta = p . c^2.  G_LL is the BKM Gram
+    matrix of R_a - mu_a I.
+    """
+    logp = np.log(p)
+    c = logp - p @ logp
+    R = _rotation(basis, U, local)
+    diag = np.diagonal(R, axis1=0, axis2=2).real
+    g_local = diag @ (p * c)
+    coeffs = _solve_local_block(_bkm_gram(R, p, diag @ p), g_local)
+    proj = theta.copy()
     proj[local] -= coeffs
-    return proj, float(point.theta @ g - g_local @ coeffs)
+    return proj, float(p @ c**2 - g_local @ coeffs)
 
 
 def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:
@@ -134,14 +145,16 @@ def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:
         P theta = theta - e_L G_LL^{-1} g_L,
         theta^T G P theta = theta . g - g_L . G_LL^{-1} g_L.
 
-    g costs O(m d^2) (``metric_theta``) and G_LL is the |L| x |L| local
-    block.  The tests check it against the dense projector
-    N (N^T G N)^{-1} N^T G on an SVD kernel N of M.
+    g_L, theta . g and G_LL come from the eigenpairs of rho and the |L| local
+    elements (``_stage_projection``, the integrator's stage kernel).  The
+    tests check it against the dense projector N (N^T G N)^{-1} N^T G on an
+    SVD kernel N of M.
 
     Raises FullyConstrainedError for a single-subsystem basis and
     NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
     """
-    return _project(point, _local_sector(point.basis))
+    local = _local_sector(point.basis)
+    return _stage_projection(point.theta, point.basis, local, point.eigvals, point.eigvecs)
 
 
 def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
@@ -389,21 +402,23 @@ def integrate(
     radius = _clear_radius(shape)
 
     def rhs(theta, out):
-        """Write the field at theta into ``out``; return (point, rate), point None if unbuilt."""
+        """Write the field at theta into ``out``; return ((p, U) or None, rate)."""
         stats["rhs_evals"] += 1
-        clear = np.linalg.norm(theta) < radius  # a non-finite theta is never clear
-        point = make_point(theta, basis) if dissipative or not clear else None
-        if not clear:
+        if np.linalg.norm(theta) < radius:  # a non-finite theta is never clear
+            K = _generator(theta, basis)
+            eig = _spectrum(K)[1:] if dissipative else None
+        else:
+            point = make_point(theta, basis)
             marginal_eigh(point)  # BoundaryStateError at rank-deficient marginals
+            K, eig = point.generator, (point.eigvals, point.eigvecs)
         v = out[:m]
         rate = 0.0
         if dissipative:
-            proj_theta, rate = _project(point, local)
+            proj_theta, rate = _stage_projection(theta, basis, local, *eig)
             np.negative(proj_theta, out=v)
         else:
             v.fill(0.0)
         if reversible:
-            K = _generator(theta, basis) if point is None else point.generator
             v += _commutator(basis, K, xi)
         if clock == "game":
             # The reversible sector is entropy-neutral by construction, so
@@ -415,7 +430,7 @@ def integrate(
             scale = config.c / rate
             v *= scale
             out[m] = scale
-        return point, rate
+        return eig, rate
 
     theta0 = _check_theta(theta0, basis)
     m = basis.size
@@ -434,20 +449,19 @@ def integrate(
     # row 0 when the step is accepted.
     stages = np.empty((7, m + 1))
 
-    def record(pos, aux, point, rate):
-        if point is None:
-            point = make_point(y[:m], basis)
-        marg = marginal_entropies(point.rho, shape)
+    def record(pos, aux, eig, rate):
+        p, U = _spectrum(_generator(y[:m], basis))[1:] if eig is None else eig
+        marg = marginal_entropies((U * p) @ U.conj().T, shape)
         tau, t = (pos, aux) if clock == "game" else (aux, pos)
-        rows.append((tau, t, point.entropy, marg, rate, point.theta))
+        rows.append((tau, t, -float(p @ np.log(p)), marg, rate, y[:m].copy()))
         return marg
 
     def build(status):
         tau, t, H, marg, rate, theta = (np.array(col) for col in zip(*rows))
         return Trajectory(clock, kind, shape.dims, status, tau, t, H, marg, rate, theta, stats)
 
-    point, rate = rhs(theta0, stages[0])
-    marg0 = record(0.0, 0.0, point, rate)
+    eig, rate = rhs(theta0, stages[0])
+    marg0 = record(0.0, 0.0, eig, rate)
 
     if dissipative and rate < config.rate_min:
         return build("stationary")
@@ -469,7 +483,7 @@ def integrate(
             for s in range(1, 6):
                 rhs((y + h * (_DP_A[s, :s] @ stages[:s]))[:m], stages[s])
             y_new = y + h * (_DP_A[6] @ stages[:6])
-            new_point, new_rate = rhs(y_new[:m], stages[6])
+            new_eig, new_rate = rhs(y_new[:m], stages[6])
             failed = None
         except StationaryPointError:
             failed = "stationary"
@@ -515,9 +529,9 @@ def integrate(
         stats["h_max"] = h if stats["h_max"] is None else max(stats["h_max"], h)
         pos += h
         y = y_new
-        point, rate = new_point, new_rate
+        eig, rate = new_eig, new_rate
         stages[0] = stages[6]
-        drift = np.abs(record(pos, float(y[m]), point, rate) - marg0)
+        drift = np.abs(record(pos, float(y[m]), eig, rate) - marg0)
         if drift.max() > config.conservation_tol:
             worst = int(np.argmax(drift))
             raise ConservationError(

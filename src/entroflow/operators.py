@@ -176,8 +176,7 @@ def _exp_pair_difference(x, y) -> np.ndarray:
     """
     half = 0.5 * (x - y)
     ratio = np.ones_like(half)
-    nz = half != 0.0
-    ratio[nz] = np.sinh(half[nz]) / half[nz]
+    np.divide(np.sinh(half), half, out=ratio, where=half != 0.0)
     return np.exp(0.5 * (x + y)) * ratio
 
 

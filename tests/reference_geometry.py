@@ -7,7 +7,7 @@ routes they replaced: the m x d x d stack d rho / d theta
 Hermitian-vec coordinates, an orthonormal SVD kernel N of M, the
 G-orthogonal projector N (N^T G N)^{-1} N^T G, the gradient and the Hessian
 read from the derivative stack, and the velocity helpers built on that
-projector.
+projector, and the full vector G theta from all m coordinates.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from entroflow import (
     reversible_velocity,
 )
 from entroflow.constraint import PROJECTOR_COND_MAX, marginal_eigh
-from entroflow.expfamily import _centred_rotation
+from entroflow.expfamily import _rotation
 from entroflow.flow import DEFAULT_RATE_MIN
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
@@ -59,6 +59,14 @@ def hermitian_vec(X) -> np.ndarray:
     )
 
 
+def _centred_rotation(point: ExpFamilyPoint) -> np.ndarray:
+    """U^dag F_a U - mu_a I for every element, shape (d, m, d)."""
+    R = _rotation(point.basis, point.eigvecs, slice(None))
+    idx = np.arange(point.dim)
+    R[idx, :, idx] -= point.mu
+    return R
+
+
 def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
     """Stack of partial derivatives d rho / d theta_b, shape (m, d, d).
 
@@ -68,8 +76,23 @@ def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
     """
     U = point.eigvecs
     phi = exp_divided_difference(np.log(point.eigvals))
-    D = U @ (_centred_rotation(point, slice(None)).transpose(1, 0, 2) * phi) @ U.conj().T
+    D = U @ (_centred_rotation(point).transpose(1, 0, 2) * phi) @ U.conj().T
     return 0.5 * (D + D.conj().transpose(0, 2, 1))
+
+
+def metric_theta(point: ExpFamilyPoint) -> np.ndarray:
+    """G theta without forming G, in O(m d^2), as the library computed it.
+
+    (G theta)_a = tr(F_a X) with X = U diag(p (w - <w>)) U^dag, the
+    covariance of F_a with K(theta) under rho: K commutes with rho, so the
+    BKM kernel meets only its diagonal k(p_j, p_j) = p_j.  Here w - <w> is
+    computed as log p - <log p>, which differs from it by psi only.
+    """
+    p = point.eigvals
+    U = point.eigvecs
+    logp = np.log(p)
+    X = (U * (p * (logp - p @ logp))) @ U.conj().T
+    return point.basis.coordinates(X)
 
 
 def partial_trace_stack(ops, shape, keep: int) -> np.ndarray:
@@ -110,7 +133,7 @@ def stack_hessian(point: ExpFamilyPoint) -> np.ndarray:
 
     U = point.eigvecs
     Lam_t = U.conj().T @ Lam @ U
-    Fc = _centred_rotation(point, slice(None)).transpose(1, 0, 2)
+    Fc = _centred_rotation(point).transpose(1, 0, 2)
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))

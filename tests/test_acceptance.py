@@ -27,7 +27,6 @@ from entroflow import (
     lme_origin,
     make_point,
     marginal_entropies,
-    metric_theta,
     modular_hamiltonian,
     multi_information,
     params_from_state,
@@ -42,7 +41,7 @@ from entroflow import (
     von_neumann_entropy,
 )
 from entroflow.operators import marginals
-from tests.reference_geometry import state_derivatives
+from tests.reference_geometry import metric_theta, state_derivatives
 from tests.test_expfamily import fd_hessian_psi
 
 LOG3 = np.log(3.0)

@@ -12,8 +12,10 @@ import pytest
 
 from entroflow import (
     BoundaryStateError,
+    FlowConfig,
     as_shape,
     assemble_local_generator,
+    integrate,
     make_point,
     marginal_entropies,
     metric_block,
@@ -22,10 +24,17 @@ from entroflow import (
     random_hermitian,
 )
 from entroflow.constraint import marginal_eigh
-from entroflow.expfamily import _log_sum_exp, bkm_kernel_matrix
-from entroflow.flow import _commutator, _local_sector, _project
+from entroflow.expfamily import _generator, _log_sum_exp, _spectrum, bkm_kernel_matrix
+from entroflow.flow import (
+    _clear_radius,
+    _commutator,
+    _local_sector,
+    _stage_projection,
+    local_block_projection,
+)
 from entroflow.operators import marginals
 from entroflow.states import FULL_RANK_FLOOR, entropy_of_spectrum
+from tests.reference_geometry import reference_geometry
 from tests.test_flow import regularised_correlated_state
 
 SHAPES = [[2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]]
@@ -178,10 +187,66 @@ def test_project_matches_cond_and_solve(dims, rng):
     local = _local_sector(basis)
     for theta in thetas:
         pt = make_point(theta, basis)
-        proj, rate = _project(pt, local)
+        proj, rate = _stage_projection(theta, basis, local, pt.eigvals, pt.eigvecs)
         proj_ref, rate_ref = old_project(pt, local)
         assert np.abs(proj - proj_ref).max() <= TOL * max(1.0, np.abs(theta).max())
         assert abs(rate - rate_ref) <= TOL * max(1.0, abs(rate_ref))
+
+
+def thetas_past_radius(dims, rng):
+    """The two chart points and a random direction scaled to 1.05 R."""
+    shape, basis, thetas = chart_points(dims, rng)
+    v = rng.normal(size=basis.size)
+    return shape, basis, thetas + [1.05 * _clear_radius(shape) * v / np.linalg.norm(v)]
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_stage_kernel_matches_old_and_dense_projection(dims, rng):
+    """The stage kernel from the eigenpairs of K alone, against the parent's
+    route (g = G theta from all m coordinates, G_LL, cond + solve) and the
+    dense projector N (N^T G N)^{-1} N^T G on an SVD kernel N of M.
+
+    Past R the spectrum of rho spans ten decades, and the dense route loses
+    digits in proportion to cond(N^T G N) (up to 6e9 here) while G_LL stays
+    below 1e3: there P theta is held to the dense route's own error bound, and
+    to 1e-12 by the residual (G P theta)_L = 0 of the full metric.
+    """
+    shape, basis, thetas = thetas_past_radius(dims, rng)
+    local = _local_sector(basis)
+    assert np.linalg.norm(thetas[-1]) > _clear_radius(shape)
+    for theta in thetas:
+        _, p, U = _spectrum(_generator(theta, basis))
+        proj, rate = _stage_projection(theta, basis, local, p, U)
+        pt = make_point(theta, basis)
+        proj_pt, rate_pt = local_block_projection(pt)  # the exact path's eigenpairs
+        assert np.array_equal(proj_pt, proj) and rate_pt == rate
+        scale = max(1.0, np.abs(theta).max())
+        proj_old, rate_old = old_project(pt, local)
+        assert np.abs(proj - proj_old).max() <= TOL * scale
+        assert abs(rate - rate_old) <= TOL * max(1.0, abs(rate_old))
+        ref = reference_geometry(pt)
+        proj_dense = ref.projector @ theta
+        rate_dense = float(theta @ pt.metric @ proj_dense)
+        assert abs(rate - rate_dense) <= TOL * max(1.0, abs(rate_dense))
+        cond = np.linalg.cond(ref.kernel.T @ pt.metric @ ref.kernel)
+        assert np.abs(proj - proj_dense).max() <= max(TOL, 1e-15 * cond) * scale
+        residual = (pt.metric @ proj)[local]
+        assert np.abs(residual).max() <= TOL * max(1.0, np.abs(pt.metric @ theta).max())
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_recorded_entropy_matches_chart_point(dims, rng):
+    """H = -sum p log p from the stage's eigenpairs (or one eigh of K per
+    sample in a reversible run) equals psi - theta . mu of a chart point."""
+    shape, basis, thetas = thetas_past_radius(dims, rng)
+    xi_parts = [(i, random_hermitian(q, rng)) for i, q in enumerate(shape.dims)]
+    cfg = FlowConfig(xi_parts=xi_parts)
+    runs = [(theta, "dissipative") for theta in thetas] + [(thetas[0], "reversible")]
+    for theta, kind in runs:
+        traj = integrate(theta, basis, cfg, clock="game", duration=0.2, kind=kind)
+        assert traj.status == "completed" and traj.n_samples >= 4
+        H = [make_point(t, basis).entropy for t in traj.theta]
+        np.testing.assert_allclose(traj.H, H, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("dims", SHAPES)

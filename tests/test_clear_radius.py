@@ -1,9 +1,9 @@
 """The |theta| certificate of the flow's boundary guards.
 
-Inside ``flow._clear_radius`` a stage skips the marginal guard, and a
-reversible-only stage builds no chart point.  Oracle: the same runs with the
-radius forced to 0, where every stage takes the exact path (chart point and
-marginal eigensolve), must agree bitwise.
+Inside ``flow._clear_radius`` a stage skips the marginal guard and builds
+no chart point.  Oracle: the same runs with the radius forced to 0, where
+every stage takes the exact path (chart point and marginal eigensolve), must
+agree bitwise.
 """
 
 import numpy as np
@@ -142,22 +142,32 @@ def test_certified_stages_match_exact_path(name, monkeypatch):
     assert fast.integrator == exact.integrator
 
 
-def test_reversible_run_builds_points_only_to_record(monkeypatch):
-    """Inside the radius a reversible stage reads its field from K alone: the
-    chart point is built once per recorded sample, never per stage."""
-    theta0, basis, cfg, clock, duration, kind = _runs(np.random.default_rng(1))["reversible"]
-    real = entroflow.flow.make_point
-    calls = []
+@pytest.mark.parametrize("name", ["reversible", "dissipative", "combined"])
+def test_runs_inside_radius_build_no_chart_point(name, monkeypatch):
+    """Inside the radius no stage and no sample builds a chart point.  A
+    dissipative stage takes one eigendecomposition of K and each sample reuses
+    it; a reversible stage reads its field from K alone, and only a sample
+    takes the eigendecomposition."""
+    theta0, basis, cfg, clock, duration, kind = _runs(np.random.default_rng(1))[name]
+    points, spectra = [], []
 
-    def counting(theta, basis):
-        calls.append(None)
-        return real(theta, basis)
+    def counting(calls, real):
+        def wrapped(*args):
+            calls.append(None)
+            return real(*args)
 
-    monkeypatch.setattr(entroflow.flow, "make_point", counting)
+        return wrapped
+
+    for attr, calls in (("make_point", points), ("_spectrum", spectra)):
+        monkeypatch.setattr(entroflow.flow, attr, counting(calls, getattr(entroflow.flow, attr)))
     traj = integrate(theta0, basis, cfg, clock=clock, duration=duration, kind=kind)
-    assert traj.status == "completed"
-    assert len(calls) == traj.integrator["accepted"] + 1 == traj.n_samples
-    assert traj.integrator["rhs_evals"] > 5 * len(calls)
+    assert traj.status in ("completed", "stationary")
+    radius = entroflow.flow._clear_radius(basis.shape)
+    assert np.linalg.norm(traj.theta, axis=1).max() < radius
+    assert points == []
+    stages = traj.integrator["rhs_evals"]
+    assert len(spectra) == (traj.n_samples if kind == "reversible" else stages)
+    assert stages > 5 * traj.n_samples
 
 
 def test_reversible_run_past_radius_still_hits_marginal_floor(qutrit_pair):

@@ -13,11 +13,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import FlowConfig, as_shape, product_basis
-from entroflow.cli import main
+from entroflow import (
+    FlowConfig,
+    as_shape,
+    constraint_geometry,
+    make_point,
+    params_from_state,
+    product_basis,
+    regularized_origin,
+    stiffness_spectrum,
+)
+from entroflow.cli import _origin_report, main
 
 LN2 = np.log(2.0)
 
@@ -374,16 +384,16 @@ def test_simulate_degenerate_projection_exits_one(tmp_path, capsys, monkeypatch)
     import entroflow.flow
     from entroflow import NumericalDegeneracyError
 
-    real = entroflow.flow._project
+    real = entroflow.flow._stage_projection
     calls = []
 
-    def failing(point, local):
+    def failing(*args):
         calls.append(None)
         if len(calls) > 20:
             raise NumericalDegeneracyError("forced degenerate block")
-        return real(point, local)
+        return real(*args)
 
-    monkeypatch.setattr(entroflow.flow, "_project", failing)
+    monkeypatch.setattr(entroflow.flow, "_stage_projection", failing)
     assert run_cli(tmp_path, "simulate", {"duration": 0.8}) == 1
     report = read_report(capsys)
     assert report["termination_status"] == "degenerate"
@@ -423,6 +433,25 @@ def test_origin_analysis_small_sweep(tmp_path, capsys):
         assert row["max_principal_angle_rad"] < 1e-3
         assert abs(row["C_max"] - 2 * np.log(3.0)) < 1e-12
     assert (tmp_path / "origin_analysis_report.json").exists()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("eps", [0.3, 0.01])
+def test_soft_kernel_angle_matches_full_subspaces(q, eps):
+    """The reported angle, taken between the |L|-dimensional complements,
+    equals the largest principal angle between the soft modes and ker M
+    themselves (dimension m - |L|) up to round-off."""
+    shape = as_shape([q, q])
+    basis = product_basis(shape)
+    row = _origin_report(shape, basis, eps, 1e-6, False)
+    point = make_point(params_from_state(regularized_origin(shape, eps), basis), basis)
+    geom = constraint_geometry(point, include_hessian=True)
+    evecs = stiffness_spectrum(point, geom.hessian)[1]
+    kdim = geom.kernel.shape[1]
+    old = float(scipy.linalg.subspace_angles(evecs[:, :kdim], geom.kernel).max())
+    assert row["kernel_dim"] == kdim == basis.size - basis.local_sector.size
+    assert old < 1e-10
+    assert row["max_principal_angle_rad"] == pytest.approx(old, rel=0.1, abs=1e-15)
 
 
 def test_stiffness_report(tmp_path, capsys):

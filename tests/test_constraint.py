@@ -459,3 +459,27 @@ def test_geometry_hessian_matches_stack_oracle(qutrit_pair):
     geom = constraint_geometry(pt, include_hessian=True)
     assert relative_gap(geom.hessian, stack_hessian(pt)) <= 1e-12
     assert np.array_equal(geom.hessian, expected)
+
+
+def test_geometry_forms_the_marginals_once(qutrit_pair, monkeypatch):
+    """C, its gradient and the Hessian share one ``marginal_eigh``: the
+    marginals of rho are formed once per geometry (three times before)."""
+    import entroflow.constraint
+    import entroflow.states
+
+    shape, basis = qutrit_pair
+    pt = make_point(np.random.default_rng(5).normal(size=basis.size) * 0.15, basis)
+    calls = []
+
+    def counting(X, shape):
+        calls.append(None)
+        return marginals(X, shape)
+
+    for module in (entroflow.constraint, entroflow.states):
+        monkeypatch.setattr(module, "marginals", counting)
+    geom = constraint_geometry(pt, include_hessian=True)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert abs(geom.value - marginal_entropy_sum(pt)) < 1e-14
+    assert np.array_equal(geom.grad, constraint_gradient(pt))
+    assert np.array_equal(geom.hessian, constraint_hessian(pt))

@@ -17,7 +17,6 @@ from entroflow import (
     log_partition,
     make_point,
     marginal_entropies,
-    metric_theta,
     params_from_state,
     product_basis,
     random_density_matrix,
@@ -25,6 +24,7 @@ from entroflow import (
     state_from_params,
     von_neumann_entropy,
 )
+from tests.reference_geometry import metric_theta
 
 PSI_FD_STEP = 3e-4
 MU_FD_STEP = 1e-5

@@ -31,7 +31,6 @@ from entroflow import (
     integrate,
     local_block_projection,
     make_point,
-    metric_theta,
     params_from_state,
     product_basis,
     random_hermitian,
@@ -47,6 +46,7 @@ from tests.reference_geometry import (
     entropy_production_rate,
     entropy_time_velocity,
     marginal_jacobian,
+    metric_theta,
     reference_geometry,
     state_derivatives,
 )
@@ -465,17 +465,17 @@ def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
     rate cuts its attempt short; each attempt is counted under its cause."""
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
-    real = entroflow.flow._project
+    real = entroflow.flow._stage_projection
     calls = []
 
-    def failing(point, local):
+    def failing(*args):
         calls.append(None)
         if len(calls) == 3:
             raise entroflow.flow.BoundaryStateError("forced marginal floor")
-        proj, rate = real(point, local)
+        proj, rate = real(*args)
         return proj, 0.0 if len(calls) == 10 else rate
 
-    monkeypatch.setattr(entroflow.flow, "_project", failing)
+    monkeypatch.setattr(entroflow.flow, "_stage_projection", failing)
     traj = integrate(theta0, basis, FlowConfig(), clock="entropy", duration=0.5)
     stats = traj.integrator
     assert traj.status == "completed"
@@ -532,16 +532,16 @@ def test_integrate_conservation_monitors_each_subsystem(qutrit_pair, monkeypatch
 def test_integrate_degenerate_projection_keeps_trajectory(qutrit_pair, monkeypatch):
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
-    real = entroflow.flow._project
+    real = entroflow.flow._stage_projection
     calls = []
 
-    def failing(point, local):
+    def failing(*args):
         calls.append(None)
         if len(calls) > 20:
             raise NumericalDegeneracyError("forced degenerate block")
-        return real(point, local)
+        return real(*args)
 
-    monkeypatch.setattr(entroflow.flow, "_project", failing)
+    monkeypatch.setattr(entroflow.flow, "_stage_projection", failing)
     with pytest.raises(DegenerateProjectionError) as exc_info:
         integrate(theta0, basis, FlowConfig(), clock="game", duration=1.0)
     assert isinstance(exc_info.value, NumericalDegeneracyError)
