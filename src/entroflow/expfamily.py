@@ -38,8 +38,7 @@ class ExpFamilyPoint:
     The fields are computed at construction: the family generator K(theta),
     log partition psi, state rho with its eigendecomposition and mean
     parameters mu.  The full m x m BKM metric G is computed on first access
-    of ``metric`` and cached; the flow needs only the local block
-    (``metric_block``).
+    of ``metric`` and cached; ``metric_block`` gives a block without it.
     """
 
     theta: np.ndarray
@@ -94,7 +93,10 @@ def _spectrum(K: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """psi, the spectrum p of rho = exp(K - psi I) and its eigenvectors, from one eigh."""
     w, U = np.linalg.eigh(K)  # K is exactly Hermitian: no symmetrisation
     psi = _log_sum_exp(w)
-    return psi, np.exp(w - psi), U
+    p = np.exp(w - psi)
+    if p[0] <= STATE_UNDERFLOW_FLOOR:
+        raise BoundaryStateError(f"state eigenvalue {p[0]:.3e} underflowed")
+    return psi, p, U
 
 
 def log_partition(theta, basis: OperatorBasis) -> float:
@@ -136,10 +138,6 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
     theta = _check_theta(theta, basis)
     K = _generator(theta, basis)
     psi, p, U = _spectrum(K)
-    if p[0] <= STATE_UNDERFLOW_FLOOR:
-        raise BoundaryStateError(
-            f"state eigenvalue underflowed at |theta| = {np.linalg.norm(theta):.3e}"
-        )
     rho = (U * p) @ U.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return ExpFamilyPoint(

@@ -8,12 +8,12 @@ rate.  A reversible sector generated by a local Hermitian xi adds the
 pushforward of -i[xi, rho], which changes neither the entropy nor any
 marginal spectrum.
 
-Integration uses an embedded Dormand-Prince 4(5) pair.  A stage inside
-``_clear_radius`` builds no chart point: its dissipative field comes from one
-eigendecomposition of K(theta) and the local elements (``_stage_projection``),
-its reversible field from K alone.  Each marginal entropy is monitored
-separately, never corrected: a drift beyond the budget in any subsystem
-aborts the run.
+Integration uses an embedded Dormand-Prince 4(5) pair.  A stage computes
+K(theta) and, with a dissipative sector, its eigenpairs and the local
+elements (``_stage_projection``); it checks only what those need, the state
+spectrum and cond(G_LL), never building a chart point or a marginal.  Each
+marginal entropy is monitored separately, never corrected: a drift beyond
+the budget in any subsystem aborts the run.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import _local_sector, _solve_local_block, marginal_eigh
+from .constraint import _local_sector, _solve_local_block
 from .errors import (
     BoundaryStateError,
     ConservationError,
@@ -34,9 +34,8 @@ from .errors import (
     StiffRegionError,
 )
 from .expfamily import ExpFamilyPoint, _bkm_gram, _check_theta, _generator, _rotation, _spectrum
-from .expfamily import make_point
 from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
-from .states import FULL_RANK_FLOOR, marginal_entropies
+from .states import marginal_entropies
 
 LOCALITY_TOL = 1e-10
 DEFAULT_RATE_MIN = 1e-10
@@ -174,18 +173,6 @@ def _commutator(basis: OperatorBasis, K: np.ndarray, xi: np.ndarray) -> np.ndarr
     # -i[xi, K] = -i(A - A^dag) with A = xi K, the Hermitian part of -2i A;
     # coordinates read only the Hermitian part, so one GEMM suffices.
     return basis.coordinates(-2j * (xi @ K))
-
-
-def _clear_radius(shape) -> float:
-    """Radius R such that no boundary guard can fire at |theta| < R.
-
-    |K|_F = |theta| (orthonormal basis), so the spectrum of K spans at most
-    sqrt(2) |theta| and lambda_min(rho) >= e^(-sqrt(2) |theta|) / d.  A partial
-    trace sums d / d_i diagonal blocks, so lambda_min(rho_i) >= e^(-sqrt(2)
-    |theta|) / d_i > 2 FULL_RANK_FLOOR (2: round-off margin) at |theta| < R,
-    and the state stays far above STATE_UNDERFLOW_FLOOR.
-    """
-    return math.log(1.0 / (2.0 * FULL_RANK_FLOOR * max(shape.dims))) / math.sqrt(2.0)
 
 
 def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
@@ -366,17 +353,21 @@ def integrate(
 
     Notes
     -----
-    After an accepted step h grows by ``_step_factor``; a rejected attempt
-    shrinks it by max(0.2, 0.9 e^(-1/5)), a failed stage halves it.
+    A stage runs only the checks of its kernels (module docstring): it fails
+    ("boundary") when the spectrum of rho, taken with a dissipative sector,
+    underflows STATE_UNDERFLOW_FLOOR, and ("stationary") on the entropy clock
+    without production.  A non-finite stage theta gets a NaN field, which
+    the error norm rejects.  An accepted step grows h by ``_step_factor``, a
+    rejected attempt shrinks it by max(0.2, 0.9 e^(-1/5)), a failed stage
+    halves it; below 1e-14 max(1, clock) it has underflowed.  Runs with the
+    dissipative sector stop with status "stationary" once the production
+    rate falls below ``config.rate_min``, at theta0 too.
 
-    Runs containing the dissipative sector, under either clock, stop with
-    status "stationary" once the production rate falls below
-    ``config.rate_min``.
     A drift of any marginal entropy h_i beyond ``config.conservation_tol``
     raises ConservationError; step-size underflow away from a stationary
-    point raises StiffRegionError; an ill-conditioned local metric block
-    after the first sample raises DegenerateProjectionError.  All three
-    carry the partial trajectory.  A single-subsystem basis raises
+    point raises StiffRegionError; cond(G_LL) above PROJECTOR_COND_MAX after
+    the first sample raises DegenerateProjectionError.  All three carry the
+    partial trajectory.  A single-subsystem basis raises
     FullyConstrainedError and a non-local generator NonLocalGeneratorError,
     both before the first step; a degenerate block at theta0 raises
     NumericalDegeneracyError.
@@ -399,18 +390,15 @@ def integrate(
     xi = None
     if reversible:
         xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
-    radius = _clear_radius(shape)
 
     def rhs(theta, out):
         """Write the field at theta into ``out``; return ((p, U) or None, rate)."""
         stats["rhs_evals"] += 1
-        if np.linalg.norm(theta) < radius:  # a non-finite theta is never clear
-            K = _generator(theta, basis)
-            eig = _spectrum(K)[1:] if dissipative else None
-        else:
-            point = make_point(theta, basis)
-            marginal_eigh(point)  # BoundaryStateError at rank-deficient marginals
-            K, eig = point.generator, (point.eigvals, point.eigvecs)
+        if not np.isfinite(theta).all():  # the error norm rejects the attempt
+            out.fill(np.nan)
+            return None, math.nan
+        K = _generator(theta, basis)
+        eig = _spectrum(K)[1:] if dissipative else None
         v = out[:m]
         rate = 0.0
         if dissipative:
@@ -460,7 +448,10 @@ def integrate(
         tau, t, H, marg, rate, theta = (np.array(col) for col in zip(*rows))
         return Trajectory(clock, kind, shape.dims, status, tau, t, H, marg, rate, theta, stats)
 
-    eig, rate = rhs(theta0, stages[0])
+    try:
+        eig, rate = rhs(theta0, stages[0])
+    except StationaryPointError:  # entropy clock: no production at theta0
+        eig, rate = None, 0.0
     marg0 = record(0.0, 0.0, eig, rate)
 
     if dissipative and rate < config.rate_min:
@@ -468,11 +459,11 @@ def integrate(
 
     pos = 0.0
     h = min(config.initial_step, duration)
-    h_min = 1e-14 * max(1.0, abs(duration))
     status = "max_steps"
     prev = None
 
     while stats["accepted"] < config.max_steps:
+        h_min = 1e-14 * max(1.0, pos)  # the spacing of pos, not of duration
         remaining = duration - pos
         if remaining <= h_min:
             status = "completed"

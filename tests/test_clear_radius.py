@@ -1,9 +1,10 @@
-"""The |theta| certificate of the flow's boundary guards.
+"""Flow stages at every |theta|, with the former clear radius as landmark.
 
-Inside ``flow._clear_radius`` a stage skips the marginal guard and builds
-no chart point.  Oracle: the same runs with the radius forced to 0, where
-every stage takes the exact path (chart point and marginal eigensolve), must
-agree bitwise.
+Stages used to skip the marginal guard inside R = 18.27 at [3,3] and build a
+chart point past it.  The guard is gone: every stage computes K(theta), plus
+one eigendecomposition of it with a dissipative sector, at any |theta|.  The
+names "inside" and "past" below refer to that R.  The spectrum bound that
+defined it, lambda_min(rho_i) >= e^(-sqrt2 |theta|) / d_i, still holds.
 """
 
 import numpy as np
@@ -12,10 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import entroflow.expfamily
 import entroflow.flow
 from entroflow import (
     BoundaryStateError,
     FlowConfig,
+    IntegrationError,
+    NumericalDegeneracyError,
+    StiffRegionError,
     as_shape,
     integrate,
     make_point,
@@ -26,20 +31,13 @@ from entroflow import (
 )
 from entroflow.constraint import marginal_eigh
 from entroflow.operators import marginals
-from entroflow.states import FULL_RANK_FLOOR
 
 BOUND_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4)]
-# Largest |theta| drawn: past R at every shape (R = 18.27 at [3,3]), while the
-# bounds stay far above the round-off of the marginal eigenvalues.
+# Largest |theta| drawn: past the former radius at every shape (at most
+# 18.56), while the bounds stay far above the round-off of the marginal
+# eigenvalues.
 NORM_MAX = 20.0
-
-
-def test_clear_radius_value():
-    assert entroflow.flow._clear_radius(as_shape([3, 3])) == pytest.approx(18.27, abs=5e-3)
-    # the largest local dimension sets the radius
-    assert entroflow.flow._clear_radius(as_shape([2, 4])) == entroflow.flow._clear_radius(
-        as_shape([4, 4])
-    )
+FORMER_RADIUS = 18.27  # at [3,3]
 
 
 @st.composite
@@ -75,80 +73,34 @@ def test_spectrum_bound_holds(case):
         assert np.linalg.eigvalsh(rho_i)[0] >= decay / di - 1e-15
 
 
-def test_inside_radius_marginal_guard_passes():
-    """Just inside R, even the extreme direction (one local diagonal element)
-    leaves every marginal eigenvalue above twice the floor."""
-    shape = as_shape([3, 3])
-    basis = product_basis(shape)
-    radius = entroflow.flow._clear_radius(shape)
-    for a in basis.local_indices():
-        theta = np.zeros(basis.size)
-        theta[a] = 0.999 * radius
-        for w, _ in marginal_eigh(make_point(theta, basis)):
-            assert w[0] > 2.0 * FULL_RANK_FLOOR
-
-
 def _xi_parts(rng):
     return ((0, random_hermitian(3, rng)), (1, random_hermitian(3, rng)))
 
 
 def _runs(rng):
-    """(theta0, basis, config, clock, duration, kind) for the oracle comparison."""
+    """(theta0, basis, config, clock, duration) per kind, from a start inside
+    the former radius and from one past it."""
     shape = as_shape([3, 3])
     basis = product_basis(shape)
-    origin = params_from_state(regularized_origin(shape, 0.05), basis)
-    # |theta0| = 19.4 > R: the run starts on the exact path
-    deep = params_from_state(regularized_origin(shape, 1e-8), basis)
+    deep = params_from_state(regularized_origin(shape, 1e-8), basis)  # |theta0| = 19.4
     theta0 = rng.normal(size=basis.size) * 0.15
-    parts = _xi_parts(rng)
-    rev = FlowConfig(atol=1e-10, rtol=1e-10, xi_parts=parts)
-    four = product_basis(as_shape([2, 2, 2, 2]))
-    corr = four.correlation_indices()
-    theta4 = np.zeros(four.size)
-    theta4[corr] = rng.normal(size=corr.size) * 0.3
+    rev = FlowConfig(atol=1e-10, rtol=1e-10, xi_parts=_xi_parts(rng))
     return {
-        "reversible": (theta0, basis, rev, "game", 1.0, "reversible"),
-        "reversible_past_radius": (deep, basis, rev, "game", 0.3, "reversible"),
-        "dissipative": (origin, basis, FlowConfig(), "entropy", 10.0, "dissipative"),
-        "dissipative_past_radius": (deep, basis, FlowConfig(), "entropy", 0.5, "dissipative"),
-        "combined": (theta0, basis, rev, "game", 0.5, "combined"),
-        "four_qubit_dissipative": (theta4, four, FlowConfig(), "game", 0.5, "dissipative"),
+        "reversible": [(t, basis, rev, "game", 0.3) for t in (theta0, deep)],
+        "dissipative": [(t, basis, FlowConfig(), "entropy", 0.5) for t in (theta0, deep)],
+        "combined": [(t, basis, rev, "game", 0.3) for t in (theta0, deep)],
     }
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "reversible",
-        "reversible_past_radius",
-        "dissipative",
-        "dissipative_past_radius",
-        "combined",
-        "four_qubit_dissipative",
-    ],
-)
-def test_certified_stages_match_exact_path(name, monkeypatch):
-    theta0, basis, cfg, clock, duration, kind = _runs(np.random.default_rng(20260819))[name]
-
-    def run():
-        return integrate(theta0, basis, cfg, clock=clock, duration=duration, kind=kind)
-
-    fast = run()
-    monkeypatch.setattr(entroflow.flow, "_clear_radius", lambda shape: 0.0)
-    exact = run()
-    for field in ("tau", "t", "H", "theta", "rate", "C", "marginals"):
-        np.testing.assert_array_equal(getattr(fast, field), getattr(exact, field), err_msg=field)
-    assert fast.status == exact.status
-    assert fast.integrator == exact.integrator
 
 
 @pytest.mark.parametrize("name", ["reversible", "dissipative", "combined"])
 def test_runs_inside_radius_build_no_chart_point(name, monkeypatch):
-    """Inside the radius no stage and no sample builds a chart point.  A
-    dissipative stage takes one eigendecomposition of K and each sample reuses
-    it; a reversible stage reads its field from K alone, and only a sample
-    takes the eigendecomposition."""
-    theta0, basis, cfg, clock, duration, kind = _runs(np.random.default_rng(1))[name]
+    """Inside the former radius and past it, no stage and no sample builds a
+    chart point or diagonalises a marginal.  A dissipative stage takes one
+    eigendecomposition of K and each sample reuses it; a reversible stage
+    reads its field from K alone, and only a sample takes the
+    eigendecomposition."""
+    assert not hasattr(entroflow.flow, "make_point")
+    assert not hasattr(entroflow.flow, "marginal_eigh")
     points, spectra = [], []
 
     def counting(calls, real):
@@ -158,43 +110,81 @@ def test_runs_inside_radius_build_no_chart_point(name, monkeypatch):
 
         return wrapped
 
-    for attr, calls in (("make_point", points), ("_spectrum", spectra)):
-        monkeypatch.setattr(entroflow.flow, attr, counting(calls, getattr(entroflow.flow, attr)))
-    traj = integrate(theta0, basis, cfg, clock=clock, duration=duration, kind=kind)
-    assert traj.status in ("completed", "stationary")
-    radius = entroflow.flow._clear_radius(basis.shape)
-    assert np.linalg.norm(traj.theta, axis=1).max() < radius
-    assert points == []
-    stages = traj.integrator["rhs_evals"]
-    assert len(spectra) == (traj.n_samples if kind == "reversible" else stages)
-    assert stages > 5 * traj.n_samples
+    monkeypatch.setattr(entroflow.expfamily, "make_point", counting(points, make_point))
+    monkeypatch.setattr(entroflow.flow, "_spectrum", counting(spectra, entroflow.flow._spectrum))
+    norms = []
+    for theta0, basis, cfg, clock, duration in _runs(np.random.default_rng(1))[name]:
+        spectra.clear()
+        traj = integrate(theta0, basis, cfg, clock=clock, duration=duration, kind=name)
+        assert traj.status in ("completed", "stationary")
+        assert points == []
+        stages = traj.integrator["rhs_evals"]
+        assert len(spectra) == (traj.n_samples if name == "reversible" else stages)
+        assert stages > 5 * traj.n_samples
+        norms.append(np.linalg.norm(traj.theta, axis=1))
+    assert norms[0].max() < FORMER_RADIUS < norms[1][0]
 
 
 def test_reversible_run_past_radius_still_hits_marginal_floor(qutrit_pair):
-    """theta0 on one local diagonal element, far past R: a marginal eigenvalue
-    is below FULL_RANK_FLOOR, and the exact guard raises as before."""
+    """theta0 on one local diagonal element, far past the former radius: a
+    marginal eigenvalue lies below FULL_RANK_FLOOR.  The unitary flow takes no
+    marginal logarithm and completes, conserving every h_i; the projection
+    meets an ill-conditioned G_LL at theta0 and raises there."""
     shape, basis = qutrit_pair
     theta0 = np.zeros(basis.size)
     theta0[basis.local_indices(0)[-1]] = 60.0
-    assert np.linalg.norm(theta0) > entroflow.flow._clear_radius(shape)
+    with pytest.raises(BoundaryStateError):
+        marginal_eigh(make_point(theta0, basis))
     cfg = FlowConfig(xi_parts=_xi_parts(np.random.default_rng(2)))
-    with pytest.raises(BoundaryStateError, match=f"{FULL_RANK_FLOOR}"):
-        integrate(theta0, basis, cfg, clock="game", duration=0.1, kind="reversible")
+    traj = integrate(theta0, basis, cfg, clock="game", duration=0.1, kind="reversible")
+    assert traj.status == "completed" and traj.n_samples > 1
+    assert np.abs(traj.marginals - traj.marginals[0]).max() <= 1e-12
+    for kind in ("dissipative", "combined"):
+        with pytest.raises(NumericalDegeneracyError) as exc_info:
+            integrate(theta0, basis, cfg, clock="game", duration=0.1, kind=kind)
+        assert not isinstance(exc_info.value, IntegrationError)  # raised at theta0
 
 
 def test_non_finite_stage_theta_takes_exact_path(qutrit_pair, monkeypatch):
-    """A NaN stage theta is never certified clear; make_point rejects it."""
+    """The one stage path for a theta that is not finite: once every field
+    comes out NaN the next stage theta is NaN, its stage writes a NaN field
+    without evaluating anything, the error norm rejects each attempt, and the
+    step size underflows.  For every kind the partial trajectory is the clean
+    run's up to the poisoning."""
     shape, basis = qutrit_pair
     theta0 = np.random.default_rng(3).normal(size=basis.size) * 0.1
     cfg = FlowConfig(xi_parts=_xi_parts(np.random.default_rng(4)))
-    real = entroflow.flow._commutator
+    kinds = ("reversible", "dissipative", "combined")
+
+    def run(kind):
+        return integrate(theta0, basis, cfg, clock="game", duration=0.5, kind=kind)
+
+    clean = {kind: run(kind) for kind in kinds}
     calls = []
 
-    def poisoned(basis, K, xi):
-        calls.append(None)
-        v = real(basis, K, xi)
-        return v if len(calls) == 1 else np.full_like(v, np.nan)
+    def poisoned(real):
+        def wrapped(*args):
+            calls.append(None)
+            out = real(*args)
+            if len(calls) <= 20:
+                return out
+            if isinstance(out, tuple):  # _stage_projection: (P theta, rate)
+                return np.full_like(out[0], np.nan), out[1]
+            return np.full_like(out, np.nan)
 
-    monkeypatch.setattr(entroflow.flow, "_commutator", poisoned)
-    with pytest.raises(ValueError, match="theta must be finite"):
-        integrate(theta0, basis, cfg, clock="game", duration=0.5, kind="reversible")
+        return wrapped
+
+    for attr in ("_commutator", "_stage_projection"):
+        monkeypatch.setattr(entroflow.flow, attr, poisoned(getattr(entroflow.flow, attr)))
+    for kind in kinds:
+        calls.clear()
+        with pytest.raises(StiffRegionError) as exc_info:
+            run(kind)
+        partial = exc_info.value.trajectory
+        assert partial.status == "stiff" and 1 < partial.n_samples < clean[kind].n_samples
+        assert partial.integrator["rejected"] > 0
+        n = partial.n_samples
+        for field in ("tau", "t", "H", "theta", "rate", "marginals"):
+            np.testing.assert_array_equal(
+                getattr(partial, field), getattr(clean[kind], field)[:n], err_msg=field
+            )

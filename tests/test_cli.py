@@ -358,6 +358,18 @@ def test_simulate_default_reports_integrator_block(tmp_path, capsys):
     assert set(stats["failed_stages"]) == {"stationary", "boundary"}
 
 
+@pytest.mark.parametrize("clock", ["entropy", "game"])
+def test_simulate_start_without_production_is_stationary(tmp_path, capsys, clock):
+    """A random-kernel start of scale 1e-200 produces no entropy at all: both
+    clocks report a stationary run of one sample and write their files."""
+    cfg = {"start": "random_kernel", "start_scale": 1e-200, "clock": clock}
+    assert run_cli(tmp_path, "simulate", cfg) == 0
+    report = read_report(capsys)
+    assert report["termination_status"] == "stationary"
+    assert report["n_samples"] == 1 and report["failures"] == []
+    assert (tmp_path / "trajectory.csv").exists() and (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "cfg, status, code",
     [({"clock": "game", "duration": 0.3}, "completed", 0), ({}, "stationary", 0),

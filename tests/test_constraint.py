@@ -26,6 +26,7 @@ from entroflow import (
     local_block_projection,
     make_point,
     marginal_entropy_sum,
+    metric_block,
     modular_hamiltonian,
     params_from_state,
     product_basis,
@@ -390,6 +391,24 @@ def test_stiffness_spectrum_origin(qutrit_pair):
     for v in (evecs[:, -1], 2.0 * evecs[:, -1]):
         rayleigh = -(v @ geom.hessian @ v) / (v @ pt.metric @ v)
         assert abs(rayleigh - evals[-1]) < 1e-8
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [3, 3], [4, 4]])
+@pytest.mark.parametrize("eps", [0.3, 0.05, 0.01])
+def test_stiffness_spectrum_closed_form_at_origin(dims, eps):
+    """At the regularised origin Hess C = -d G_{:L} G_{L:}, so with v = G^-1
+    G_{:L} w the problem -H v = lambda G v reads d G_LL w = lambda w: the |L|
+    stiff eigenvalues are d eig(G_LL), and the other m - |L| vanish."""
+    shape = as_shape(dims)
+    basis = product_basis(shape)
+    local = basis.local_indices()
+    pt = origin_point(shape, basis, eps)
+    evals = stiffness_spectrum(pt, constraint_hessian(pt))[0]
+    expected = shape.total_dim * np.linalg.eigvalsh(metric_block(pt, local))
+    scale = expected.max()
+    assert np.abs(evals[-local.size :] - expected).max() <= 1e-12 * scale
+    assert np.abs(evals[: -local.size]).max() <= 1e-12 * scale
+    assert expected.min() > 1e3 * 1e-12 * scale  # the two blocks are told apart
 
 
 def test_first_order_tangency_vacuous(qutrit_pair, rng):

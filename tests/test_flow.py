@@ -460,9 +460,36 @@ def test_integrate_counts_steps_on_entropy_clock_approach(qutrit_pair):
     assert 0.0 <= stats["last_err_norm"] <= 1.0
 
 
+@pytest.mark.parametrize("clock", ["game", "entropy"])
+def test_integrate_zero_theta_is_stationary_on_both_clocks(qutrit_pair, clock):
+    """theta0 = 0 produces no entropy: the entropy clock has no field there,
+    and the run stops with the one sample as on the game clock."""
+    shape, basis = qutrit_pair
+    traj = integrate(np.zeros(basis.size), basis, FlowConfig(), clock=clock, duration=1.0)
+    assert traj.status == "stationary" and traj.n_samples == 1
+    assert traj.rate[0] == 0.0 and traj.H[0] == pytest.approx(2 * LOG3, abs=1e-14)
+    assert traj.integrator["rhs_evals"] == 1 and traj.integrator["accepted"] == 0
+
+
+def test_step_floor_does_not_scale_with_duration(qutrit_pair):
+    """The step-size floor follows the clock's position, not its limit: a run
+    that stops at stationarity long before either limit is the same run."""
+    shape, basis = qutrit_pair
+    theta0 = origin_point(shape, basis, EPS).theta
+    short, long = (
+        integrate(theta0, basis, FlowConfig(), clock="entropy", duration=duration)
+        for duration in (10.0, 1e20)
+    )
+    assert short.status == long.status == "stationary"
+    assert short.integrator == long.integrator
+    for field in ("tau", "t", "H", "theta", "rate", "marginals"):
+        np.testing.assert_array_equal(getattr(short, field), getattr(long, field), err_msg=field)
+
+
 def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
-    """A stage that meets the marginal floor or a non-positive production
-    rate cuts its attempt short; each attempt is counted under its cause."""
+    """A stage whose state spectrum underflows or whose production rate is
+    not positive cuts its attempt short; each attempt is counted under its
+    cause."""
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
     real = entroflow.flow._stage_projection
@@ -471,7 +498,7 @@ def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
     def failing(*args):
         calls.append(None)
         if len(calls) == 3:
-            raise entroflow.flow.BoundaryStateError("forced marginal floor")
+            raise entroflow.flow.BoundaryStateError("forced state underflow")
         proj, rate = real(*args)
         return proj, 0.0 if len(calls) == 10 else rate
 
