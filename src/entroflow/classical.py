@@ -1,10 +1,8 @@
-"""Classical bivariate distributions and the entropy obstruction certificate.
+"""Classical bivariate distributions and the entropy obstruction.
 
 Classically a zero-entropy joint distribution forces zero marginal
 entropies, so no classical state combines a pure joint with maximally mixed
-marginals.  The certificate below pins that down quantitatively: whenever
-H12 <= eta the marginal entropy sum is capped by 2 * eta, and mutual
-information never exceeds either marginal entropy.
+marginals.  That is one inequality, H12 >= max(h1, h2).
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 from .states import entropy_of_spectrum
 
 TABLE_TOL = 1e-12
-CHECK_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,85 +44,23 @@ class JointDistribution:
         return self.table.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class ShannonSummary:
-    h1: float
-    h2: float
-    joint: float
-    mutual_information: float
-    conditional_1_given_2: float
-
-
-def shannon_entropies(joint: JointDistribution) -> ShannonSummary:
-    """Marginal, joint, mutual and conditional entropies in nats."""
+def shannon_entropies(joint: JointDistribution) -> tuple[float, float, float]:
+    """Marginal and joint entropies (h1, h2, H12) in nats."""
     h1 = entropy_of_spectrum(joint.marginal_1)
     h2 = entropy_of_spectrum(joint.marginal_2)
-    h12 = entropy_of_spectrum(joint.table)
-    return ShannonSummary(
-        h1=h1,
-        h2=h2,
-        joint=h12,
-        mutual_information=h1 + h2 - h12,
-        conditional_1_given_2=h12 - h2,
-    )
+    return h1, h2, entropy_of_spectrum(joint.table)
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
-    """Witness that near-zero joint entropy forces near-zero marginals."""
+def classical_origin_infeasible(joint: JointDistribution) -> float:
+    """H12 - max(h1, h2): the smaller conditional entropy, >= 0 for every table.
 
-    eta: float
-    joint_entropy: float
-    h1: float
-    h2: float
-    marginal_sum: float
-    bound: float
-    applicable: bool
-    is_point_mass: bool
-    marginal_bound_holds: bool
-    mutual_information: float
-    mutual_information_capped: bool
-    conditional_nonnegative: bool
-
-    @property
-    def holds(self) -> bool:
-        checks = [self.mutual_information_capped, self.conditional_nonnegative]
-        if self.applicable:
-            checks.append(self.marginal_bound_holds)
-        return all(checks)
-
-
-def classical_origin_infeasible(joint: JointDistribution, eta: float = 0.0) -> ObstructionCertificate:
-    """Certificate that a joint with H12 <= eta cannot have mixed marginals.
-
-    The marginal cap is h1 + h2 <= 2 * eta (each marginal entropy is at most
-    the joint entropy), so bound(0) = 0: a point mass has h1 = h2 = 0.  The
-    certificate also records the classical caps I <= min(h1, h2) and
-    H(1|2) >= 0, which any quantum state violating them escapes.
+    Nonnegative conditional entropy means H12 >= max(h1, h2), so a pure
+    joint (H12 = 0) forces h1 = h2 = 0 and no classical state has a pure
+    joint with mixed marginals.  With I = h1 + h2 - H12 the cap
+    I <= min(h1, h2) is the same inequality: min(h1, h2) - I is this gap.
     """
-    if eta < 0.0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    s = shannon_entropies(joint)
-    applicable = s.joint <= eta + CHECK_SLACK
-    bound = 2.0 * eta
-    marginal_sum = s.h1 + s.h2
-    point_mass = bool(joint.table.max() >= 1.0 - 1e-9)
-    return ObstructionCertificate(
-        eta=eta,
-        joint_entropy=s.joint,
-        h1=s.h1,
-        h2=s.h2,
-        marginal_sum=marginal_sum,
-        bound=bound,
-        applicable=applicable,
-        is_point_mass=point_mass,
-        marginal_bound_holds=bool(marginal_sum <= bound + CHECK_SLACK),
-        mutual_information=s.mutual_information,
-        mutual_information_capped=bool(
-            s.mutual_information <= min(s.h1, s.h2) + CHECK_SLACK
-        ),
-        conditional_nonnegative=bool(s.conditional_1_given_2 >= -CHECK_SLACK),
-    )
+    h1, h2, h12 = shannon_entropies(joint)
+    return h12 - max(h1, h2)
 
 
 def bernoulli_chart(p: float) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Modular generators of marginals and Gibbs-family diagnostics.
+"""Modular generators of marginals and thermal-family diagnostics.
 
 The modular generator of a full-rank marginal is K_i = -log rho_i, so the
 marginal entropy is its own expectation value, h(rho_i) = tr(rho_i K_i),
@@ -13,16 +13,14 @@ marginal is from that thermal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BoundaryStateError
-from .expfamily import _log_sum_exp
 from .operators import hermitian_eig, marginals, require_hermitian
 from .states import FULL_RANK_FLOOR, gibbs_state, marginal_entropies
 
 GENERATOR_TRIVIAL_TOL = 1e-12
+CONFINED_TOL = 1e-8
 
 
 def modular_hamiltonian(rho_i) -> np.ndarray:
@@ -45,41 +43,17 @@ def modular_energy_sum(rho, shape) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class GibbsFamily:
-    """One-parameter thermal family exp(-beta H) / Z along a fixed generator.
-
-    ``log_partition`` is log Z, stored as a logarithm so that it stays finite
-    where Z itself overflows.
-    """
-
-    generator: np.ndarray
-    beta: float
-    log_partition: float
-
-    @property
-    def state(self) -> np.ndarray:
-        return gibbs_state(self.generator, self.beta)
-
-
-def gibbs_family(generator, beta: float) -> GibbsFamily:
-    generator = require_hermitian(generator, name="generator")
-    w = np.linalg.eigvalsh(generator)
-    log_z = _log_sum_exp(np.sort(-beta * w))
-    return GibbsFamily(generator=generator, beta=float(beta), log_partition=log_z)
-
-
-def gibbs_entropy_derivative(family: GibbsFamily) -> float:
-    """d h / d beta = -beta var(H) along the thermal family.
+def gibbs_entropy_derivative(generator, beta: float) -> float:
+    """d h / d beta = -beta var(H) along the thermal family exp(-beta H) / Z.
 
     Zero exactly at beta = 0 (any generator leaves h stationary at the
     maximally mixed state) and nonpositive for beta >= 0.
     """
-    rho = family.state
-    H = family.generator
+    H = require_hermitian(generator, name="generator")
+    rho = gibbs_state(H, beta)
     mean = float(np.real(np.trace(rho @ H)))
     second = float(np.real(np.trace(rho @ H @ H)))
-    return -family.beta * (second - mean * mean)
+    return -beta * (second - mean * mean)
 
 
 def _traceless(X: np.ndarray) -> np.ndarray:
@@ -107,12 +81,12 @@ def gibbs_lock_residual(rho_i, H_local) -> tuple[float, float]:
     return beta_star, float(np.linalg.norm(K - beta_star * T))
 
 
-def confined_regime_check(rho, shape, tol: float = 1e-8) -> bool:
-    """True when every modular generator is within tol of (log d_i) I."""
+def confined_regime_check(rho, shape) -> bool:
+    """True when every modular generator is within CONFINED_TOL of (log d_i) I."""
     for rho_i in marginals(rho, shape):
         di = rho_i.shape[0]
         K_i = modular_hamiltonian(rho_i)
-        if np.max(np.abs(K_i - np.log(di) * np.eye(di))) > tol:
+        if np.max(np.abs(K_i - np.log(di) * np.eye(di))) > CONFINED_TOL:
             return False
     return True
 

@@ -68,18 +68,20 @@ def hermiticity_defect(A):
         return np.abs(A - np.swapaxes(A, -1, -2).conj()).max(axis=(-2, -1))
 
 
-def is_hermitian(A, tol: float = HERMITICITY_TOL):
-    return hermiticity_defect(A) <= tol
+def is_hermitian(A):
+    return hermiticity_defect(A) <= HERMITICITY_TOL
 
 
-def require_hermitian(A, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.ndarray:
+def require_hermitian(A, name: str = "operator") -> np.ndarray:
     """Validate hermiticity entrywise and return the symmetrised copy."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
     defect = hermiticity_defect(A)
-    if not defect <= tol:  # a NaN defect (non-finite entry) fails too
-        raise ValueError(f"{name} is not Hermitian or not finite (defect {defect:.3e} > {tol:.1e})")
+    if not defect <= HERMITICITY_TOL:  # a NaN defect (non-finite entry) fails too
+        raise ValueError(
+            f"{name} is not Hermitian or not finite (defect {defect:.3e} > {HERMITICITY_TOL:.1e})"
+        )
     return 0.5 * (A + A.conj().T)
 
 

@@ -121,17 +121,15 @@ def gibbs_state(H, beta: float) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
-    """GUE-like random Hermitian matrix with entry scale ``scale``."""
+def random_hermitian(d: int, rng) -> np.ndarray:
+    """GUE-like random Hermitian matrix with unit entry scale."""
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (a + a.conj().T) / 2.0
+    return (a + a.conj().T) / 2.0
 
 
-def random_density_matrix(d: int, rng, mix: float = 0.0) -> np.ndarray:
-    """Ginibre-induced random state, optionally mixed toward I/d for conditioning."""
+def random_density_matrix(d: int, rng) -> np.ndarray:
+    """Ginibre-induced random state."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     w = g @ g.conj().T
     w /= np.trace(w).real
-    if mix:
-        w = (1.0 - mix) * w + mix * np.eye(d) / d
     return 0.5 * (w + w.conj().T)

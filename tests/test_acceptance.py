@@ -20,7 +20,6 @@ from entroflow import (
     constraint_max,
     entropy_time_fit,
     gibbs_entropy_derivative,
-    gibbs_family,
     gibbs_lock_residual,
     gibbs_state,
     integrate,
@@ -35,6 +34,7 @@ from entroflow import (
     random_hermitian,
     random_joint_distribution,
     regularized_origin,
+    shannon_entropies,
     soft_mode_count,
     state_from_params,
     stiffness_spectrum,
@@ -79,13 +79,16 @@ def test_acceptance_2_classical_entropy_caps():
     for _ in range(10_000):
         n1 = int(rng.integers(2, 6))
         n2 = int(rng.integers(2, 6))
-        cert = classical_origin_infeasible(random_joint_distribution(n1, n2, rng), eta=0.0)
-        cond_x = cert.joint_entropy - cert.h2
-        cond_y = cert.joint_entropy - cert.h1
-        excess = cert.mutual_information - min(cert.h1, cert.h2)
+        j = random_joint_distribution(n1, n2, rng)
+        h1, h2, h12 = shannon_entropies(j)
+        cond_x = h12 - h2
+        cond_y = h12 - h1
+        excess = h1 + h2 - h12 - min(h1, h2)
+        gap = classical_origin_infeasible(j)
+        assert gap == min(cond_x, cond_y)
         worst_excess = max(worst_excess, excess)
-        worst_conditional = min(worst_conditional, cond_x, cond_y)
-        if cond_x < -slack or cond_y < -slack or excess > slack:
+        worst_conditional = min(worst_conditional, gap)
+        if gap < -slack or excess > slack:
             violations += 1
     assert violations == 0
     dt = time.monotonic() - t0
@@ -310,9 +313,7 @@ def test_acceptance_9_modular_identities():
     worst_deriv = 0.0
     for beta in np.linspace(0.0, 2.0, 21):
         expect = -beta / np.cosh(beta) ** 2
-        worst_deriv = max(
-            worst_deriv, abs(gibbs_entropy_derivative(gibbs_family(sz, beta)) - expect)
-        )
+        worst_deriv = max(worst_deriv, abs(gibbs_entropy_derivative(sz, beta) - expect))
     assert worst_deriv <= 1e-7
 
     dt = time.monotonic() - t0

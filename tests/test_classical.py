@@ -1,4 +1,4 @@
-"""Classical Shannon machinery and the infeasibility certificate."""
+"""Classical Shannon entropies and the obstruction H12 >= max(h1, h2)."""
 
 import numpy as np
 import pytest
@@ -20,52 +20,55 @@ SLACK = 1e-12
 
 def test_uniform_table_is_independent():
     j = JointDistribution(np.full((2, 2), 0.25))
-    s = shannon_entropies(j)
-    assert abs(s.h1 - LOG2) < 1e-14
-    assert abs(s.h2 - LOG2) < 1e-14
-    assert abs(s.joint - 2 * LOG2) < 1e-14
-    assert abs(s.mutual_information) < 1e-14
+    h1, h2, h12 = shannon_entropies(j)
+    assert abs(h1 - LOG2) < 1e-14
+    assert abs(h2 - LOG2) < 1e-14
+    assert abs(h12 - 2 * LOG2) < 1e-14
+    assert abs(h1 + h2 - h12) < 1e-14
 
 
 def test_perfectly_correlated_table():
     j = JointDistribution(np.diag([0.5, 0.5]))
-    s = shannon_entropies(j)
-    assert abs(s.mutual_information - LOG2) < 1e-14
-    assert abs(s.mutual_information - min(s.h1, s.h2)) < 1e-14
-    assert abs(s.conditional_1_given_2) < 1e-14
+    h1, h2, h12 = shannon_entropies(j)
+    assert abs(h1 + h2 - h12 - LOG2) < 1e-14
+    assert abs(classical_origin_infeasible(j)) < 1e-14  # I = min(h1, h2)
 
 
 def test_point_mass_all_zero():
     table = np.zeros((3, 4))
     table[1, 2] = 1.0
-    s = shannon_entropies(JointDistribution(table))
-    assert s.h1 == 0.0 and s.h2 == 0.0 and s.joint == 0.0
+    assert shannon_entropies(JointDistribution(table)) == (0.0, 0.0, 0.0)
 
 
 def test_certificate_zero_joint_entropy():
     table = np.zeros((3, 3))
     table[0, 0] = 1.0
-    cert = classical_origin_infeasible(JointDistribution(table), eta=0.0)
-    assert cert.applicable
-    assert cert.is_point_mass
-    assert cert.marginal_sum <= cert.bound + SLACK
-    assert cert.holds
+    assert classical_origin_infeasible(JointDistribution(table)) == 0.0
 
 
 def test_certificate_inapplicable_when_entropy_positive():
-    cert = classical_origin_infeasible(JointDistribution(np.full((2, 2), 0.25)), eta=0.0)
-    assert not cert.applicable
-    assert cert.holds  # the universal inequalities still pass
+    # independent uniform bits: H12 = 2 log 2, so the gap is log 2
+    gap = classical_origin_infeasible(JointDistribution(np.full((2, 2), 0.25)))
+    assert abs(gap - LOG2) < 1e-14
+
+
+def test_gap_is_the_smaller_conditional_entropy():
+    # h1 = log 2 > h2, so H(2|1) = H12 - h1 is the smaller conditional entropy
+    table = np.array([[0.45, 0.05], [0.25, 0.25]])
+    j = JointDistribution(table)
+    h1, h2, h12 = shannon_entropies(j)
+    assert h12 - h1 < h12 - h2
+    assert classical_origin_infeasible(j) == h12 - h1
 
 
 def test_near_deterministic_table_continuity():
     peak = 1.0 - 1e-6
     rest = (1.0 - peak) / 3.0
     table = np.array([[peak, rest], [rest, rest]])
-    s = shannon_entropies(JointDistribution(table))
+    h1, h2, _ = shannon_entropies(JointDistribution(table))
     p = 1.0 - 1e-6
     bern = -p * np.log(p) - (1 - p) * np.log(1 - p)
-    assert s.h1 + s.h2 <= 4.0 * bern + 1e-9
+    assert h1 + h2 <= 4.0 * bern + 1e-9
 
 
 def test_random_table_inequalities(rng):
@@ -74,12 +77,13 @@ def test_random_table_inequalities(rng):
         n1 = int(rng.integers(2, 6))
         n2 = int(rng.integers(2, 6))
         j = random_joint_distribution(n1, n2, rng)
-        s = shannon_entropies(j)
-        assert s.joint - s.h2 >= -SLACK
-        assert s.joint - s.h1 >= -SLACK
-        assert s.mutual_information <= min(s.h1, s.h2) + SLACK
-        cert = classical_origin_infeasible(j, eta=0.0)
-        assert cert.holds
+        h1, h2, h12 = shannon_entropies(j)
+        assert h12 - h2 >= -SLACK
+        assert h12 - h1 >= -SLACK
+        assert h1 + h2 - h12 <= min(h1, h2) + SLACK
+        gap = classical_origin_infeasible(j)
+        assert gap >= -SLACK
+        assert gap == min(h12 - h1, h12 - h2)
 
 
 def test_marginals_consistent(rng):

@@ -491,6 +491,15 @@ def test_obstruction_check_small(tmp_path, capsys):
     assert report["witness"]["multi_information"] > report["witness"]["classical_cap"]
 
 
+def test_obstruction_caps_are_one_inequality(tmp_path, capsys):
+    """I <= min(h1, h2) and min(H(1|2), H(2|1)) >= 0 are both H12 >= max(h1, h2),
+    so at the defaults the two report numbers are equal and opposite."""
+    assert run_cli(tmp_path, "obstruction-check") == 0
+    report = read_report(capsys)
+    assert abs(report["min_conditional_entropy"] + report["max_mutual_excess"]) <= 1e-15
+    assert report["violations_conditional"] == report["violations_mutual"]
+
+
 def test_gibbs_check_small(tmp_path, capsys):
     cfg = {"n_states": 25, "n_planted": 6}
     assert run_cli(tmp_path, "gibbs-check", cfg) == 0

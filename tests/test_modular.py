@@ -1,4 +1,4 @@
-"""Modular generators of marginals, thermal locking, and the Gibbs family.
+"""Modular generators of marginals, thermal locking, and the thermal family.
 
 Oracles for the beta fit, which the library solves in closed form: the
 objective |K - beta T|_F^2 (traceless parts) is quadratic, so the optimum is
@@ -17,8 +17,8 @@ from entroflow import (
     as_shape,
     confined_regime_check,
     gibbs_entropy_derivative,
-    gibbs_family,
     gibbs_lock_residual,
+    gibbs_state,
     integrate,
     marginal_entropies,
     modular_energy_sum,
@@ -55,9 +55,9 @@ def test_modular_hamiltonian_of_maximally_mixed():
 
 def test_modular_hamiltonian_of_gibbs_state(rng):
     H = random_hermitian(3, rng)
-    fam = gibbs_family(H, 0.9)
-    K = modular_hamiltonian(fam.state)
-    np.testing.assert_allclose(K, 0.9 * H + fam.log_partition * np.eye(3), atol=1e-10)
+    log_z = np.log(np.exp(-0.9 * np.linalg.eigvalsh(H)).sum())
+    K = modular_hamiltonian(gibbs_state(H, 0.9))
+    np.testing.assert_allclose(K, 0.9 * H + log_z * np.eye(3), atol=1e-10)
 
 
 def test_modular_hamiltonian_roundtrip(rng):
@@ -98,7 +98,7 @@ def test_modular_energy_along_trajectory(qutrit_pair):
 def test_beta_recovery_on_planted_thermal_marginal(rng):
     for beta in (0.7, -0.4, 2.1):
         H = random_hermitian(3, rng)
-        rho_i = gibbs_family(H, beta).state
+        rho_i = gibbs_state(H, beta)
         beta_star, resid = gibbs_lock_residual(rho_i, H)
         assert abs(beta_star - beta) <= 1e-8
         assert resid <= 1e-9
@@ -135,11 +135,10 @@ def test_beta_fit_rejects_trivial_generator():
 
 def test_gibbs_entropy_derivative_closed_form():
     sz = np.diag([1.0, -1.0])
-    assert gibbs_entropy_derivative(gibbs_family(sz, 0.0)) == 0.0
+    assert gibbs_entropy_derivative(sz, 0.0) == 0.0
     for beta in (0.3, 1.0, 2.5, -0.8):
-        fam = gibbs_family(sz, beta)
         expect = -beta / np.cosh(beta) ** 2
-        assert abs(gibbs_entropy_derivative(fam) - expect) <= 1e-12
+        assert abs(gibbs_entropy_derivative(sz, beta) - expect) <= 1e-12
 
 
 def test_gibbs_entropy_derivative_matches_fd(rng):
@@ -147,36 +146,38 @@ def test_gibbs_entropy_derivative_matches_fd(rng):
     delta = 1e-5
     for beta in (0.0, 0.6, 1.7):
         fd = (
-            von_neumann_entropy(gibbs_family(H, beta + delta).state)
-            - von_neumann_entropy(gibbs_family(H, beta - delta).state)
+            von_neumann_entropy(gibbs_state(H, beta + delta))
+            - von_neumann_entropy(gibbs_state(H, beta - delta))
         ) / (2 * delta)
-        assert abs(gibbs_entropy_derivative(gibbs_family(H, beta)) - fd) <= 1e-7
+        assert abs(gibbs_entropy_derivative(H, beta) - fd) <= 1e-7
 
 
 def test_gibbs_entropy_monotone_for_positive_beta(rng):
     H = random_hermitian(3, rng)
     betas = np.linspace(0.0, 3.0, 16)
-    h = [von_neumann_entropy(gibbs_family(H, b).state) for b in betas]
+    h = [von_neumann_entropy(gibbs_state(H, b)) for b in betas]
     assert np.all(np.diff(h) < 0)
 
 
 def test_gibbs_family_state_invariants(rng):
     H = random_hermitian(4, rng)
-    fam = gibbs_family(H, 1.3)
-    rho = fam.state
+    rho = gibbs_state(H, 1.3)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.norm(rho - rho.conj().T) < 1e-14
     assert np.linalg.eigvalsh(rho)[0] > 0
-    w = np.linalg.eigvalsh(H)
-    assert abs(fam.log_partition - np.log(np.exp(-1.3 * w).sum())) < 1e-10
+    w, U = np.linalg.eigh(H)
+    p = np.exp(-1.3 * w) / np.exp(-1.3 * w).sum()
+    np.testing.assert_allclose(rho, (U * p) @ U.conj().T, rtol=0, atol=1e-12)
 
 
 def test_gibbs_family_log_partition_at_large_beta():
-    # Z = e^800 + e^-200 + e^-1200 overflows a float; log Z does not.
+    # Z = e^800 + e^-200 + e^-1200 overflows a float; the derivative never
+    # forms Z, so it runs without a warning and vanishes with the variance
+    # of the pure ground level.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fam = gibbs_family(np.diag([-2.0, 0.5, 3.0]), 400.0)
-    assert abs(fam.log_partition - 800.0) <= 1e-12 * 800.0
+        deriv = gibbs_entropy_derivative(np.diag([-2.0, 0.5, 3.0]), 400.0)
+    assert deriv == 0.0
 
 
 def test_confined_regime_check(qutrit_pair, rng):
