@@ -63,18 +63,6 @@ def classical_origin_infeasible(joint: JointDistribution) -> float:
     return h12 - max(h1, h2)
 
 
-def bernoulli_chart(p: float) -> tuple[float, float]:
-    """Natural parameter and log-partition of a Bernoulli(p) variable.
-
-    theta = log(p / (1 - p)) and psi = log(1 + e^theta), evaluated stably.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    theta = float(np.log(p) - np.log1p(-p))
-    psi = float(np.logaddexp(0.0, theta))
-    return theta, psi
-
-
 def random_joint_distribution(n1: int, n2: int, rng) -> JointDistribution:
     """Uniform (flat-Dirichlet) random table on an n1 x n2 alphabet."""
     flat = rng.dirichlet(np.ones(n1 * n2))

@@ -401,9 +401,7 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
     slack = float(cfg["slack"])
     rng = np.random.default_rng(cfg["seed"])
 
-    violations_mutual = 0
     violations_conditional = 0
-    max_mutual_excess = -np.inf
     min_conditional = np.inf
     for _ in range(samples):
         n1 = int(rng.integers(2, max_alpha + 1))
@@ -411,10 +409,8 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
         # H12 - max(h1, h2) is both the smaller conditional entropy and
         # min(h1, h2) - I, so the two caps read one number.
         gap = classical_origin_infeasible(random_joint_distribution(n1, n2, rng))
-        max_mutual_excess = max(max_mutual_excess, -gap)
         min_conditional = min(min_conditional, gap)
         if gap < -slack:
-            violations_mutual += 1
             violations_conditional += 1
 
     q = int(cfg["witness_q"])
@@ -423,13 +419,9 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
     cap = math.log(q)
 
     failures = []
-    if violations_mutual or violations_conditional:
+    if violations_conditional:
         failures.append(
-            {
-                "check": "classical_caps",
-                "violations_mutual": violations_mutual,
-                "violations_conditional": violations_conditional,
-            }
+            {"check": "classical_caps", "violations_conditional": violations_conditional}
         )
     if witness_I <= cap + 1e-9:
         failures.append({"check": "quantum_witness", "value": witness_I, "cap": cap})
@@ -438,9 +430,7 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
         "units": "bits" if bits else "nats",
         "samples": samples,
         "max_alphabet": max_alpha,
-        "violations_mutual": violations_mutual,
         "violations_conditional": violations_conditional,
-        "max_mutual_excess": _scale(float(max_mutual_excess), bits),
         "min_conditional_entropy": _scale(float(min_conditional), bits),
         "witness": {
             "q": q,

@@ -8,12 +8,23 @@ rate.  A reversible sector generated by a local Hermitian xi adds the
 pushforward of -i[xi, rho], which changes neither the entropy nor any
 marginal spectrum.
 
+That sector is never integrated.  xi = sum_i xi_i (x) I is local, so
+V(tau) = e^(-i xi tau) is a local unitary, and the dissipative field is
+covariant under local unitaries (G, the local span and hence P are carried
+into themselves).  A combined run at game time tau is therefore the
+dissipative run seen through V(tau), and a reversible-only run is the
+constant theta0 seen through it.  ``integrate`` steps the dissipative field
+alone (zero in a reversible-only run) in the rotating frame, where the error
+norm measures theta, and turns each stored sample into the lab frame,
+coordinates(V(tau_k) K(theta_k) V(tau_k)^dag), at its own game time; H, every
+marginal entropy and the production rate are invariant under V.
+
 Integration uses an embedded Dormand-Prince 4(5) pair.  A stage computes
-K(theta) and, with a dissipative sector, its eigenpairs and the local
-elements (``_stage_projection``); it checks only what those need, the state
-spectrum and cond(G_LL), never building a chart point or a marginal.  Each
-marginal entropy is monitored separately, never corrected: a drift beyond
-the budget in any subsystem aborts the run.
+K(theta), its eigenpairs and the local elements (``_stage_projection``); it
+checks only what those need, the state spectrum and cond(G_LL), never
+building a chart point or a marginal.  Each marginal entropy is monitored
+separately, never corrected: a drift beyond the budget in any subsystem
+aborts the run.
 """
 
 from __future__ import annotations
@@ -169,23 +180,17 @@ def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
     return xi
 
 
-def _commutator(basis: OperatorBasis, K: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    # -i[xi, K] = -i(A - A^dag) with A = xi K, the Hermitian part of -2i A;
-    # coordinates read only the Hermitian part, so one GEMM suffices.
-    return basis.coordinates(-2j * (xi @ K))
+def _lab_frame(theta, tau, basis: OperatorBasis, w, W) -> np.ndarray:
+    """Rotating-frame rows theta_k seen at game times tau_k in the lab frame.
 
-
-def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
-    """Pushforward of the unitary flow d rho = -i [xi, rho] to natural params.
-
-    xi must be local (a sum of single-subsystem terms, identity shifts
-    allowed); anything else is rejected with NonLocalGeneratorError.  The
-    unitary flow conjugates log rho = K - psi I and leaves psi fixed, so the
-    velocity is the chart coordinates of -i [xi, K]; it equals the solution
-    of G dtheta = w with w_a = tr(-i [xi, rho] F_a), conserves the entropy
-    exactly, and conserves every marginal spectrum.
+    Row k becomes coordinates(V K(theta_k) V^dag) with
+    V = e^(-i xi tau_k) = W diag(e^(-i w tau_k)) W^dag from xi = W diag(w) W^dag.
     """
-    return _commutator(point.basis, point.generator, _require_local(point.basis, xi))
+    lab = np.empty_like(theta)
+    for k, (row, tau_k) in enumerate(zip(theta, tau)):
+        V = (W * np.exp(-1j * tau_k * w)) @ W.conj().T
+        lab[k] = basis.coordinates(V @ _generator(row, basis) @ V.conj().T)
+    return lab
 
 
 @dataclass
@@ -342,9 +347,10 @@ def integrate(
     Trajectory
         Samples at every accepted step, both clocks tracked (the inactive
         clock is reconstructed from the entropy production so that
-        t = (H - H_0)/c along any run).  The recorded rate is the
-        production rate theta^T G P theta of the dissipative sector; a
-        reversible-only run produces no entropy and records 0.
+        t = (H - H_0)/c along any run), theta in the lab frame.  The
+        recorded rate is the production rate theta^T G P theta of the
+        dissipative sector; a reversible-only run produces no entropy and
+        records 0.
         ``integrator`` counts accepted steps, rejected attempts (error norm
         above 1 or not finite), attempts cut short by a failed stage
         (``failed_stages``, by cause: "stationary" or "boundary") and RHS
@@ -353,11 +359,17 @@ def integrate(
 
     Notes
     -----
+    Only the dissipative field is stepped, in the frame that rotates with
+    the reversible sector (module docstring).  A reversible-only run steps
+    a zero field: every error norm is 0, so h grows 5-fold per step from
+    ``initial_step``, and duration 2 is sampled at tau = 0, 0.01, 0.06,
+    0.31, 1.56 and 2.
+
     A stage runs only the checks of its kernels (module docstring): it fails
-    ("boundary") when the spectrum of rho, taken with a dissipative sector,
-    underflows STATE_UNDERFLOW_FLOOR, and ("stationary") on the entropy clock
-    without production.  A non-finite stage theta gets a NaN field, which
-    the error norm rejects.  An accepted step grows h by ``_step_factor``, a
+    ("boundary") when the spectrum of rho underflows STATE_UNDERFLOW_FLOOR,
+    and ("stationary") on the entropy clock without production.  A
+    non-finite stage theta gets a NaN field, which the error norm rejects.
+    An accepted step grows h by ``_step_factor``, a
     rejected attempt shrinks it by max(0.2, 0.9 e^(-1/5)), a failed stage
     halves it; below 1e-14 max(1, clock) it has underflowed.  Runs with the
     dissipative sector stop with status "stationary" once the production
@@ -386,31 +398,26 @@ def integrate(
     shape = basis.shape
     local = _local_sector(basis)
     dissipative = kind in ("dissipative", "combined")
-    reversible = kind in ("combined", "reversible")
-    xi = None
-    if reversible:
+    frame = None  # eigenpairs of xi, which rotate the samples into the lab frame
+    if kind != "dissipative":
+        # Locality is what makes the rotation exact (module docstring).
         xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
+        frame = np.linalg.eigh(xi)
 
     def rhs(theta, out):
-        """Write the field at theta into ``out``; return ((p, U) or None, rate)."""
+        """Write the rotating-frame field at theta into ``out``; return ((p, U) or None, rate)."""
         stats["rhs_evals"] += 1
+        if not dissipative:  # the reversible sector is applied in ``build``
+            out.fill(0.0)
+            return None, 0.0
         if not np.isfinite(theta).all():  # the error norm rejects the attempt
             out.fill(np.nan)
             return None, math.nan
-        K = _generator(theta, basis)
-        eig = _spectrum(K)[1:] if dissipative else None
+        eig = _spectrum(_generator(theta, basis))[1:]
         v = out[:m]
-        rate = 0.0
-        if dissipative:
-            proj_theta, rate = _stage_projection(theta, basis, local, *eig)
-            np.negative(proj_theta, out=v)
-        else:
-            v.fill(0.0)
-        if reversible:
-            v += _commutator(basis, K, xi)
+        proj_theta, rate = _stage_projection(theta, basis, local, *eig)
+        np.negative(proj_theta, out=v)
         if clock == "game":
-            # The reversible sector is entropy-neutral by construction, so
-            # dH/dtau is the production rate alone (0 in a reversible run).
             out[m] = rate / config.c
         else:
             if rate <= 0.0:
@@ -446,6 +453,8 @@ def integrate(
 
     def build(status):
         tau, t, H, marg, rate, theta = (np.array(col) for col in zip(*rows))
+        if frame is not None:
+            theta = _lab_frame(theta, tau, basis, *frame)
         return Trajectory(clock, kind, shape.dims, status, tau, t, H, marg, rate, theta, stats)
 
     try:

@@ -20,7 +20,6 @@ from .operators import hermitian_eig, marginals, require_hermitian
 from .states import FULL_RANK_FLOOR, gibbs_state, marginal_entropies
 
 GENERATOR_TRIVIAL_TOL = 1e-12
-CONFINED_TOL = 1e-8
 
 
 def modular_hamiltonian(rho_i) -> np.ndarray:
@@ -79,16 +78,6 @@ def gibbs_lock_residual(rho_i, H_local) -> tuple[float, float]:
     K = _traceless(modular_hamiltonian(rho_i))
     beta_star = float(np.real(np.vdot(T, K))) / t_norm**2
     return beta_star, float(np.linalg.norm(K - beta_star * T))
-
-
-def confined_regime_check(rho, shape) -> bool:
-    """True when every modular generator is within CONFINED_TOL of (log d_i) I."""
-    for rho_i in marginals(rho, shape):
-        di = rho_i.shape[0]
-        K_i = modular_hamiltonian(rho_i)
-        if np.max(np.abs(K_i - np.log(di) * np.eye(di))) > CONFINED_TOL:
-            return False
-    return True
 
 
 def total_modular_consistency(rho, shape) -> float:

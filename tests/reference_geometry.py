@@ -8,6 +8,10 @@ Hermitian-vec coordinates, an orthonormal SVD kernel N of M, the
 G-orthogonal projector N (N^T G N)^{-1} N^T G, the gradient and the Hessian
 read from the derivative stack, and the velocity helpers built on that
 projector, and the full vector G theta from all m coordinates.
+
+It also keeps the integrator's former route for the reversible sector: the
+pushforward of -i[xi, rho] (``reversible_velocity``), stepped in the lab
+frame together with the dissipative field (``lab_frame_endpoint``).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from entroflow import (
     ExpFamilyPoint,
@@ -30,11 +35,12 @@ from entroflow import (
     embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
-    reversible_velocity,
+    local_block_projection,
+    make_point,
 )
 from entroflow.constraint import PROJECTOR_COND_MAX, marginal_eigh
 from entroflow.expfamily import _rotation
-from entroflow.flow import DEFAULT_RATE_MIN
+from entroflow.flow import DEFAULT_RATE_MIN, _require_local
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
 KERNEL_RCOND = 1e-8
@@ -201,6 +207,54 @@ def marginal_projector(point: ExpFamilyPoint, N: np.ndarray) -> np.ndarray:
             f"projector Gram matrix condition {cond:.3e} exceeds {PROJECTOR_COND_MAX:.1e}"
         )
     return N @ np.linalg.solve(A, N.T @ G)
+
+
+def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
+    """Pushforward of the unitary flow d rho = -i [xi, rho] to natural params.
+
+    xi must be local (a sum of single-subsystem terms, identity shifts
+    allowed); anything else is rejected with NonLocalGeneratorError.  The
+    unitary flow conjugates log rho = K - psi I and leaves psi fixed, so the
+    velocity is the chart coordinates of -i [xi, K]; it equals the solution
+    of G dtheta = w with w_a = tr(-i [xi, rho] F_a), conserves the entropy
+    exactly, and conserves every marginal spectrum.  -i[xi, K] = -i(A - A^dag)
+    with A = xi K is the Hermitian part of -2i A, and the coordinates read
+    only the Hermitian part, so one product suffices.
+    """
+    xi = _require_local(point.basis, xi)
+    return point.basis.coordinates(-2j * (xi @ point.generator))
+
+
+def lab_frame_endpoint(theta0, basis, config, *, clock, duration, kind, tol=1e-13):
+    """(theta, tau, t) at the end of a combined or reversible run, lab frame.
+
+    The field is the one ``integrate`` stepped before the reversible sector
+    became a rotation of the samples: on the game clock
+    theta' = -P theta + coords(-i[xi, K]) (no -P theta for "reversible") and
+    t' = rate / c; on the entropy clock both are scaled by c / rate, with
+    tau' = c / rate.  DOP853 at rtol = atol = ``tol`` runs to ``duration``.
+    """
+    xi = assemble_local_generator(basis.shape, config.xi_parts)
+    m = basis.size
+
+    def field(_, y):
+        point = make_point(y[:m], basis)
+        v = reversible_velocity(point, xi)
+        rate = 0.0
+        if kind == "combined":
+            proj, rate = local_block_projection(point)
+            v = v - proj
+        if clock == "game":
+            return np.append(v, rate / config.c)
+        scale = config.c / rate
+        return np.append(scale * v, scale)
+
+    y0 = np.append(theta0, 0.0)
+    sol = solve_ivp(field, (0.0, duration), y0, method="DOP853", rtol=tol, atol=tol)
+    assert sol.success, sol.message
+    end = sol.y[:, -1]
+    tau, t = (duration, end[m]) if clock == "game" else (end[m], duration)
+    return end[:m], tau, t
 
 
 @dataclass(frozen=True)

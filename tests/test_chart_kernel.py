@@ -25,10 +25,10 @@ from entroflow import (
 )
 from entroflow.constraint import marginal_eigh
 from entroflow.expfamily import _generator, _log_sum_exp, _spectrum, bkm_kernel_matrix
-from entroflow.flow import _commutator, _local_sector, _stage_projection, local_block_projection
+from entroflow.flow import _local_sector, _stage_projection, local_block_projection
 from entroflow.operators import marginals
 from entroflow.states import FULL_RANK_FLOOR, entropy_of_spectrum
-from tests.reference_geometry import reference_geometry
+from tests.reference_geometry import reference_geometry, reversible_velocity
 from tests.test_flow import regularised_correlated_state
 
 SHAPES = [[2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]]
@@ -255,7 +255,7 @@ def test_commutator_coordinates_match_two_products(dims, rng):
     for theta in thetas:
         pt = make_point(theta, basis)
         ref = old_commutator_coordinates(pt, xi)
-        got = _commutator(pt.basis, pt.generator, xi)
+        got = reversible_velocity(pt, xi)
         assert np.abs(got - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from entroflow import (
     JointDistribution,
-    bernoulli_chart,
     classical_origin_infeasible,
     lme_origin,
     multi_information,
@@ -97,21 +96,6 @@ def test_joint_distribution_validation():
         JointDistribution(np.array([[0.6, 0.6]]))  # sums to 1.2
     with pytest.raises(ValueError):
         JointDistribution(np.array([[1.2, -0.2]]))  # negative cell
-
-
-def test_bernoulli_chart_values():
-    theta, psi = bernoulli_chart(0.5)
-    assert abs(theta) < 1e-14
-    assert abs(psi - LOG2) < 1e-14
-    p = np.e / (1.0 + np.e)
-    theta, _ = bernoulli_chart(p)
-    assert abs(theta - 1.0) < 1e-12
-    theta, _ = bernoulli_chart(0.999999)
-    assert theta > 13.0
-    with pytest.raises(ValueError):
-        bernoulli_chart(0.0)
-    with pytest.raises(ValueError):
-        bernoulli_chart(1.0)
 
 
 def test_quantum_witness_beats_classical_cap():

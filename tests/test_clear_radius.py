@@ -1,9 +1,10 @@
 """Flow stages at every |theta|, with the former clear radius as landmark.
 
 Stages used to skip the marginal guard inside R = 18.27 at [3,3] and build a
-chart point past it.  The guard is gone: every stage computes K(theta), plus
-one eigendecomposition of it with a dissipative sector, at any |theta|.  The
-names "inside" and "past" below refer to that R.  The spectrum bound that
+chart point past it.  The guard is gone: every stage of a run with a
+dissipative sector computes K(theta) and one eigendecomposition of it, at any
+|theta|, and a reversible-only stage computes nothing.  The names "inside"
+and "past" below refer to that R.  The spectrum bound that
 defined it, lambda_min(rho_i) >= e^(-sqrt2 |theta|) / d_i, still holds.
 """
 
@@ -95,9 +96,10 @@ def _runs(rng):
 @pytest.mark.parametrize("name", ["reversible", "dissipative", "combined"])
 def test_runs_inside_radius_build_no_chart_point(name, monkeypatch):
     """Inside the former radius and past it, no stage and no sample builds a
-    chart point or diagonalises a marginal.  A dissipative stage takes one
-    eigendecomposition of K and each sample reuses it; a reversible stage
-    reads its field from K alone, and only a sample takes the
+    chart point or diagonalises a marginal.  A dissipative or combined stage
+    takes one eigendecomposition of K and each sample reuses it.  A
+    reversible stage evaluates no _spectrum: its rotating-frame field is
+    zero, so h grows 5-fold per step, and only a sample takes the
     eigendecomposition."""
     assert not hasattr(entroflow.flow, "make_point")
     assert not hasattr(entroflow.flow, "marginal_eigh")
@@ -119,8 +121,11 @@ def test_runs_inside_radius_build_no_chart_point(name, monkeypatch):
         assert traj.status in ("completed", "stationary")
         assert points == []
         stages = traj.integrator["rhs_evals"]
-        assert len(spectra) == (traj.n_samples if name == "reversible" else stages)
-        assert stages > 5 * traj.n_samples
+        if name == "reversible":
+            assert len(spectra) == traj.n_samples
+            np.testing.assert_allclose(traj.tau, [0.0, 0.01, 0.06, 0.3], rtol=0, atol=1e-15)
+        else:
+            assert len(spectra) == stages > 5 * traj.n_samples
         norms.append(np.linalg.norm(traj.theta, axis=1))
     assert norms[0].max() < FORMER_RADIUS < norms[1][0]
 
@@ -149,12 +154,13 @@ def test_non_finite_stage_theta_takes_exact_path(qutrit_pair, monkeypatch):
     """The one stage path for a theta that is not finite: once every field
     comes out NaN the next stage theta is NaN, its stage writes a NaN field
     without evaluating anything, the error norm rejects each attempt, and the
-    step size underflows.  For every kind the partial trajectory is the clean
-    run's up to the poisoning."""
+    step size underflows.  For both kinds with a field (a reversible-only run
+    steps a zero field) the partial trajectory is the clean run's up to the
+    poisoning, in the lab frame too."""
     shape, basis = qutrit_pair
     theta0 = np.random.default_rng(3).normal(size=basis.size) * 0.1
     cfg = FlowConfig(xi_parts=_xi_parts(np.random.default_rng(4)))
-    kinds = ("reversible", "dissipative", "combined")
+    kinds = ("dissipative", "combined")
 
     def run(kind):
         return integrate(theta0, basis, cfg, clock="game", duration=0.5, kind=kind)
@@ -168,14 +174,12 @@ def test_non_finite_stage_theta_takes_exact_path(qutrit_pair, monkeypatch):
             out = real(*args)
             if len(calls) <= 20:
                 return out
-            if isinstance(out, tuple):  # _stage_projection: (P theta, rate)
-                return np.full_like(out[0], np.nan), out[1]
-            return np.full_like(out, np.nan)
+            return np.full_like(out[0], np.nan), out[1]  # (P theta, rate)
 
         return wrapped
 
-    for attr in ("_commutator", "_stage_projection"):
-        monkeypatch.setattr(entroflow.flow, attr, poisoned(getattr(entroflow.flow, attr)))
+    real = entroflow.flow._stage_projection
+    monkeypatch.setattr(entroflow.flow, "_stage_projection", poisoned(real))
     for kind in kinds:
         calls.clear()
         with pytest.raises(StiffRegionError) as exc_info:

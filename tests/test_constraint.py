@@ -31,7 +31,6 @@ from entroflow import (
     params_from_state,
     product_basis,
     random_hermitian,
-    reversible_velocity,
     soft_mode_count,
     state_from_params,
     stiffness_spectrum,
@@ -43,6 +42,7 @@ from tests.reference_geometry import (
     marginal_jacobian,
     marginal_projector,
     reference_geometry,
+    reversible_velocity,
     stack_gradient,
     stack_hessian,
 )

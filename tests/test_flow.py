@@ -10,8 +10,11 @@ the one-parameter spectrum (e^s, 1, ..., 1)/(e^s + d - 1) with
 s = s0 exp(-tau), s0 = log(1 + d (1 - eps) / eps).
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 import entroflow.flow
@@ -31,11 +34,12 @@ from entroflow import (
     integrate,
     local_block_projection,
     make_point,
+    marginal_entropies,
+    multi_information,
     params_from_state,
     product_basis,
     random_hermitian,
     regularized_origin,
-    reversible_velocity,
     state_from_params,
 )
 from entroflow.operators import marginals
@@ -45,9 +49,11 @@ from tests.reference_geometry import (
     dissipative_velocity,
     entropy_production_rate,
     entropy_time_velocity,
+    lab_frame_endpoint,
     marginal_jacobian,
     metric_theta,
     reference_geometry,
+    reversible_velocity,
     state_derivatives,
 )
 
@@ -630,8 +636,6 @@ def test_reversible_run_conserves_everything(qutrit_pair, rng):
     assert np.abs(traj.H - traj.H[0]).max() <= 1e-8
     assert np.abs(traj.marginals - traj.marginals[0]).max() <= 1e-8
     # unitary pushforward oracle for the endpoint
-    import scipy.linalg
-
     xi = assemble_local_generator(shape, parts)
     U = scipy.linalg.expm(-1j * xi * traj.tau[-1])
     rho0 = state_from_params(theta0, basis)
@@ -651,6 +655,122 @@ def test_combined_run_keeps_entropy_law(qutrit_pair, rng):
     assert r2 > 1 - 1e-8
     assert np.abs(traj.C - 2 * LOG3).max() <= 1e-6
     assert np.abs(traj.marginals - LOG3).max() <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "kind, clock, duration",
+    [("combined", "game", 1.0), ("combined", "entropy", 0.05), ("reversible", "game", 1.0)],
+)
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2]])
+def test_rotation_identity_matches_lab_frame_ode(dims, kind, clock, duration):
+    """Seeing the rotating-frame samples through V(tau) = e^(-i xi tau) equals
+    stepping the reversible sector in the lab frame: the endpoint (theta, tau,
+    t) of integrate against the former field, run by DOP853 at 1e-13
+    (``lab_frame_endpoint``).
+
+    Tolerance: an accepted step keeps its local error, in RMS over the m + 1
+    components scaled by atol + rtol |y|, at most 1, so no component errs by
+    more than sqrt(m + 1) (atol + rtol y_max) per step, with y_max bounding
+    |theta| and the clocks.  Over these short runs the local errors add
+    without growth (V is an isometry of theta and the dissipative sector
+    relaxes), so the endpoint errs by at most n_steps times that; the
+    oracle's own error is about 1e-3 of it.  Measured: 1.4e-10 at most in
+    theta, tau and t, at least 39 times below the budget."""
+    shape = as_shape(dims)
+    basis = product_basis(shape)
+    rng = np.random.default_rng(5)
+    parts = tuple((i, random_hermitian(q, rng)) for i, q in enumerate(shape.dims))
+    theta0 = 0.4 * rng.normal(size=basis.size)
+    cfg = FlowConfig(atol=1e-10, rtol=1e-10, xi_parts=parts)
+    traj = integrate(theta0, basis, cfg, clock=clock, duration=duration, kind=kind)
+    assert traj.status == "completed"
+    theta, tau, t = lab_frame_endpoint(
+        theta0, basis, cfg, clock=clock, duration=duration, kind=kind
+    )
+
+    y_max = max(np.linalg.norm(traj.theta, axis=1).max(), traj.tau[-1], traj.t[-1])
+    steps = traj.n_samples - 1
+    tol = steps * np.sqrt(basis.size + 1) * (cfg.atol + cfg.rtol * y_max)
+    assert np.abs(traj.theta[-1] - theta).max() <= tol
+    assert abs(traj.tau[-1] - tau) <= tol
+    assert abs(traj.t[-1] - t) <= tol
+
+
+def _product_of_marginals(rho, shape):
+    return reduce(np.kron, marginals(rho, shape))
+
+
+@pytest.mark.parametrize("start", ["all_sectors", "random_kernel"])
+@pytest.mark.parametrize("dims", [[3, 3], [2, 3], [2, 2, 2], [2, 2, 2, 2]])
+def test_dissipative_endpoint_is_product_of_start_marginals(dims, start):
+    """The exact endpoint law.  ker M holds every direction with d rho_i = 0,
+    so the dissipative flow keeps each marginal rho_i(theta0); P theta = 0
+    puts theta in the local span, a product state; the only product state
+    with those marginals is (x)_i rho_i(theta0).  So H_end = C(theta0) and,
+    on the entropy clock, t_end = I(rho0)/c.
+
+    Tolerances, with n subsystems and the FlowConfig defaults:
+    - the run stops once rate < rate_min.  Near a product state with
+      correlation part delta = P theta, rate = delta^T G delta and the
+      remaining multi-information is I_end = delta^T G delta / 2 + O(delta^3),
+      so I_end < rate_min (a factor 2 to spare);
+    - the conservation monitor holds every h_i within conservation_tol, so
+      |C_end - C(theta0)| <= n conservation_tol.  Hence
+      |H_end - C(theta0)| = |C_end - C(theta0) - I_end|
+      <= n conservation_tol + rate_min;
+    - c t_end = H_end - H_0 up to the integration error of the entropy law,
+      budgeted like a marginal entropy at conservation_tol, and
+      H_0 = C(theta0) - I(rho0), so
+      |t_end - I(rho0)/c| <= ((n + 1) conservation_tol + rate_min) / c;
+    - by Pinsker, |rho_end - (x)_i rho_i,end|_F <= |.|_1 <= sqrt(2 I_end)
+      <= sqrt(2 rate_min), and the marginals move only by integration
+      error, budgeted at conservation_tol each, so
+      |rho_end - (x)_i rho_i(theta0)|_F <= sqrt(2 rate_min) + n conservation_tol.
+    Measured: |H_end - C| <= 2.9e-10, |t_end - I/c| <= 3.9e-8 and
+    |rho_end - (x)rho_i|_F <= 4.0e-6, against budgets of at least 2e-6, 3e-6
+    and 1.6e-5."""
+    shape = as_shape(dims)
+    basis = product_basis(shape)
+    rng = np.random.default_rng(7)
+    if start == "all_sectors":
+        theta0 = 0.5 * rng.normal(size=basis.size)
+    else:
+        theta0 = np.zeros(basis.size)
+        theta0[basis.correlation_indices()] = rng.normal(size=basis.correlation_indices().size)
+        theta0 /= np.linalg.norm(theta0)
+    cfg = FlowConfig()
+    n = shape.n_subsystems
+    rho0 = state_from_params(theta0, basis)
+    traj = integrate(theta0, basis, cfg, clock="entropy", duration=50.0)
+    assert traj.status == "stationary"
+
+    C0 = float(marginal_entropies(rho0, shape).sum())
+    assert abs(traj.H[-1] - C0) <= n * cfg.conservation_tol + cfg.rate_min
+    budget_t = ((n + 1) * cfg.conservation_tol + cfg.rate_min) / cfg.c
+    assert abs(traj.t[-1] - multi_information(rho0, shape) / cfg.c) <= budget_t
+    rho_end = state_from_params(traj.theta[-1], basis)
+    budget_rho = np.sqrt(2 * cfg.rate_min) + n * cfg.conservation_tol
+    assert np.linalg.norm(rho_end - _product_of_marginals(rho0, shape)) <= budget_rho
+
+
+def test_combined_endpoint_is_rotated_product_of_start_marginals():
+    """With a reversible sector the dissipative endpoint is seen through
+    V(tau_end) = e^(-i xi tau_end): V ((x)_i rho_i(theta0)) V^dag, to the
+    Frobenius budget of the dissipative law (V preserves the norm).  V is
+    taken by expm here, not from the eigenpairs of xi as in integrate.
+    Measured: 4.0e-6 at tau_end = 11.4, against 1.6e-5."""
+    shape = as_shape([2, 3])
+    basis = product_basis(shape)
+    rng = np.random.default_rng(7)
+    parts = tuple((i, random_hermitian(q, rng)) for i, q in enumerate(shape.dims))
+    theta0 = 0.5 * rng.normal(size=basis.size)
+    cfg = FlowConfig(xi_parts=parts)
+    traj = integrate(theta0, basis, cfg, clock="entropy", duration=50.0, kind="combined")
+    assert traj.status == "stationary"
+    V = scipy.linalg.expm(-1j * traj.tau[-1] * assemble_local_generator(shape, parts))
+    target = V @ _product_of_marginals(state_from_params(theta0, basis), shape) @ V.conj().T
+    budget_rho = np.sqrt(2 * cfg.rate_min) + shape.n_subsystems * cfg.conservation_tol
+    assert np.linalg.norm(state_from_params(traj.theta[-1], basis) - target) <= budget_rho
 
 
 def test_trajectory_csv_and_theta_records(qutrit_pair, ray_runs, tmp_path):

@@ -15,7 +15,6 @@ from entroflow import (
     BoundaryStateError,
     FlowConfig,
     as_shape,
-    confined_regime_check,
     gibbs_entropy_derivative,
     gibbs_lock_residual,
     gibbs_state,
@@ -179,10 +178,3 @@ def test_gibbs_family_log_partition_at_large_beta():
         deriv = gibbs_entropy_derivative(np.diag([-2.0, 0.5, 3.0]), 400.0)
     assert deriv == 0.0
 
-
-def test_confined_regime_check(qutrit_pair, rng):
-    shape, basis = qutrit_pair
-    assert confined_regime_check(regularized_origin(shape, 0.05), shape)
-    assert confined_regime_check(np.eye(9) / 9, shape)
-    off = state_from_params(rng.normal(size=80) * 0.3, basis)
-    assert not confined_regime_check(off, shape)
