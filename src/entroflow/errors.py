@@ -25,10 +25,6 @@ class NumericalDegeneracyError(EntroflowError):
     """A linear system behind a projector is too ill-conditioned to trust."""
 
 
-class StationaryPointError(EntroflowError):
-    """Entropy production vanished; entropy time is not a valid clock here."""
-
-
 class NonLocalGeneratorError(EntroflowError):
     """Reversible generator is not a sum of single-subsystem terms."""
 

@@ -162,19 +162,18 @@ def _rotation(basis: OperatorBasis, U: np.ndarray, index) -> np.ndarray:
     return ((U.conj().T @ basis.side_by_side(index)).reshape(-1, d) @ U).reshape(d, -1, d)
 
 
-def _bkm_gram(R: np.ndarray, p: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) from R = ``_rotation`` and mu.
+def _bkm_rows(R: np.ndarray, root_k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Rows Y_a = sqrt(k) (R_a - mu_a I) as real views, shape (n, 2 d^2).
 
-    The rows Y_a = sqrt(k) (R_a - mu_a I) are centred on their diagonal after
-    weighting; G = Y Y^T over their real views, so it is exactly symmetric.
+    R is ``_rotation``'s (d, n, d) stack and ``root_k`` the square root of the
+    BKM kernel k on the spectrum p, so G_ab = sum_jk k(p_j, p_k) (F~_a)_jk
+    conj((F~_b)_jk) is Y_a . Y_b and G = Y Y^T is exactly symmetric.
     """
-    d, n = p.size, R.shape[1]
-    root_k = np.sqrt(bkm_kernel_matrix(p))
+    d, n = root_k.shape[0], R.shape[1]
     Y = np.empty((n, d, d), dtype=complex)
     np.multiply(R.transpose(1, 0, 2), root_k, out=Y)
     Y.reshape(n, -1)[:, :: d + 1] -= mu[:, None] * np.diagonal(root_k)
-    Y = Y.view(float).reshape(n, -1)
-    return Y @ Y.T
+    return Y.view(float).reshape(n, -1)
 
 
 def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
@@ -185,7 +184,8 @@ def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
     is anything that selects basis elements (an index array or a slice).
     """
     R = _rotation(point.basis, point.eigvecs, index)
-    return _readonly(_bkm_gram(R, point.eigvals, point.mu[index]))
+    Y = _bkm_rows(R, np.sqrt(bkm_kernel_matrix(point.eigvals)), point.mu[index])
+    return _readonly(Y @ Y.T)
 
 
 def state_from_params(theta, basis: OperatorBasis) -> np.ndarray:

@@ -1,30 +1,24 @@
 """Constrained entropy-ascent flows in natural parameters.
 
 The dissipative field is the metric projection of the entropy gradient onto
-the marginal-preserving tangent space: theta' = -P theta, whose entropy
-production rate is theta^T G P theta >= 0.  Reparametrising so entropy grows
-at a constant rate c ("entropy time") divides the field by the production
-rate.  A reversible sector generated by a local Hermitian xi adds the
-pushforward of -i[xi, rho], which changes neither the entropy nor any
-marginal spectrum.
+the marginal-preserving tangent space, theta' = -P theta in game time tau,
+with production rate theta^T G P theta >= 0.  P moves only the local
+coordinates theta_L, so the rest decays exactly, theta_C = e^(-tau)
+theta_C(0); entropy time t (dH/dt = c) is the integral of rate / c, finite up
+to the stationary endpoint.  A reversible sector, the pushforward of
+-i[xi, rho] for a local Hermitian xi, changes neither the entropy nor any
+marginal spectrum.  V(tau) = e^(-i xi tau) is a local unitary, under which
+the dissipative field is covariant (G, the local span and hence P are carried
+into themselves): a combined run at game time tau is the dissipative run seen
+through V(tau), and a reversible-only run is theta0 seen through it.
 
-That sector is never integrated.  xi = sum_i xi_i (x) I is local, so
-V(tau) = e^(-i xi tau) is a local unitary, and the dissipative field is
-covariant under local unitaries (G, the local span and hence P are carried
-into themselves).  A combined run at game time tau is therefore the
-dissipative run seen through V(tau), and a reversible-only run is the
-constant theta0 seen through it.  ``integrate`` steps the dissipative field
-alone (zero in a reversible-only run) in the rotating frame, where the error
-norm measures theta, and turns each stored sample into the lab frame,
-coordinates(V(tau_k) K(theta_k) V(tau_k)^dag), at its own game time; H, every
-marginal entropy and the production rate are invariant under V.
-
-Integration uses an embedded Dormand-Prince 4(5) pair.  A stage computes
-K(theta), its eigenpairs and the local elements (``_stage_projection``); it
-checks only what those need, the state spectrum and cond(G_LL), never
-building a chart point or a marginal.  Each marginal entropy is monitored
-separately, never corrected: a drift beyond the budget in any subsystem
-aborts the run.
+``integrate`` therefore steps only (theta_L, t) against tau with an embedded
+Dormand-Prince 4(5) pair, on both clocks and in the rotating frame, and turns
+each sample into the lab frame, coordinates(V(tau_k) K(theta_k) V(tau_k)^dag);
+H, every marginal entropy and the rate are invariant under V.  A stage takes
+K(theta), its eigenpairs and the local elements (``_stage_projection``) and
+checks only the state spectrum and cond(G_LL).  Each marginal entropy is
+monitored separately, never corrected: a drift beyond the budget aborts.
 """
 
 from __future__ import annotations
@@ -41,10 +35,10 @@ from .errors import (
     DegenerateProjectionError,
     NonLocalGeneratorError,
     NumericalDegeneracyError,
-    StationaryPointError,
     StiffRegionError,
 )
-from .expfamily import ExpFamilyPoint, _bkm_gram, _check_theta, _generator, _rotation, _spectrum
+from .expfamily import ExpFamilyPoint, _bkm_rows, _check_theta, _generator, _rotation
+from .expfamily import _spectrum, bkm_kernel_matrix
 from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
 from .states import marginal_entropies
 
@@ -54,9 +48,9 @@ DEFAULT_RATE_MIN = 1e-10
 # stores ``erracc``: a near-exact step must not license a large growth.
 PREV_ERR_FLOOR = 1e-2
 
-# Dormand-Prince 4(5) tableau; row s weighs stages 0..s-1, and the last row
-# doubles as the 5th-order weights (FSAL: stage 7 is the derivative at the
-# accepted point).
+# Dormand-Prince 4(5) tableau; row s weighs stages 0..s-1 and stage s runs at
+# tau + c_s h; the last row doubles as the 5th-order weights (FSAL: stage 7 is
+# the derivative at the accepted point).
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -66,6 +60,7 @@ _DP_A = np.array([
     [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
     [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
 ])
+_DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
 _DP_ERR = np.array([
     71.0 / 57600.0,
     0.0,
@@ -125,23 +120,31 @@ def assemble_local_generator(shape, parts) -> np.ndarray:
     return xi
 
 
-def _stage_projection(theta, basis: OperatorBasis, local, p, U) -> tuple[np.ndarray, float]:
-    """``local_block_projection`` from the spectrum p of rho and its eigenvectors U.
+def _stage_projection(theta_local, basis, local, p, U, K_corr) -> tuple[np.ndarray, float]:
+    """(P theta)_L and the rate from theta_L, the eigenpairs (p, U) of rho and
+    the correlation part K_corr = sum_C theta_C F_C of K.
 
     Only the local elements are rotated, R_a = U^dag F_a U; their diagonals give
-    mu_L = p . diag R_a and g_L = (p c) . diag R_a with c = log p - <log p>.
-    K commutes with rho, so theta^T G theta = p . c^2.  G_LL is the BKM Gram
-    matrix of R_a - mu_a I.
+    mu_L = p . diag R_a and g_L = (p c) . diag R_a with c = log p - <log p>, and
+    G_LL = Y Y^T over the rows Y_a = sqrt(k) (R_a - mu_a I), k the BKM kernel:
+    (P theta)_L = theta_L - G_LL^{-1} g_L.  With z the same row of K_corr, the
+    rate theta_C^T (G_CC - G_CL G_LL^{-1} G_LC) theta_C is |z - Y^T G_LL^{-1} Y z|^2,
+    a sum of squares, quadratic in theta_C and 0 at a product state.  The
+    field keeps g_L, whose p-weighted diagonal loses fewer digits than z when
+    the spectrum spans many decades.
     """
     logp = np.log(p)
     c = logp - p @ logp
     R = _rotation(basis, U, local)
     diag = np.diagonal(R, axis1=0, axis2=2).real
-    g_local = diag @ (p * c)
-    coeffs = _solve_local_block(_bkm_gram(R, p, diag @ p), g_local)
-    proj = theta.copy()
-    proj[local] -= coeffs
-    return proj, float(p @ c**2 - g_local @ coeffs)
+    root_k = np.sqrt(bkm_kernel_matrix(p))
+    Y = _bkm_rows(R, root_k, diag @ p)
+    X = U.conj().T @ K_corr @ U
+    z = _bkm_rows(X[:, None, :], root_k, np.array([p @ X.diagonal().real]))[0]
+    rhs = np.column_stack([diag @ (p * c), Y @ z])
+    coeffs, corr_coeffs = _solve_local_block(Y @ Y.T, rhs).T
+    resid = z - corr_coeffs @ Y
+    return theta_local - coeffs, float(resid @ resid)
 
 
 def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:
@@ -149,22 +152,21 @@ def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:
 
     (G v)_a = tr(F_a d rho[v]), and the local elements L of the product
     basis span the traceless operators of every subsystem, so M v = 0 iff
-    (G v)_L = 0.  ker M is therefore the G-orthogonal complement of the
-    local coordinate axes e_L, and with g = G theta
+    (G v)_L = 0: ker M is the G-orthogonal complement of the local axes e_L,
+    and P theta = theta - e_L G_LL^{-1} (G theta)_L (``_stage_projection``,
+    the integrator's stage kernel).  The tests check it against the dense
+    projector N (N^T G N)^{-1} N^T G on an SVD kernel N of M.
 
-        P theta = theta - e_L G_LL^{-1} g_L,
-        theta^T G P theta = theta . g - g_L . G_LL^{-1} g_L.
-
-    g_L, theta . g and G_LL come from the eigenpairs of rho and the |L| local
-    elements (``_stage_projection``, the integrator's stage kernel).  The
-    tests check it against the dense projector N (N^T G N)^{-1} N^T G on an
-    SVD kernel N of M.
-
-    Raises FullyConstrainedError for a single-subsystem basis and
+    Raises FullyConstrainedError for a single subsystem and
     NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
     """
-    local = _local_sector(point.basis)
-    return _stage_projection(point.theta, point.basis, local, point.eigvals, point.eigvecs)
+    theta, basis = point.theta, point.basis
+    local = _local_sector(basis)
+    proj = theta.copy()
+    proj[local] = 0.0
+    eig = point.eigvals, point.eigvecs
+    proj[local], rate = _stage_projection(theta[local], basis, local, *eig, _generator(proj, basis))
+    return proj, rate
 
 
 def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
@@ -294,18 +296,15 @@ def entropy_time_fit(traj: Trajectory) -> tuple[float, float, float]:
 def _step_factor(err_norm: float, h: float, prev) -> float:
     """Step-size factor after an accepted step of size h with error norm err_norm.
 
-    The classic rule 0.9 e^(-1/5) reads the last error alone.  Where the
-    field steepens from step to step (the entropy-time field near the
-    boundary) it grows h a little after each accepted step and the next
-    attempt is rejected.  Gustafsson's predictive rule (ACM TOMS 20(4), 1994;
-    Hairer & Wanner, Solving ODEs II, IV.8) also reads the previous accepted
-    step ``prev = (h_prev, err_prev)``:
+    The classic rule 0.9 e^(-1/5) reads the last error alone.  Gustafsson's
+    predictive rule (ACM TOMS 20(4), 1994; Hairer & Wanner, Solving ODEs II,
+    IV.8) also reads the previous accepted step ``prev = (h_prev, err_prev)``:
 
         0.9 (h / h_prev) e^(-1/5) (err_prev / e)^(1/5).
 
-    The factor is the smaller of the two rules, clamped to [0.2, 5], so the
-    prediction only ever makes a step more conservative; with ``prev`` None
-    it is the classic rule.
+    It was adopted for the entropy-time field c P theta / rate, which steepened
+    towards the endpoint and is no longer stepped.  The factor is the smaller
+    rule, clamped to [0.2, 5]: the prediction only makes a step more cautious.
     """
     e = max(err_norm, 1e-16)
     factor = 0.9 * e ** -0.2
@@ -335,7 +334,8 @@ def integrate(
     config : FlowConfig
         Tolerances, entropy speed c, stationarity threshold, generator.
     clock : {"entropy", "game"}
-        Independent variable: entropy time t (dH/dt = c) or game time tau.
+        The clock ``duration`` limits, entropy time t (dH/dt = c) or game
+        time tau.  tau is always stepped and t integrated, t' = rate / c.
     duration : float
         Upper limit of the chosen clock.
     kind : {"dissipative", "combined", "reversible"}
@@ -345,44 +345,44 @@ def integrate(
     Returns
     -------
     Trajectory
-        Samples at every accepted step, both clocks tracked (the inactive
-        clock is reconstructed from the entropy production so that
-        t = (H - H_0)/c along any run), theta in the lab frame.  The
-        recorded rate is the production rate theta^T G P theta of the
-        dissipative sector; a reversible-only run produces no entropy and
-        records 0.
+        Samples at every accepted step, theta in the lab frame, with the
+        production rate (P theta)^T G (P theta) (0 in a reversible-only run).
         ``integrator`` counts accepted steps, rejected attempts (error norm
         above 1 or not finite), attempts cut short by a failed stage
-        (``failed_stages``, by cause: "stationary" or "boundary") and RHS
-        evaluations, and holds the smallest and largest accepted step and
-        the last finite error norm.
+        (``failed_stages``, by cause: "boundary"), attempts redone to land a
+        stop (``landing_retries``) and RHS evaluations (6 per attempt plus 1
+        when no stage failed); it holds the smallest and largest accepted
+        step and the last finite error norm.
 
     Notes
     -----
-    Only the dissipative field is stepped, in the frame that rotates with
-    the reversible sector (module docstring).  A reversible-only run steps
-    a zero field: every error norm is 0, so h grows 5-fold per step from
-    ``initial_step``, and duration 2 is sampled at tau = 0, 0.01, 0.06,
-    0.31, 1.56 and 2.
+    The stepped state is (theta_L, t) (module docstring); theta_C is
+    e^(-tau) theta0_C with the dissipative sector and theta0_C without.  A
+    reversible-only run steps a zero field, so h grows 5-fold per step from
+    ``initial_step`` (duration 2 is sampled at tau = 0, 0.01, 0.06, 0.31, 1.56
+    and 2), and its samples share one eigendecomposition, of K(theta0).
 
-    A stage runs only the checks of its kernels (module docstring): it fails
-    ("boundary") when the spectrum of rho underflows STATE_UNDERFLOW_FLOOR,
-    and ("stationary") on the entropy clock without production.  A
-    non-finite stage theta gets a NaN field, which the error norm rejects.
-    An accepted step grows h by ``_step_factor``, a
+    Runs with the dissipative sector stop "stationary" once the rate falls
+    below ``config.rate_min``, at theta0 too.  Two stops are landed by redoing
+    an attempt that met the tolerance.  One that carries t past an
+    entropy-clock ``duration`` by more than 1e-14 max(1, duration) takes h
+    from Newton's method on t(h) = duration (slope rate / c at its end),
+    bisecting between attempts short of and past it when Newton leaves them.
+    One whose rate falls below rate_min / 100 takes h from log rate
+    interpolated across it (the rate decays like e^(-2 tau) near the
+    endpoint), aimed at rate_min / 10.
+
+    A stage fails ("boundary") when the spectrum of rho underflows
+    STATE_UNDERFLOW_FLOOR; a non-finite stage state gets a NaN field, which
+    the error norm rejects.  An accepted step grows h by ``_step_factor``, a
     rejected attempt shrinks it by max(0.2, 0.9 e^(-1/5)), a failed stage
-    halves it; below 1e-14 max(1, clock) it has underflowed.  Runs with the
-    dissipative sector stop with status "stationary" once the production
-    rate falls below ``config.rate_min``, at theta0 too.
-
-    A drift of any marginal entropy h_i beyond ``config.conservation_tol``
-    raises ConservationError; step-size underflow away from a stationary
-    point raises StiffRegionError; cond(G_LL) above PROJECTOR_COND_MAX after
-    the first sample raises DegenerateProjectionError.  All three carry the
-    partial trajectory.  A single-subsystem basis raises
-    FullyConstrainedError and a non-local generator NonLocalGeneratorError,
-    both before the first step; a degenerate block at theta0 raises
-    NumericalDegeneracyError.
+    halves it; below 1e-14 max(1, tau) it has underflowed (StiffRegionError).
+    A drift of any h_i beyond ``config.conservation_tol`` raises
+    ConservationError, and cond(G_LL) above PROJECTOR_COND_MAX after the
+    first sample DegenerateProjectionError; all three carry the partial
+    trajectory.  A single-subsystem basis raises FullyConstrainedError, a
+    non-local generator NonLocalGeneratorError and a degenerate block at
+    theta0 NumericalDegeneracyError, before the first step.
     """
     if clock not in ("entropy", "game"):
         raise ValueError(f"unknown clock {clock!r}")
@@ -404,37 +404,35 @@ def integrate(
         xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
         frame = np.linalg.eigh(xi)
 
-    def rhs(theta, out):
-        """Write the rotating-frame field at theta into ``out``; return ((p, U) or None, rate)."""
+    theta0 = _check_theta(theta0, basis)
+    local_rows = basis.real_rows[local]
+    theta_corr = theta0.copy()
+    theta_corr[local] = 0.0
+    K_corr = _generator(theta_corr, basis)  # K_C at tau = 0
+
+    def rhs(tau, y, out):
+        """Write the field at (tau, (theta_L, t)) into ``out``; return ((p, U) or None, rate)."""
         stats["rhs_evals"] += 1
         if not dissipative:  # the reversible sector is applied in ``build``
             out.fill(0.0)
             return None, 0.0
-        if not np.isfinite(theta).all():  # the error norm rejects the attempt
+        if not np.isfinite(y).all():  # the error norm rejects the attempt
             out.fill(np.nan)
             return None, math.nan
-        eig = _spectrum(_generator(theta, basis))[1:]
-        v = out[:m]
-        proj_theta, rate = _stage_projection(theta, basis, local, *eig)
-        np.negative(proj_theta, out=v)
-        if clock == "game":
-            out[m] = rate / config.c
-        else:
-            if rate <= 0.0:
-                raise StationaryPointError(f"entropy production rate {rate:.3e} is not positive")
-            scale = config.c / rate
-            v *= scale
-            out[m] = scale
+        K_C = math.exp(-tau) * K_corr
+        eig = _spectrum((y[:-1] @ local_rows).view(complex).reshape(K_C.shape) + K_C)[1:]
+        proj_local, rate = _stage_projection(y[:-1], basis, local, *eig, K_C)
+        np.negative(proj_local, out=out[:-1])
+        out[-1] = rate / config.c
         return eig, rate
 
-    theta0 = _check_theta(theta0, basis)
-    m = basis.size
-    y = np.concatenate([theta0, [0.0]])
+    y = np.append(theta0[local], 0.0)
     rows = []  # one (tau, t, H, marginal entropies, rate, theta) per sample
     stats = {
         "accepted": 0,
         "rejected": 0,
-        "failed_stages": {"stationary": 0, "boundary": 0},
+        "failed_stages": {"boundary": 0},
+        "landing_retries": 0,
         "rhs_evals": 0,
         "h_min": None,
         "h_max": None,
@@ -442,13 +440,18 @@ def integrate(
     }
     # Row s holds the field of stage s; row 6 is the new point's, copied to
     # row 0 when the step is accepted.
-    stages = np.empty((7, m + 1))
+    stages = np.empty((7, y.size))
 
-    def record(pos, aux, eig, rate):
-        p, U = _spectrum(_generator(y[:m], basis))[1:] if eig is None else eig
-        marg = marginal_entropies((U * p) @ U.conj().T, shape)
-        tau, t = (pos, aux) if clock == "game" else (aux, pos)
-        rows.append((tau, t, -float(p @ np.log(p)), marg, rate, y[:m].copy()))
+    def record(tau, eig, rate):
+        theta = theta0 * (math.exp(-tau) if dissipative else 1.0)
+        theta[local] = y[:-1]
+        if eig is None and rows:  # reversible-only: every sample is theta0's state
+            H, marg = rows[0][2:4]
+        else:
+            p, U = _spectrum(_generator(theta, basis))[1:] if eig is None else eig
+            H = -float(p @ np.log(p))
+            marg = marginal_entropies((U * p) @ U.conj().T, shape)
+        rows.append((tau, float(y[-1]), H, marg, rate, theta))
         return marg
 
     def build(status):
@@ -457,46 +460,37 @@ def integrate(
             theta = _lab_frame(theta, tau, basis, *frame)
         return Trajectory(clock, kind, shape.dims, status, tau, t, H, marg, rate, theta, stats)
 
-    try:
-        eig, rate = rhs(theta0, stages[0])
-    except StationaryPointError:  # entropy clock: no production at theta0
-        eig, rate = None, 0.0
-    marg0 = record(0.0, 0.0, eig, rate)
-
+    eig, rate = rhs(0.0, y, stages[0])
+    marg0 = record(0.0, eig, rate)
     if dissipative and rate < config.rate_min:
         return build("stationary")
 
-    pos = 0.0
-    h = min(config.initial_step, duration)
+    tau = 0.0
+    tau_end, t_end = (duration, math.inf) if clock == "game" else (math.inf, duration)
+    land_tol = 1e-14 * max(1.0, duration)
+    h = config.initial_step
     status = "max_steps"
     prev = None
+    bracket = None  # [short, past]: step sizes whose t fell short of / passed t_end
 
     while stats["accepted"] < config.max_steps:
-        h_min = 1e-14 * max(1.0, pos)  # the spacing of pos, not of duration
-        remaining = duration - pos
-        if remaining <= h_min:
+        h_min = 1e-14 * max(1.0, tau)  # the spacing of tau, not of duration
+        if tau_end - tau <= h_min or t_end - y[-1] <= land_tol:
             status = "completed"
             break
-        h = min(h, remaining)
+        h = min(h, tau_end - tau)
 
         try:
-            for s in range(1, 6):
-                rhs((y + h * (_DP_A[s, :s] @ stages[:s]))[:m], stages[s])
-            y_new = y + h * (_DP_A[6] @ stages[:6])
-            new_eig, new_rate = rhs(y_new[:m], stages[6])
-            failed = None
-        except StationaryPointError:
-            failed = "stationary"
+            for s in range(1, 7):
+                y_new = y + h * (_DP_A[s, :s] @ stages[:s])
+                new_eig, new_rate = rhs(tau + _DP_C[s] * h, y_new, stages[s])
         except BoundaryStateError:
-            failed = "boundary"
+            stats["failed_stages"]["boundary"] += 1
+            factor = 0.5
         except NumericalDegeneracyError as exc:
             raise DegenerateProjectionError(str(exc), build("degenerate")) from exc
-
-        factor = None
-        if failed:
-            stats["failed_stages"][failed] += 1
-            factor = 0.5
         else:
+            factor = None
             err = h * (_DP_ERR @ stages)
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
             # With atol = 0 a component that stays exactly 0 has scale 0: a
@@ -517,21 +511,33 @@ def integrate(
         if factor is not None:
             h *= factor
             if h < h_min:
-                if dissipative and rate < 10.0 * config.rate_min:
-                    status = "stationary"
-                    break
                 raise StiffRegionError(f"step size underflowed below {h_min:.1e}", build("stiff"))
+            continue
+
+        miss = float(y_new[-1] - t_end)
+        if miss > land_tol or (bracket and miss < -land_tol):
+            stats["landing_retries"] += 1
+            bracket = bracket or [0.0, h]
+            bracket[int(miss > 0)] = h
+            slope = float(stages[6, -1])
+            h_next = h - miss / slope if slope > 0 else -1.0
+            h = h_next if bracket[0] < h_next < bracket[1] else 0.5 * sum(bracket)
+            continue
+        if dissipative and new_rate < 0.01 * config.rate_min:
+            stats["landing_retries"] += 1
+            aim = math.log(10.0 * rate / config.rate_min)
+            h *= aim / math.log(rate / new_rate) if new_rate > 0 else 0.5
             continue
 
         # Accepted step.
         stats["accepted"] += 1
         stats["h_min"] = h if stats["h_min"] is None else min(stats["h_min"], h)
         stats["h_max"] = h if stats["h_max"] is None else max(stats["h_max"], h)
-        pos += h
+        tau += h
         y = y_new
         eig, rate = new_eig, new_rate
         stages[0] = stages[6]
-        drift = np.abs(record(pos, float(y[m]), eig, rate) - marg0)
+        drift = np.abs(record(tau, eig, rate) - marg0)
         if drift.max() > config.conservation_tol:
             worst = int(np.argmax(drift))
             raise ConservationError(

@@ -9,9 +9,9 @@ G-orthogonal projector N (N^T G N)^{-1} N^T G, the gradient and the Hessian
 read from the derivative stack, and the velocity helpers built on that
 projector, and the full vector G theta from all m coordinates.
 
-It also keeps the integrator's former route for the reversible sector: the
-pushforward of -i[xi, rho] (``reversible_velocity``), stepped in the lab
-frame together with the dissipative field (``lab_frame_endpoint``).
+It also keeps the integrator's former route: the pushforward of -i[xi, rho]
+(``reversible_velocity``), stepped in the lab frame together with the
+dissipative field on every coordinate (``lab_frame_endpoint``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from entroflow import (
     FlowConfig,
     FullyConstrainedError,
     NumericalDegeneracyError,
-    StationaryPointError,
     assemble_local_generator,
     as_shape,
     bkm_kernel_matrix,
@@ -226,11 +225,12 @@ def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
 
 
 def lab_frame_endpoint(theta0, basis, config, *, clock, duration, kind, tol=1e-13):
-    """(theta, tau, t) at the end of a combined or reversible run, lab frame.
+    """(theta, tau, t) at the end of a run, lab frame, stepping every coordinate.
 
-    The field is the one ``integrate`` stepped before the reversible sector
-    became a rotation of the samples: on the game clock
-    theta' = -P theta + coords(-i[xi, K]) (no -P theta for "reversible") and
+    The field is the one ``integrate`` stepped before it advanced only
+    (theta_L, t) in game time and applied the reversible sector as a rotation
+    of the samples: on the game clock theta' = -P theta + coords(-i[xi, K])
+    (no -P theta for "reversible", no xi term for "dissipative") and
     t' = rate / c; on the entropy clock both are scaled by c / rate, with
     tau' = c / rate.  DOP853 at rtol = atol = ``tol`` runs to ``duration``.
     """
@@ -239,9 +239,9 @@ def lab_frame_endpoint(theta0, basis, config, *, clock, duration, kind, tol=1e-1
 
     def field(_, y):
         point = make_point(y[:m], basis)
-        v = reversible_velocity(point, xi)
+        v = np.zeros(m) if kind == "dissipative" else reversible_velocity(point, xi)
         rate = 0.0
-        if kind == "combined":
+        if kind != "reversible":
             proj, rate = local_block_projection(point)
             v = v - proj
         if clock == "game":
@@ -294,12 +294,12 @@ def entropy_time_velocity(
 ) -> np.ndarray:
     """Field rescaled so that dH/dt = c exactly.
 
-    Raises StationaryPointError when the production rate is at or below
-    ``rate_min``: entropy time is not a valid clock at a stationary point.
+    Raises ValueError when the production rate is at or below ``rate_min``:
+    entropy time is not a valid clock at a stationary point.
     """
     rate = entropy_production_rate(point, geometry)
     if rate <= rate_min:
-        raise StationaryPointError(
+        raise ValueError(
             f"entropy production rate {rate:.3e} at or below rate_min {rate_min:.1e}"
         )
     return (c / rate) * dissipative_velocity(point, geometry)
@@ -315,7 +315,7 @@ def combined_velocity(
     """
     rate = entropy_production_rate(point, geometry)
     if rate <= config.rate_min:
-        raise StationaryPointError(
+        raise ValueError(
             f"entropy production rate {rate:.3e} at or below rate_min {config.rate_min:.1e}"
         )
     v = dissipative_velocity(point, geometry)

@@ -357,7 +357,9 @@ def test_simulate_default_reports_integrator_block(tmp_path, capsys):
     assert stats == report["integrator"]
     assert stats["accepted"] == report["n_samples"] - 1
     assert stats["rejected"] <= 10
-    assert set(stats["failed_stages"]) == {"stationary", "boundary"}
+    assert set(stats["failed_stages"]) == {"boundary"}
+    attempts = stats["accepted"] + stats["rejected"] + stats["landing_retries"]
+    assert stats["rhs_evals"] == 6 * attempts + 1
 
 
 @pytest.mark.parametrize("clock", ["entropy", "game"])

@@ -25,7 +25,6 @@ from entroflow import (
     FullyConstrainedError,
     NonLocalGeneratorError,
     NumericalDegeneracyError,
-    StationaryPointError,
     StiffRegionError,
     assemble_local_generator,
     constraint_geometry,
@@ -43,6 +42,7 @@ from entroflow import (
     state_from_params,
 )
 from entroflow.operators import marginals
+from entroflow.flow import DEFAULT_RATE_MIN
 from tests.conftest import origin_point
 from tests.reference_geometry import (
     combined_velocity,
@@ -132,7 +132,7 @@ def test_zero_theta_is_stationary(qutrit_pair):
     geom = reference_geometry(pt)
     assert np.linalg.norm(dissipative_velocity(pt, geom)) < 1e-14
     assert entropy_production_rate(pt, geom) < 1e-14
-    with pytest.raises(StationaryPointError):
+    with pytest.raises(ValueError, match="rate_min"):
         entropy_time_velocity(pt, geom, 1.0, 1e-10)
 
 
@@ -240,6 +240,28 @@ def regularised_correlated_state(shape, eps):
     psi = np.zeros(d)
     psi[[0, np.ravel_multi_index((1,) * shape.n_subsystems, shape.dims)]] = 1.0 / np.sqrt(2.0)
     return (1.0 - eps) * np.outer(psi, psi) + eps * np.eye(d) / d
+
+
+def test_rate_keeps_the_square_law(qutrit_pair):
+    """Near a product state the rate is quadratic in the correlation part:
+    along theta_L + s delta, delta in the correlation sector, the even part
+    (rate(s) + rate(-s)) / (2 s^2) has no O(s) term, so its value at s = 1e-6
+    equals the one at s = 1e-4 to O(s^2).  The sum-of-squares rate holds that
+    to 4.1e-8 relative; theta^T G theta - g_L . G_LL^{-1} g_L, a difference of
+    O(1) terms, was 4.7e-6 off at s = 1e-6 (rate 4.6e-12)."""
+    shape, basis = qutrit_pair
+    rng = np.random.default_rng(3)
+    base = np.zeros(basis.size)
+    base[basis.local_sector] = rng.normal(size=basis.local_sector.size)
+    delta = np.zeros(basis.size)
+    delta[basis.correlation_indices()] = rng.normal(size=basis.correlation_indices().size)
+
+    def even_part(s):
+        rates = [local_block_projection(make_point(base + x * delta, basis))[1] for x in (s, -s)]
+        return sum(rates) / (2 * s * s)
+
+    assert even_part(1e-6) == pytest.approx(even_part(1e-4), rel=1e-6)
+    assert local_block_projection(make_point(base, basis))[1] == 0.0
 
 
 @pytest.mark.parametrize("start", ["random", "origin"])
@@ -350,10 +372,11 @@ def test_entropy_run_traces_the_same_ray(qutrit_pair, ray_runs):
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("eps", [1e-2, 1e-6])
 def test_isotropic_line_matches_closed_form(q, eps):
-    """theta = theta0 e^-tau and H = H(s0 e^-tau) under both clocks, the
-    entropy clock read at the tau it records.  Measured: game clock theta
-    <= 1.4e-8 relative and H <= 2.6e-8; entropy clock theta <= 1.7e-6 and
-    H <= 4.4e-7.  On [2, 2] the entropy clock meets the maximum log 4 first."""
+    """theta = theta0 e^-tau and H = H(s0 e^-tau) under both clocks, each read
+    at the tau it records.  Both step tau, and theta_C = e^-tau theta0_C is
+    exact, so only the local entries (0 here) and round-off are left.
+    Measured: theta <= 4.8e-11 relative and H <= 2.3e-11 on both clocks.  On
+    [2, 2] the entropy clock meets the maximum log 4 first."""
     d = q * q
     basis = product_basis(as_shape([q, q]))
     s0 = line_s0(d, eps)
@@ -407,18 +430,23 @@ def test_integrate_conservation_abort(qutrit_pair, rng):
     assert partial is not None and partial.n_samples >= 1
 
 
-def test_integrate_stiff_region_signal(qutrit_pair):
-    """With the stationarity threshold pushed to zero the entropy-time
-    vector field genuinely blows up at the terminal boundary, and the
-    step-size underflow must surface as a stiff-region error."""
+def test_integrate_tiny_rate_min_reaches_the_top(qutrit_pair):
+    """With the stationarity threshold pushed to 1e-280 the entropy clock still
+    ends "stationary" at the maximum 2 log 3.  t is integrated along game time,
+    where the field has no singularity at the endpoint, and the rate is a
+    quadratic form in theta_C = e^(-tau) theta_C(0) with no round-off floor;
+    it is exactly 0 once e^(-tau) underflows.  Measured: H_end 4.4e-16
+    from 2 log 3 and t_end 1.6e-10 from the default run's."""
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
-    cfg = FlowConfig(rate_min=1e-280, max_steps=100000)
-    with pytest.raises(StiffRegionError) as exc_info:
-        integrate(theta0, basis, cfg, clock="entropy", duration=3.0)
-    partial = exc_info.value.trajectory
-    assert partial is not None
-    assert partial.H[-1] > 2 * LOG3 - 1e-4  # failure happens at the boundary
+    default, tiny = (
+        integrate(theta0, basis, FlowConfig(rate_min=rate_min), clock="entropy", duration=3.0)
+        for rate_min in (DEFAULT_RATE_MIN, 1e-280)
+    )
+    assert default.status == tiny.status == "stationary"
+    assert tiny.rate[-1] < 1e-280
+    assert abs(tiny.H[-1] - 2 * LOG3) <= 1e-14
+    assert abs(tiny.t[-1] - default.t[-1]) <= 1e-8
 
 
 def classic_factor(err_norm):
@@ -450,18 +478,23 @@ def test_step_factor_geometric_history(err_norm):
 
 
 def test_integrate_counts_steps_on_entropy_clock_approach(qutrit_pair):
-    """The default entropy-clock run steepens geometrically towards the
-    boundary; the predictive step control keeps rejections rare there."""
+    """The default entropy-clock run steps game time, where the field decays
+    smoothly up to the endpoint.  Measured: 25 accepted steps, 1 rejected
+    attempt and 1 landing retry (the last step, redone so that the rate stops
+    in [rate_min / 100, rate_min)), 163 RHS evaluations; stepping t itself
+    took 81, 3 and 505."""
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
-    traj = integrate(theta0, basis, FlowConfig(), clock="entropy", duration=10.0)
+    cfg = FlowConfig()
+    traj = integrate(theta0, basis, cfg, clock="entropy", duration=10.0)
     stats = traj.summary()["integrator"]
     assert traj.status == "stationary"
+    assert 0.01 * cfg.rate_min <= traj.rate[-1] < cfg.rate_min
     failed = sum(stats["failed_stages"].values())
-    attempts = stats["accepted"] + stats["rejected"] + failed
-    assert stats["accepted"] == traj.n_samples - 1
+    attempts = stats["accepted"] + stats["rejected"] + failed + stats["landing_retries"]
+    assert stats["accepted"] == traj.n_samples - 1 <= 40
     assert stats["rejected"] <= 10
-    assert stats["rhs_evals"] <= 6 * attempts + 1
+    assert stats["rhs_evals"] == 6 * attempts + 1
     assert 0.0 < stats["h_min"] <= stats["h_max"]
     assert 0.0 <= stats["last_err_norm"] <= 1.0
 
@@ -492,10 +525,79 @@ def test_step_floor_does_not_scale_with_duration(qutrit_pair):
         np.testing.assert_array_equal(getattr(short, field), getattr(long, field), err_msg=field)
 
 
+def _all_sector_start(dims, seed=7):
+    basis = product_basis(as_shape(dims))
+    return basis, 0.5 * np.random.default_rng(seed).normal(size=basis.size)
+
+
+@pytest.mark.parametrize("start", ["origin", "all_sectors"])
+def test_entropy_clock_to_stationarity_equals_game_clock(qutrit_pair, start):
+    """Both clocks step game time and integrate t, so a run that stops at
+    stationarity before either limit is one run: every field and every
+    integrator count are bitwise equal."""
+    shape, basis = qutrit_pair
+    if start == "origin":
+        theta0 = origin_point(shape, basis, EPS).theta
+    else:
+        basis, theta0 = _all_sector_start([3, 3])
+    entropy, game = (
+        integrate(theta0, basis, FlowConfig(), clock=clock, duration=1e3)
+        for clock in ("entropy", "game")
+    )
+    assert entropy.status == game.status == "stationary"
+    assert entropy.integrator == game.integrator
+    for field in ("tau", "t", "H", "theta", "rate", "marginals"):
+        np.testing.assert_array_equal(getattr(entropy, field), getattr(game, field), err_msg=field)
+
+
+@pytest.mark.parametrize("clock, duration", [("game", 3.0), ("entropy", 50.0)])
+@pytest.mark.parametrize("dims", [[3, 3], [2, 3], [2, 2, 2]])
+def test_correlation_sector_decays_in_closed_form(dims, clock, duration):
+    """P theta moves only theta_L, so every other coordinate of a dissipative
+    run is e^(-tau_k) theta0 at its recorded tau_k, to the rounding of the
+    product."""
+    basis, theta0 = _all_sector_start(dims)
+    corr = basis.correlation_indices()
+    traj = integrate(theta0, basis, FlowConfig(), clock=clock, duration=duration)
+    assert traj.n_samples > 5
+    expected = np.exp(-traj.tau)[:, None] * theta0[corr]
+    np.testing.assert_allclose(traj.theta[:, corr], expected, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("where", ["first_step", "mid_run", "below_end"])
+@pytest.mark.parametrize("dims", [[2, 3], [2, 2, 2]])
+def test_entropy_clock_lands_on_duration(dims, where):
+    """An entropy-clock duration is a stop rule on the integrated t: the step
+    that would carry t past it is redone until t lands within
+    1e-14 max(1, duration), and the run ends "completed".  Durations: inside
+    the first step (a quarter of its predicted t), half of I(rho0)/c, and
+    1e-6 below I(rho0)/c, where the run would otherwise become stationary."""
+    basis, theta0 = _all_sector_start(dims)
+    cfg = FlowConfig()
+    t_inf = multi_information(state_from_params(theta0, basis), basis.shape) / cfg.c
+    rate0 = local_block_projection(make_point(theta0, basis))[1]
+    duration = {
+        "first_step": 0.25 * cfg.initial_step * rate0 / cfg.c,
+        "mid_run": 0.5 * t_inf,
+        "below_end": t_inf - 1e-6,
+    }[where]
+    traj = integrate(theta0, basis, cfg, clock="entropy", duration=duration)
+    stats = traj.integrator
+    assert traj.status == "completed"
+    assert abs(traj.t[-1] - duration) <= 1e-14 * max(1.0, duration)
+    assert np.all(np.diff(traj.t) > 0)
+    assert stats["landing_retries"] > 0
+    assert (where == "first_step") == (stats["accepted"] == 1)
+    attempts = stats["accepted"] + stats["rejected"] + stats["landing_retries"]
+    assert stats["rhs_evals"] == 6 * attempts + 1
+
+
 def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
-    """A stage whose state spectrum underflows or whose production rate is
-    not positive cuts its attempt short; each attempt is counted under its
-    cause."""
+    """A stage whose state spectrum underflows cuts its attempt short, and the
+    attempt is counted under its cause, "boundary".  A zero production rate
+    is no longer a stage failure: it is the stationary stop.  The failed
+    attempt evaluated two stages; every other attempt, the landing retries on
+    ``duration`` included, evaluated six."""
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
     real = entroflow.flow._stage_projection
@@ -505,16 +607,17 @@ def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
         calls.append(None)
         if len(calls) == 3:
             raise entroflow.flow.BoundaryStateError("forced state underflow")
-        proj, rate = real(*args)
-        return proj, 0.0 if len(calls) == 10 else rate
+        return real(*args)
 
     monkeypatch.setattr(entroflow.flow, "_stage_projection", failing)
     traj = integrate(theta0, basis, FlowConfig(), clock="entropy", duration=0.5)
     stats = traj.integrator
     assert traj.status == "completed"
-    assert stats["failed_stages"] == {"stationary": 1, "boundary": 1}
+    assert stats["failed_stages"] == {"boundary": 1}
     assert stats["rhs_evals"] == len(calls)
-    assert stats["rhs_evals"] < 6 * (stats["accepted"] + stats["rejected"] + 2) + 1
+    full = stats["accepted"] + stats["rejected"] + stats["landing_retries"]
+    assert stats["landing_retries"] > 0
+    assert stats["rhs_evals"] == 6 * full + 2 + 1
 
 
 def test_flow_config_accepts_one_zero_tolerance():
@@ -523,14 +626,15 @@ def test_flow_config_accepts_one_zero_tolerance():
 
 
 def test_pure_relative_tolerance_has_no_zero_over_zero(qutrit_pair):
-    """atol = 0 gives the 36 entries of the origin's theta that are exactly 0
-    (and the clock) a zero error scale.  A zero error there meets the
-    tolerance, so the error norm stays finite (it used to be 0/0 = NaN, with a
+    """atol = 0 gives the 6 local entries of the origin's theta that are
+    exactly 0 (and the clock t at the start) a zero error scale; the error
+    norm covers only theta_L and t.  A zero error there meets the tolerance,
+    so the error norm stays finite (it used to be 0/0 = NaN, with a
     RuntimeWarning); the round-off-sized field on those entries still defeats
     pure relative control, and the run ends as a stiff region."""
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
-    assert np.sum(theta0 == 0.0) == 36
+    assert np.sum(theta0[basis.local_sector] == 0.0) == 6
     with pytest.raises(StiffRegionError) as exc_info:
         integrate(theta0, basis, FlowConfig(atol=0.0), clock="game", duration=0.5)
     stats = exc_info.value.trajectory.integrator
@@ -606,11 +710,11 @@ def test_integrate_argument_validation(qutrit_pair):
 
 def test_affine_time_degenerates_toward_the_origin(qutrit_pair):
     """Entropy time to H = 1 nat stays at most 1/c from any regularised origin,
-    while the game (affine) time needed keeps growing as eps falls.  Starts
-    with eps <= 1e-8 lie past the flow's clear radius, so both guard paths run.
-    On the isotropic line tau_end = log(s0 / s*) with H(s*) = 1 nat, which
-    grows like log log(1/eps).  Measured tau_end: 0.717, 1.235, 1.574, 1.827,
-    2.028, each within 1.1e-7 of log(s0 / s*)."""
+    while the game (affine) time needed keeps growing as eps falls.  On the
+    isotropic line tau_end = log(s0 / s*) with H(s*) = 1 nat, which grows like
+    log log(1/eps).  Measured tau_end: 0.717, 1.235, 1.574, 1.827, 2.028, each
+    within 9.4e-8 of log(s0 / s*), with |H - H0 - c t| <= 1.7e-8; the runs end
+    on t = duration to 1e-14."""
     shape, basis = qutrit_pair
     cfg = FlowConfig()
     s_star = brentq(lambda s: line_entropy(s, 9.0) - 1.0, 1e-3, 50.0, xtol=1e-15)
@@ -621,6 +725,7 @@ def test_affine_time_degenerates_toward_the_origin(qutrit_pair):
         traj = integrate(theta0, basis, cfg, clock="entropy", duration=1.0 - H0)
         assert traj.status == "completed"
         assert abs(traj.H[-1] - H0 - cfg.c * traj.t[-1]) <= 1e-6
+        assert abs(traj.t[-1] - (1.0 - H0)) <= 1e-14
         assert abs(traj.tau[-1] - np.log(line_s0(9, eps) / s_star)) <= 1e-6
         tau_end.append(traj.tau[-1])
     assert np.all(np.diff(tau_end) > 0), tau_end
@@ -659,14 +764,21 @@ def test_combined_run_keeps_entropy_law(qutrit_pair, rng):
 
 @pytest.mark.parametrize(
     "kind, clock, duration",
-    [("combined", "game", 1.0), ("combined", "entropy", 0.05), ("reversible", "game", 1.0)],
+    [
+        ("combined", "game", 1.0),
+        ("combined", "entropy", 0.05),
+        ("reversible", "game", 1.0),
+        ("dissipative", "game", 1.0),
+        ("dissipative", "entropy", 0.05),
+    ],
 )
 @pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2]])
 def test_rotation_identity_matches_lab_frame_ode(dims, kind, clock, duration):
     """Seeing the rotating-frame samples through V(tau) = e^(-i xi tau) equals
-    stepping the reversible sector in the lab frame: the endpoint (theta, tau,
-    t) of integrate against the former field, run by DOP853 at 1e-13
-    (``lab_frame_endpoint``).
+    stepping the reversible sector in the lab frame, and stepping (theta_L, t)
+    with theta_C in closed form equals stepping every coordinate: the endpoint
+    (theta, tau, t) of integrate against the former full-state field, run by
+    DOP853 at 1e-13 (``lab_frame_endpoint``; "dissipative" has no xi).
 
     Tolerance: an accepted step keeps its local error, in RMS over the m + 1
     components scaled by atol + rtol |y|, at most 1, so no component errs by

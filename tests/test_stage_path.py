@@ -1,11 +1,11 @@
-"""Flow stages at every |theta|, with the former clear radius as landmark.
+"""Flow stages at every |theta|: one stage path, near the origin and far out.
 
-Stages used to skip the marginal guard inside R = 18.27 at [3,3] and build a
-chart point past it.  The guard is gone: every stage of a run with a
-dissipative sector computes K(theta) and one eigendecomposition of it, at any
-|theta|, and a reversible-only stage computes nothing.  The names "inside"
-and "past" below refer to that R.  The spectrum bound that
-defined it, lambda_min(rho_i) >= e^(-sqrt2 |theta|) / d_i, still holds.
+Every stage of a run with a dissipative sector computes K(theta) and one
+eigendecomposition of it, at any |theta|, and a reversible-only stage
+computes nothing.  Runs start both near theta = 0 and beyond |theta| = 18.27,
+where a [3,3] flow once switched to another stage path; the spectrum bound
+lambda_min(rho_i) >= e^(-sqrt2 |theta|) / d_i that set that landmark still
+holds.
 """
 
 import numpy as np
@@ -34,11 +34,10 @@ from entroflow.constraint import marginal_eigh
 from entroflow.operators import marginals
 
 BOUND_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4)]
-# Largest |theta| drawn: past the former radius at every shape (at most
-# 18.56), while the bounds stay far above the round-off of the marginal
-# eigenvalues.
+# Largest |theta| drawn: past the landmark at every shape (at most 18.56),
+# while the bounds stay far above the round-off of the marginal eigenvalues.
 NORM_MAX = 20.0
-FORMER_RADIUS = 18.27  # at [3,3]
+LANDMARK = 18.27  # at [3,3]
 
 
 @st.composite
@@ -79,8 +78,8 @@ def _xi_parts(rng):
 
 
 def _runs(rng):
-    """(theta0, basis, config, clock, duration) per kind, from a start inside
-    the former radius and from one past it."""
+    """(theta0, basis, config, clock, duration) per kind, from a start near
+    theta = 0 and from one far out."""
     shape = as_shape([3, 3])
     basis = product_basis(shape)
     deep = params_from_state(regularized_origin(shape, 1e-8), basis)  # |theta0| = 19.4
@@ -94,13 +93,13 @@ def _runs(rng):
 
 
 @pytest.mark.parametrize("name", ["reversible", "dissipative", "combined"])
-def test_runs_inside_radius_build_no_chart_point(name, monkeypatch):
-    """Inside the former radius and past it, no stage and no sample builds a
-    chart point or diagonalises a marginal.  A dissipative or combined stage
-    takes one eigendecomposition of K and each sample reuses it.  A
-    reversible stage evaluates no _spectrum: its rotating-frame field is
-    zero, so h grows 5-fold per step, and only a sample takes the
-    eigendecomposition."""
+def test_runs_build_no_chart_point(name, monkeypatch):
+    """Near the origin and far out, no stage and no sample builds a chart
+    point or diagonalises a marginal.  A dissipative or combined stage takes
+    one eigendecomposition of K and each sample reuses it.  A reversible
+    stage evaluates no _spectrum: its rotating-frame field is zero, so h
+    grows 5-fold per step, and theta stays theta0, so the run takes one
+    eigendecomposition, for the first sample, and every sample reuses it."""
     assert not hasattr(entroflow.flow, "make_point")
     assert not hasattr(entroflow.flow, "marginal_eigh")
     points, spectra = [], []
@@ -122,16 +121,16 @@ def test_runs_inside_radius_build_no_chart_point(name, monkeypatch):
         assert points == []
         stages = traj.integrator["rhs_evals"]
         if name == "reversible":
-            assert len(spectra) == traj.n_samples
+            assert len(spectra) == 1
             np.testing.assert_allclose(traj.tau, [0.0, 0.01, 0.06, 0.3], rtol=0, atol=1e-15)
         else:
             assert len(spectra) == stages > 5 * traj.n_samples
         norms.append(np.linalg.norm(traj.theta, axis=1))
-    assert norms[0].max() < FORMER_RADIUS < norms[1][0]
+    assert norms[0].max() < LANDMARK < norms[1][0]
 
 
-def test_reversible_run_past_radius_still_hits_marginal_floor(qutrit_pair):
-    """theta0 on one local diagonal element, far past the former radius: a
+def test_reversible_run_far_out_still_hits_marginal_floor(qutrit_pair):
+    """theta0 on one local diagonal element, far past the landmark: a
     marginal eigenvalue lies below FULL_RANK_FLOOR.  The unitary flow takes no
     marginal logarithm and completes, conserving every h_i; the projection
     meets an ill-conditioned G_LL at theta0 and raises there."""
