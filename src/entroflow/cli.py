@@ -326,7 +326,7 @@ def _origin_report(shape, basis, eps, soft_tol, bits, with_spectrum=False):
     point = make_point(params_from_state(regularized_origin(shape, eps), basis), basis)
     geom = constraint_geometry(point, include_hessian=True)
     evals, evecs = stiffness_spectrum(point, geom.hessian)
-    kdim = geom.kernel.shape[1]
+    kdim = basis.correlation_indices().size  # the column count of a basis of ker M
     # The largest angle, from the |L|-dimensional complements: range(G V_stiff) of the
     # soft modes (V is G-orthogonal) and range(G_{:L}) of ker M = {v : (G v)_L = 0}.
     G = point.metric

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +36,7 @@ from .operators import (
     frechet_exp,
     marginals,
 )
-from .states import FULL_RANK_FLOOR, marginal_entropies
+from .states import FULL_RANK_FLOOR
 
 PROJECTOR_COND_MAX = 1e12
 SOFT_MODE_TOL = 1e-6
@@ -45,10 +46,6 @@ SOFT_MODE_TOL = 1e-6
 class ConstraintGeometry:
     """Constraint data at one family point.
 
-    ``kernel`` holds one column e_C - e_L G_LL^{-1} G_LC per correlation
-    element C.  The columns span ker M but are not orthonormal; at
-    theta = 0, where G = I/d, they are the correlation axes e_C (their local
-    entries are round-off in G_LC, below 1e-16).
     ``hessian`` is None unless requested at construction: it costs
     O(m d^3 + m^2 d^2) and the flow integrator never needs it.
     """
@@ -56,8 +53,19 @@ class ConstraintGeometry:
     point: ExpFamilyPoint
     value: float
     grad: np.ndarray
-    kernel: np.ndarray
     hessian: np.ndarray | None
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """A basis of ker M, built on first read: one column
+        e_C - e_L G_LL^{-1} G_LC per correlation element C.
+
+        The columns span ker M but are not orthonormal; their number is
+        ``basis.correlation_indices().size``.  At theta = 0, where G = I/d,
+        they are the correlation axes e_C (their local entries are round-off
+        in G_LC, below 1e-16).
+        """
+        return _kernel(self.point)
 
 
 def _local_blocks(basis: OperatorBasis) -> tuple[np.ndarray, ...]:
@@ -108,11 +116,6 @@ def _solve_local_block(block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def constraint_max(shape) -> float:
     return float(np.sum(np.log(shape.dims)))
-
-
-def marginal_entropy_sum(point: ExpFamilyPoint) -> float:
-    """C(theta) = sum_i h(rho_i)."""
-    return float(marginal_entropies(point.rho, point.basis.shape).sum())
 
 
 def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -171,18 +174,17 @@ def constraint_geometry(
     *,
     include_hessian: bool = False,
 ) -> ConstraintGeometry:
-    """Bundle C, its gradient, a basis of ker M and optionally the Hessian.
+    """Bundle C, its gradient and optionally the Hessian; ker M on first read.
 
-    One ``marginal_eigh`` serves all three.  Raises FullyConstrainedError for
-    a single-subsystem basis and NumericalDegeneracyError when cond(G_LL)
-    exceeds PROJECTOR_COND_MAX.
+    One ``marginal_eigh`` serves C, the gradient and the Hessian.  Reading
+    ``kernel`` raises FullyConstrainedError for a single-subsystem basis and
+    NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
     """
     spectra = marginal_eigh(point)
     return ConstraintGeometry(
         point=point,
         value=-sum(float(w @ np.log(w)) for w, _ in spectra),
         grad=constraint_gradient(point, spectra=spectra),
-        kernel=_kernel(point),
         hessian=constraint_hessian(point, spectra=spectra) if include_hessian else None,
     )
 

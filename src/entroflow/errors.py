@@ -5,10 +5,6 @@ class EntroflowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(EntroflowError):
-    """Matrix-function argument lies outside the function's domain."""
-
-
 class UnsupportedShapeError(EntroflowError):
     """Subsystem layout not supported by the requested construction."""
 

@@ -38,7 +38,7 @@ class ExpFamilyPoint:
     The fields are computed at construction: the family generator K(theta),
     log partition psi, state rho with its eigendecomposition and mean
     parameters mu.  The full m x m BKM metric G is computed on first access
-    of ``metric`` and cached; ``metric_block`` gives a block without it.
+    of ``metric`` and cached.
     """
 
     theta: np.ndarray
@@ -60,8 +60,14 @@ class ExpFamilyPoint:
 
     @cached_property
     def metric(self) -> np.ndarray:
-        """Full BKM metric G (Hessian of psi), computed on first access."""
-        return metric_block(self, slice(None))
+        """Full BKM metric G (Hessian of psi), computed on first access.
+
+        G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) with F~ the centred
+        basis elements in the eigenbasis of rho and k the BKM kernel.
+        """
+        R = _rotation(self.basis, self.eigvecs, slice(None))
+        Y = _bkm_rows(R, np.sqrt(bkm_kernel_matrix(self.eigvals)), self.mu)
+        return _readonly(Y @ Y.T)
 
 
 def _generator(theta: np.ndarray, basis: OperatorBasis) -> np.ndarray:
@@ -97,11 +103,6 @@ def _spectrum(K: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     if p[0] <= STATE_UNDERFLOW_FLOOR:
         raise BoundaryStateError(f"state eigenvalue {p[0]:.3e} underflowed")
     return psi, p, U
-
-
-def log_partition(theta, basis: OperatorBasis) -> float:
-    """psi(theta) = log tr exp(K(theta)), overflow-safe via the spectrum."""
-    return _log_sum_exp(np.linalg.eigvalsh(_generator(_check_theta(theta, basis), basis)))
 
 
 def bkm_kernel_matrix(p) -> np.ndarray:
@@ -174,18 +175,6 @@ def _bkm_rows(R: np.ndarray, root_k: np.ndarray, mu: np.ndarray) -> np.ndarray:
     np.multiply(R.transpose(1, 0, 2), root_k, out=Y)
     Y.reshape(n, -1)[:, :: d + 1] -= mu[:, None] * np.diagonal(root_k)
     return Y.view(float).reshape(n, -1)
-
-
-def metric_block(point: ExpFamilyPoint, index) -> np.ndarray:
-    """Rows and columns ``index`` of the BKM metric, from those elements alone.
-
-    G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) with F~ the centred
-    basis elements in the eigenbasis of rho and k the BKM kernel.  ``index``
-    is anything that selects basis elements (an index array or a slice).
-    """
-    R = _rotation(point.basis, point.eigvecs, index)
-    Y = _bkm_rows(R, np.sqrt(bkm_kernel_matrix(point.eigvals)), point.mu[index])
-    return _readonly(Y @ Y.T)
 
 
 def state_from_params(theta, basis: OperatorBasis) -> np.ndarray:

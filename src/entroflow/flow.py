@@ -365,9 +365,12 @@ def integrate(
     Runs with the dissipative sector stop "stationary" once the rate falls
     below ``config.rate_min``, at theta0 too.  Two stops are landed by redoing
     an attempt that met the tolerance.  One that carries t past an
-    entropy-clock ``duration`` by more than 1e-14 max(1, duration) takes h
-    from Newton's method on t(h) = duration (slope rate / c at its end),
-    bisecting between attempts short of and past it when Newton leaves them.
+    entropy-clock ``duration`` by more than 1e-14 max(1, duration) brackets
+    it between h = 0 (or the last attempt that fell short) and the last that
+    went past.  A Newton step on t(h) = duration is tried from each end with
+    that end's own slope rate / c, the end nearer the duration first, and
+    the first that falls strictly inside the bracket is taken; if neither
+    does, the bracket is bisected.
     One whose rate falls below rate_min / 100 takes h from log rate
     interpolated across it (the rate decays like e^(-2 tau) near the
     endpoint), aimed at rate_min / 10.
@@ -517,11 +520,12 @@ def integrate(
         miss = float(y_new[-1] - t_end)
         if miss > land_tol or (bracket and miss < -land_tol):
             stats["landing_retries"] += 1
-            bracket = bracket or [0.0, h]
-            bracket[int(miss > 0)] = h
-            slope = float(stages[6, -1])
-            h_next = h - miss / slope if slope > 0 else -1.0
-            h = h_next if bracket[0] < h_next < bracket[1] else 0.5 * sum(bracket)
+            bracket = bracket or [(0.0, float(y[-1] - t_end), float(stages[0, -1])), None]
+            bracket[int(miss > 0)] = (h, miss, float(stages[6, -1]))
+            (lo, *_), (hi, *_) = bracket
+            ends = sorted(bracket, key=lambda end: abs(end[1]))  # nearer end first
+            newton = (h_e - miss_e / slope for h_e, miss_e, slope in ends if slope > 0)
+            h = next((h_n for h_n in newton if lo < h_n < hi), 0.5 * (lo + hi))
             continue
         if dissipative and new_rate < 0.01 * config.rate_min:
             stats["landing_retries"] += 1

@@ -1,6 +1,6 @@
 """Hermitian operator algebra on multipartite systems.
 
-Local embeddings, marginals (partial traces), spectral matrix functions,
+Local embeddings, marginals (partial traces), divided differences and
 directional derivatives of the matrix exponential, and orthonormal traceless
 operator bases.  Operators are plain complex numpy arrays; subsystem 0 is always the
 slowest-varying Kronecker factor.
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedShapeError
+from .errors import UnsupportedShapeError
 
 HERMITICITY_TOL = 1e-12
 TRACELESS_TOL = 1e-12
@@ -147,27 +147,6 @@ def hermitian_eig(A):
     """Eigendecomposition of (A + A^dag)/2, eigenvalues ascending."""
     A = np.asarray(A, dtype=complex)
     return np.linalg.eigh(0.5 * (A + A.conj().T))
-
-
-def matrix_function(A, f, *, positive: bool = False) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Parameters
-    ----------
-    A : array_like
-        Hermitian matrix.
-    f : callable
-        Vectorised scalar function applied to the eigenvalues.
-    positive : bool
-        When True the spectrum must be strictly positive; violations raise
-        :class:`DomainError`.
-    """
-    w, U = hermitian_eig(A)
-    if positive and w[0] <= 0.0:
-        raise DomainError(f"matrix function needs a positive spectrum, min eigenvalue {w[0]:.3e}")
-    fw = np.asarray(f(w), dtype=float)
-    out = (U * fw) @ U.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def _exp_pair_difference(x, y) -> np.ndarray:

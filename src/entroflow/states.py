@@ -1,9 +1,9 @@
 """Density matrices, von Neumann entropy, and reference states.
 
-The reference family here is the bipartite maximally entangled pure state
-with maximally mixed marginals, together with its full-rank regularisation
-by mixing with the maximally mixed state (which leaves every marginal
-exactly maximally mixed).
+The reference family here is the GHZ pure state on n >= 2 equal factors
+(for n = 2 the maximally entangled state), whose marginals are maximally
+mixed, together with its full-rank regularisation by mixing with the
+maximally mixed state (which leaves every marginal exactly maximally mixed).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 from .errors import UnsupportedShapeError
 from .operators import as_shape, hermitian_eig, is_hermitian, marginals, require_hermitian
 
-TRACE_TOL = 1e-12
 # Spectrum floor: eigenvalues in [EIG_CLIP_FLOOR, 0) are treated as exact
 # zeros; anything below is an invariant violation, not round-off.
 EIG_CLIP_FLOOR = -1e-10
@@ -21,22 +20,6 @@ EIG_CLIP_FLOOR = -1e-10
 # taken (chart inversion, modular generator, constraint gradient); at or
 # below it those raise BoundaryStateError.
 FULL_RANK_FLOOR = 1e-12
-
-
-def check_density_matrix(rho, shape=None) -> np.ndarray:
-    """Validate hermiticity, unit trace and positivity; return the spectrum."""
-    rho = require_hermitian(rho, name="density matrix")
-    if shape is not None:
-        d = as_shape(shape).total_dim
-        if rho.shape != (d, d):
-            raise ValueError(f"state dimension {rho.shape[0]} does not match shape total {d}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr!r} is not 1")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < EIG_CLIP_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    return w
 
 
 def entropy_of_spectrum(w) -> float:
@@ -55,19 +38,20 @@ def von_neumann_entropy(rho) -> float:
 
 
 def lme_origin(shape) -> np.ndarray:
-    """Pure state |Phi><Phi| with Phi = sum_j |jj> / sqrt(q).
+    """GHZ pure state |Phi><Phi| with Phi = sum_k |k...k> / sqrt(q).
 
-    Defined for bipartite shapes with equal local dimensions q; both
-    marginals are exactly I/q.  Other layouts raise UnsupportedShapeError.
+    Defined for n >= 2 subsystems of equal local dimension q; every marginal
+    is exactly I/q, and for n = 2 Phi is the maximally entangled state
+    sum_j |jj> / sqrt(q).  Other layouts raise UnsupportedShapeError.
     """
     shape = as_shape(shape)
-    if shape.n_subsystems != 2 or shape.dims[0] != shape.dims[1]:
+    if shape.n_subsystems < 2 or len(set(shape.dims)) != 1:
         raise UnsupportedShapeError(
-            f"maximally entangled origin needs a bipartite equal-dimension shape, got {shape.dims}"
+            f"GHZ origin needs two or more subsystems of equal dimension, got {shape.dims}"
         )
-    q = shape.dims[0]
-    psi = np.zeros(q * q, dtype=complex)
-    psi[np.arange(q) * q + np.arange(q)] = 1.0 / np.sqrt(q)
+    q, d = shape.dims[0], shape.total_dim
+    psi = np.zeros(d, dtype=complex)
+    psi[np.arange(q) * ((d - 1) // (q - 1))] = 1.0 / np.sqrt(q)
     return np.outer(psi, psi.conj())
 
 

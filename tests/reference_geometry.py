@@ -11,7 +11,9 @@ projector, and the full vector G theta from all m coordinates.
 
 It also keeps the integrator's former route: the pushforward of -i[xi, rho]
 (``reversible_velocity``), stepped in the lab frame together with the
-dissipative field on every coordinate (``lab_frame_endpoint``).
+dissipative field on every coordinate (``lab_frame_endpoint``); and the
+eigen-route exp and log of a Hermitian matrix (``matrix_function``) that the
+divided differences and the Frechet derivative of exp are checked against.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from entroflow import (
     embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
+    hermitian_eig,
     local_block_projection,
     make_point,
 )
@@ -62,6 +65,19 @@ def hermitian_vec(X) -> np.ndarray:
     return np.concatenate(
         [diag, root2 * np.real(upper), root2 * np.imag(upper)], axis=-1
     )
+
+
+def matrix_function(A, f, *, positive: bool = False) -> np.ndarray:
+    """f applied to the spectrum of the Hermitian matrix A.
+
+    With ``positive`` the spectrum must be strictly positive (the domain of
+    log); otherwise ValueError.
+    """
+    w, U = hermitian_eig(A)
+    if positive and w[0] <= 0.0:
+        raise ValueError(f"matrix function needs a positive spectrum, min eigenvalue {w[0]:.3e}")
+    out = (U * np.asarray(f(w), dtype=float)) @ U.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def _centred_rotation(point: ExpFamilyPoint) -> np.ndarray:

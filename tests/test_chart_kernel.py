@@ -18,7 +18,6 @@ from entroflow import (
     integrate,
     make_point,
     marginal_entropies,
-    metric_block,
     params_from_state,
     product_basis,
     random_hermitian,
@@ -180,8 +179,8 @@ def test_metric_block_matches_batched_rotation(dims, rng):
     subset = np.sort(rng.choice(basis.size, size=min(7, basis.size), replace=False))
     for theta in thetas:
         pt = make_point(theta, basis)
-        for index in (basis.local_sector, basis.local_indices(), subset, slice(None)):
-            G = metric_block(pt, index)
+        for index in (basis.local_sector, basis.local_indices(), subset, np.arange(basis.size)):
+            G = pt.metric[np.ix_(index, index)]
             ref = old_metric_block(pt, index)
             assert np.abs(G - ref).max() <= TOL * max(1.0, np.abs(ref).max())
             assert np.array_equal(G, G.T)

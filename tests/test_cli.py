@@ -451,6 +451,29 @@ def test_origin_analysis_small_sweep(tmp_path, capsys):
     assert (tmp_path / "origin_analysis_report.json").exists()
 
 
+def test_origin_analysis_solves_for_no_kernel_basis(tmp_path, capsys, monkeypatch):
+    """kernel_dim is the number of correlation elements, the column count of
+    any basis of ker M, so the report builds none."""
+    import entroflow.constraint
+
+    def refuse(point):
+        raise AssertionError("origin-analysis built a basis of ker M")
+
+    monkeypatch.setattr(entroflow.constraint, "_kernel", refuse)
+    assert run_cli(tmp_path, "origin-analysis") == 0
+    assert [row["kernel_dim"] for row in read_report(capsys)["sweep"]] == [64] * 4
+
+
+@pytest.mark.parametrize("dims, kdim", [([2, 2, 2], 54), ([2, 2, 2, 2], 243)])
+def test_origin_analysis_at_ghz_origin(tmp_path, capsys, dims, kdim):
+    """On three or more equal factors the origin is GHZ; every check passes,
+    with as many soft modes as correlation elements."""
+    assert run_cli(tmp_path, "origin-analysis", {"shape": dims, "eps_sweep": [0.1]}) == 0
+    (row,) = read_report(capsys)["sweep"]
+    assert row["kernel_dim"] == row["soft_mode_count"] == kdim
+    assert abs(row["C"] - len(dims) * LN2) <= 1e-12
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("eps", [0.3, 0.01])
 def test_soft_kernel_angle_matches_full_subspaces(q, eps):

@@ -25,8 +25,7 @@ from entroflow import (
     constraint_max,
     local_block_projection,
     make_point,
-    marginal_entropy_sum,
-    metric_block,
+    marginal_entropies,
     modular_hamiltonian,
     params_from_state,
     product_basis,
@@ -49,6 +48,11 @@ from tests.reference_geometry import (
 
 GRAD_FD_STEP = 1e-5
 LOG3 = np.log(3.0)
+
+
+def marginal_entropy_sum(point):
+    """C = sum_i h(rho_i) from one eigvalsh per marginal, apart from ``marginal_eigh``."""
+    return marginal_entropies(point.rho, point.basis.shape).sum()
 
 
 def saturation_hessian_oracle(point, dims):
@@ -255,14 +259,19 @@ def test_hessian_matches_stack_oracle(dims, rng):
 
 def test_local_elements_must_span_each_subsystem(rng):
     """A basis missing one local element of a subsystem would give a wrong
-    Hessian and a wrong ker M without any error; both are refused."""
+    Hessian and a wrong ker M without any error; both are refused (ker M
+    when ``kernel`` is first read)."""
     full = product_basis(as_shape([2, 2]))
     keep = np.delete(np.arange(full.size), full.local_indices(0)[0])
     basis = OperatorBasis(
         full.shape, full.stack[keep], tuple(full.sector_labels[a] for a in keep)
     )
     pt = make_point(rng.normal(size=basis.size) * 0.3, basis)
-    for build in (constraint_hessian, constraint_geometry, local_block_projection):
+
+    def kernel(point):
+        return constraint_geometry(point).kernel
+
+    for build in (constraint_hessian, kernel, local_block_projection):
         with pytest.raises(ValueError, match="local elements"):
             build(pt)
 
@@ -320,8 +329,9 @@ def test_kernel_dimension_two_qutrit(qutrit_pair):
 def test_kernel_single_system_fully_constrained():
     basis = product_basis(as_shape([3]))
     pt = make_point(np.full(8, 0.1), basis)
+    geom = constraint_geometry(pt)  # C and its gradient need no kernel
     with pytest.raises(FullyConstrainedError):
-        constraint_geometry(pt)
+        geom.kernel
 
 
 def test_kernel_of_zero_matrix_is_identity():
@@ -393,18 +403,19 @@ def test_stiffness_spectrum_origin(qutrit_pair):
         assert abs(rayleigh - evals[-1]) < 1e-8
 
 
-@pytest.mark.parametrize("dims", [[2, 2], [3, 3], [4, 4]])
+@pytest.mark.parametrize("dims", [[2, 2], [3, 3], [4, 4], [2, 2, 2], [2, 2, 2, 2], [3, 3, 3]])
 @pytest.mark.parametrize("eps", [0.3, 0.05, 0.01])
 def test_stiffness_spectrum_closed_form_at_origin(dims, eps):
-    """At the regularised origin Hess C = -d G_{:L} G_{L:}, so with v = G^-1
-    G_{:L} w the problem -H v = lambda G v reads d G_LL w = lambda w: the |L|
-    stiff eigenvalues are d eig(G_LL), and the other m - |L| vanish."""
+    """At the regularised origin (GHZ on three or more factors) Hess C =
+    -d G_{:L} G_{L:}, so with v = G^-1 G_{:L} w the problem -H v = lambda G v
+    reads d G_LL w = lambda w: the |L| stiff eigenvalues are d eig(G_LL), and
+    the other m - |L| vanish."""
     shape = as_shape(dims)
     basis = product_basis(shape)
     local = basis.local_indices()
     pt = origin_point(shape, basis, eps)
     evals = stiffness_spectrum(pt, constraint_hessian(pt))[0]
-    expected = shape.total_dim * np.linalg.eigvalsh(metric_block(pt, local))
+    expected = shape.total_dim * np.linalg.eigvalsh(pt.metric[np.ix_(local, local)])
     scale = expected.max()
     assert np.abs(evals[-local.size :] - expected).max() <= 1e-12 * scale
     assert np.abs(evals[: -local.size]).max() <= 1e-12 * scale

@@ -1,7 +1,7 @@
 """Matrix exponential family chart: psi, mu, BKM metric, entropy gradient.
 
-Finite-difference oracles use the log-partition directly so the metric and
-gradient formulas are checked against an independent route.
+Finite-difference oracles read only the log-partition psi of each point, so
+the metric and gradient formulas are checked against an independent route.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from entroflow import (
     as_shape,
     bkm_kernel_matrix,
     gibbs_state,
-    log_partition,
     make_point,
     marginal_entropies,
     params_from_state,
@@ -37,7 +36,7 @@ def fd_gradient_psi(theta, basis, h=MU_FD_STEP):
     for a in range(m):
         e = np.zeros(m)
         e[a] = h
-        out[a] = (log_partition(theta + e, basis) - log_partition(theta - e, basis)) / (2 * h)
+        out[a] = (make_point(theta + e, basis).psi - make_point(theta - e, basis).psi) / (2 * h)
     return out
 
 
@@ -46,7 +45,7 @@ def fd_hessian_psi(theta, basis, h=PSI_FD_STEP):
     H = np.empty((m, m))
 
     def psi(t):
-        return log_partition(t, basis)
+        return make_point(t, basis).psi
 
     base = psi(theta)
     for a in range(m):
@@ -74,22 +73,30 @@ def test_log_partition_at_zero():
     for dims in ([2], [3], [3, 3]):
         basis = product_basis(as_shape(dims))
         d = basis.shape.total_dim
-        assert abs(log_partition(np.zeros(basis.size), basis) - np.log(d)) < 1e-14
+        assert abs(make_point(np.zeros(basis.size), basis).psi - np.log(d)) < 1e-14
 
 
 def test_log_partition_qubit_closed_form():
     basis = qubit_sigma_z_basis()
     for s in (-2.0, 0.3, 5.0):
-        got = log_partition(np.array([s]), basis)
+        got = make_point(np.array([s]), basis).psi
         assert abs(got - np.log(2 * np.cosh(s / np.sqrt(2)))) < 1e-12
 
 
 def test_log_partition_overflow_guard():
+    """psi is shifted by the top eigenvalue of K, so it stays exact where
+    exp(K) alone loses the small levels.  K is traceless, so a top eigenvalue
+    past the float64 range of exp puts the bottom of the state below
+    STATE_UNDERFLOW_FLOOR: the chart refuses it instead of returning inf."""
     basis = product_basis(as_shape([3]))
     theta = np.zeros(8)
+    theta[7] = 300.0  # K = diag(1, 1, -2) * 300 / sqrt(6)
+    top = 300.0 / np.sqrt(6.0)
+    psi = make_point(theta, basis).psi
+    assert abs(psi - (top + np.log(2.0 + np.exp(-3.0 * top)))) <= 1e-12 * top
     theta[7] = 900.0  # naive trace-exp overflows float64
-    psi = log_partition(theta, basis)
-    assert np.isfinite(psi)
+    with pytest.raises(BoundaryStateError):
+        make_point(theta, basis)
 
 
 def test_log_partition_convexity(rng):
@@ -97,8 +104,8 @@ def test_log_partition_convexity(rng):
     for _ in range(20):
         t1 = rng.normal(size=15)
         t2 = rng.normal(size=15)
-        mid = log_partition(0.5 * t1 + 0.5 * t2, basis)
-        assert mid <= 0.5 * log_partition(t1, basis) + 0.5 * log_partition(t2, basis) + 1e-12
+        mid = make_point(0.5 * t1 + 0.5 * t2, basis).psi
+        assert mid <= 0.5 * make_point(t1, basis).psi + 0.5 * make_point(t2, basis).psi + 1e-12
 
 
 def test_state_from_params_at_zero():

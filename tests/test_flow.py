@@ -592,6 +592,21 @@ def test_entropy_clock_lands_on_duration(dims, where):
     assert stats["rhs_evals"] == 6 * attempts + 1
 
 
+def test_entropy_clock_landing_steps_from_the_nearer_end(qutrit_pair):
+    """A duration 4.7e-6 below I(rho0)/c from the eps = 0.05 origin.  The rate
+    decays steeply there, so a Newton step taken with the slope of the
+    overshooting attempt falls short of the bracket: that rule bisected its
+    way in with 9 landing retries (199 RHS evaluations).  Newton from the
+    end nearer the duration, with that end's own slope, lands in 2 (157)."""
+    shape, basis = qutrit_pair
+    theta0 = origin_point(shape, basis, EPS).theta
+    duration = 1.92298
+    traj = integrate(theta0, basis, FlowConfig(), clock="entropy", duration=duration)
+    assert traj.status == "completed"
+    assert abs(traj.t[-1] - duration) <= 1e-14 * duration
+    assert traj.integrator["landing_retries"] <= 3
+
+
 def test_integrate_counts_failed_stages_by_cause(qutrit_pair, monkeypatch):
     """A stage whose state spectrum underflows cuts its attempt short, and the
     attempt is counted under its cause, "boundary".  A zero production rate

@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 from entroflow import (
-    DomainError,
     OperatorBasis,
     UnsupportedShapeError,
     as_shape,
@@ -17,12 +16,11 @@ from entroflow import (
     exp_second_divided_difference,
     frechet_exp,
     gell_mann_basis,
-    matrix_function,
     product_basis,
     random_hermitian,
 )
 from entroflow.operators import is_hermitian, marginals, require_hermitian
-from tests.reference_geometry import hermitian_vec
+from tests.reference_geometry import hermitian_vec, matrix_function
 
 FD_STEP = 1e-5
 FRECHET_REL_TOL = 1e-8
@@ -133,9 +131,9 @@ def test_matrix_log_diagonal_roundtrip():
 
 
 def test_matrix_log_rejects_non_positive():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         matrix_function(np.diag([1.0, -0.5]).astype(complex), np.log, positive=True)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         matrix_function(np.diag([1.0, 0.0]).astype(complex), np.sqrt, positive=True)
 
 
@@ -178,7 +176,7 @@ def test_exp_log_roundtrip_conditioning_wall(rng):
     A = 0.5 * (A + A.conj().T)
     try:
         err = np.abs(exp_log_roundtrip(A) - A).max()
-    except DomainError:
+    except ValueError:
         return  # exp(A) lost numerical positivity: the honest failure mode
     assert err > 1e-8
 

@@ -7,7 +7,6 @@ from entroflow import (
     BoundaryStateError,
     UnsupportedShapeError,
     as_shape,
-    check_density_matrix,
     gibbs_state,
     lme_origin,
     marginal_entropies,
@@ -50,10 +49,23 @@ def test_lme_origin_q2():
 
 
 def test_lme_origin_rejects_unsupported_shapes():
-    with pytest.raises(UnsupportedShapeError):
-        lme_origin(as_shape([2, 3]))
-    with pytest.raises(UnsupportedShapeError):
-        lme_origin(as_shape([3, 3, 3]))
+    for dims in ([2, 3], [2, 2, 3], [3]):
+        with pytest.raises(UnsupportedShapeError):
+            lme_origin(as_shape(dims))
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [2, 2, 2, 2], [3, 3, 3]])
+def test_lme_origin_is_ghz(dims):
+    """sum_k |k...k> / sqrt(q): pure, every marginal exactly I/q."""
+    shape = as_shape(dims)
+    q = dims[0]
+    rho = lme_origin(shape)
+    phi = np.zeros(shape.total_dim)
+    for k in range(q):
+        phi[np.ravel_multi_index((k,) * len(dims), dims)] = 1.0 / np.sqrt(q)
+    np.testing.assert_allclose(rho, np.outer(phi, phi), atol=1e-14)
+    for rho_i in marginals(rho, shape):
+        np.testing.assert_allclose(rho_i, np.eye(q) / q, atol=1e-14)
 
 
 def test_regularized_origin_spectrum_and_marginals():
@@ -129,15 +141,6 @@ def test_gibbs_state_at_extreme_beta_is_the_pure_level(beta, level):
     expected = np.zeros((3, 3))
     expected[level, level] = 1.0
     np.testing.assert_array_equal(gibbs_state(H, beta), expected)
-
-
-def test_check_density_matrix_validation(rng):
-    with pytest.raises(Exception):
-        check_density_matrix(np.eye(3))  # trace 3
-    rho = random_density_matrix(4, rng)
-    spectrum = check_density_matrix(rho)
-    assert spectrum.shape == (4,)
-    assert abs(spectrum.sum() - 1.0) < 1e-10
 
 
 def test_state_log_rejects_boundary():
