@@ -524,8 +524,8 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         report, failures = _COMMANDS[args.mode](cfg, outdir, args.bits)
-    except (ConfigError, EntroflowError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, EntroflowError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     report = dict(report)
     report["failures"] = failures

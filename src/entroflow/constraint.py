@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
-from .expfamily import ExpFamilyPoint, _rotation, bkm_kernel_matrix
+from .expfamily import ExpFamilyPoint, bkm_kernel_matrix
 from .operators import (
     OperatorBasis,
     _marginal_map,
@@ -232,9 +232,8 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     U = point.eigvecs
     Lam_t = U.conj().T @ _marginal_log_sum(shape, spectra) @ U
     idx = np.arange(point.dim)
-    Fc = _rotation(basis, U, slice(None))
-    Fc[idx, :, idx] -= point.mu  # U^dag F~_a U
-    Fc = Fc.transpose(1, 0, 2)
+    Fc = U.conj().T @ basis.stack @ U
+    Fc[:, idx, idx] -= point.mu[:, None]  # U^dag F~_a U
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))

@@ -65,8 +65,9 @@ class ExpFamilyPoint:
         G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) with F~ the centred
         basis elements in the eigenbasis of rho and k the BKM kernel.
         """
-        R = _rotation(self.basis, self.eigvecs, slice(None))
-        Y = _bkm_rows(R, np.sqrt(bkm_kernel_matrix(self.eigvals)), self.mu)
+        U = self.eigvecs
+        root_k = np.sqrt(bkm_kernel_matrix(self.eigvals))
+        Y = _bkm_rows(U.conj().T @ self.basis.stack @ U, root_k, self.mu)
         return _readonly(Y @ Y.T)
 
 
@@ -153,26 +154,16 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
     )
 
 
-def _rotation(basis: OperatorBasis, U: np.ndarray, index) -> np.ndarray:
-    """U^dag F_a U for the elements selected by ``index``, shape (d, n, d).
-
-    Two 2-D GEMMs on the layout of ``OperatorBasis.side_by_side``: U^dag times
-    the elements side by side, then that product, read as (d n, d), times U.
-    """
-    d = U.shape[0]
-    return ((U.conj().T @ basis.side_by_side(index)).reshape(-1, d) @ U).reshape(d, -1, d)
-
-
 def _bkm_rows(R: np.ndarray, root_k: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Rows Y_a = sqrt(k) (R_a - mu_a I) as real views, shape (n, 2 d^2).
 
-    R is ``_rotation``'s (d, n, d) stack and ``root_k`` the square root of the
-    BKM kernel k on the spectrum p, so G_ab = sum_jk k(p_j, p_k) (F~_a)_jk
-    conj((F~_b)_jk) is Y_a . Y_b and G = Y Y^T is exactly symmetric.
+    R is the (n, d, d) stack U^dag F_a U in the eigenbasis U of rho and
+    ``root_k`` the square root of the BKM kernel k on its spectrum p, so
+    G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) is Y_a . Y_b and
+    G = Y Y^T is exactly symmetric.
     """
-    d, n = root_k.shape[0], R.shape[1]
-    Y = np.empty((n, d, d), dtype=complex)
-    np.multiply(R.transpose(1, 0, 2), root_k, out=Y)
+    n, d, _ = R.shape
+    Y = R * root_k
     Y.reshape(n, -1)[:, :: d + 1] -= mu[:, None] * np.diagonal(root_k)
     return Y.view(float).reshape(n, -1)
 

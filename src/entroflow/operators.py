@@ -315,23 +315,6 @@ class OperatorBasis:
         """Indices of the local elements of each subsystem (read-only)."""
         return tuple(_readonly(self.local_indices(i)) for i in range(self.shape.n_subsystems))
 
-    @cached_property
-    def _local_side_by_side(self) -> np.ndarray:
-        return _readonly(_side_by_side(self.stack[self.local_sector]))
-
-    def side_by_side(self, index) -> np.ndarray:
-        """Elements selected by ``index`` side by side, shape (d, n d).
-
-        Entry (j, a d + i) is (F_a)_ji, so one GEMM by a d x d matrix from the
-        left acts on every element, and the product reshaped to (d n, d) takes
-        a second GEMM from the right.  The layout of ``local_sector`` (pass
-        that array itself) is built once per basis; other selections are laid
-        out per call.
-        """
-        if index is self.local_sector:
-            return self._local_side_by_side
-        return _side_by_side(self.stack[index])
-
     def local_indices(self, subsystem: int | None = None) -> np.ndarray:
         if subsystem is None:
             mask = [lbl.startswith("local:") for lbl in self.sector_labels]
@@ -341,11 +324,6 @@ class OperatorBasis:
 
     def correlation_indices(self) -> np.ndarray:
         return np.flatnonzero([lbl.startswith("corr") for lbl in self.sector_labels])
-
-
-def _side_by_side(stack: np.ndarray) -> np.ndarray:
-    n, d, _ = stack.shape
-    return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(d, n * d)
 
 
 def product_basis(shape) -> OperatorBasis:

@@ -14,6 +14,10 @@ It also keeps the integrator's former route: the pushforward of -i[xi, rho]
 dissipative field on every coordinate (``lab_frame_endpoint``); and the
 eigen-route exp and log of a Hermitian matrix (``matrix_function``) that the
 divided differences and the Frechet derivative of exp are checked against.
+
+The integrator's stage kernel is reached at a chart point through
+``local_block_projection`` (P theta and the rate), on the stage stack that
+``integrate`` builds (``stage_kernel``).
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ from entroflow import (
     exp_divided_difference,
     exp_second_divided_difference,
     hermitian_eig,
-    local_block_projection,
     make_point,
 )
-from entroflow.constraint import PROJECTOR_COND_MAX, marginal_eigh
-from entroflow.expfamily import _rotation
-from entroflow.flow import DEFAULT_RATE_MIN, _require_local
+from entroflow.constraint import PROJECTOR_COND_MAX, _local_sector, marginal_eigh
+from entroflow.expfamily import _generator
+from entroflow.flow import DEFAULT_RATE_MIN, _require_local, _stage_projection
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
 KERNEL_RCOND = 1e-8
@@ -81,11 +84,42 @@ def matrix_function(A, f, *, positive: bool = False) -> np.ndarray:
 
 
 def _centred_rotation(point: ExpFamilyPoint) -> np.ndarray:
-    """U^dag F_a U - mu_a I for every element, shape (d, m, d)."""
-    R = _rotation(point.basis, point.eigvecs, slice(None))
+    """U^dag F_a U - mu_a I for every element, shape (m, d, d)."""
+    U = point.eigvecs
+    R = U.conj().T @ point.basis.stack @ U
     idx = np.arange(point.dim)
-    R[idx, :, idx] -= point.mu
+    R[:, idx, idx] -= point.mu[:, None]
     return R
+
+
+def stage_kernel(theta, basis, p, U) -> tuple[np.ndarray, float]:
+    """P theta and the rate from the integrator's stage kernel at the eigenpairs (p, U).
+
+    The stage stack is built as ``integrate`` builds it: the local elements,
+    then K_C = sum_C theta_C F_C.
+    """
+    local = _local_sector(basis)
+    proj = theta.copy()
+    proj[local] = 0.0
+    F = np.concatenate([basis.stack[local], _generator(proj, basis)[None]])
+    proj[local], rate = _stage_projection(theta[local], F, p, U)
+    return proj, rate
+
+
+def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:
+    """P theta and the production rate theta^T G P theta, without M, N or G.
+
+    (G v)_a = tr(F_a d rho[v]), and the local elements L of the product
+    basis span the traceless operators of every subsystem, so M v = 0 iff
+    (G v)_L = 0: ker M is the G-orthogonal complement of the local axes e_L,
+    and P theta = theta - e_L G_LL^{-1} (G theta)_L (``stage_kernel`` at the
+    point's eigenpairs).  The tests check it against the dense projector
+    N (N^T G N)^{-1} N^T G on an SVD kernel N of M.
+
+    Raises FullyConstrainedError for a single subsystem and
+    NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
+    """
+    return stage_kernel(point.theta, point.basis, point.eigvals, point.eigvecs)
 
 
 def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
@@ -97,7 +131,7 @@ def state_derivatives(point: ExpFamilyPoint) -> np.ndarray:
     """
     U = point.eigvecs
     phi = exp_divided_difference(np.log(point.eigvals))
-    D = U @ (_centred_rotation(point).transpose(1, 0, 2) * phi) @ U.conj().T
+    D = U @ (_centred_rotation(point) * phi) @ U.conj().T
     return 0.5 * (D + D.conj().transpose(0, 2, 1))
 
 
@@ -154,7 +188,7 @@ def stack_hessian(point: ExpFamilyPoint) -> np.ndarray:
 
     U = point.eigvecs
     Lam_t = U.conj().T @ Lam @ U
-    Fc = _centred_rotation(point).transpose(1, 0, 2)
+    Fc = _centred_rotation(point)
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))

@@ -24,10 +24,15 @@ from entroflow import (
 )
 from entroflow.constraint import marginal_eigh
 from entroflow.expfamily import _generator, _log_sum_exp, _spectrum, bkm_kernel_matrix
-from entroflow.flow import _local_sector, _stage_projection, local_block_projection
+from entroflow.flow import _local_sector
 from entroflow.operators import marginals
 from entroflow.states import FULL_RANK_FLOOR, entropy_of_spectrum
-from tests.reference_geometry import reference_geometry, reversible_velocity
+from tests.reference_geometry import (
+    local_block_projection,
+    reference_geometry,
+    reversible_velocity,
+    stage_kernel,
+)
 from tests.test_flow import regularised_correlated_state
 
 SHAPES = [[2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]]
@@ -110,15 +115,6 @@ def old_marginal_entropies(rho, shape):
     return np.array(out)
 
 
-def stage_kernel(theta, basis, local, p, U):
-    """P theta and the rate from the integrator's stage kernel at the eigenpairs (p, U)."""
-    corr = theta.copy()
-    corr[local] = 0.0
-    proj = theta.copy()
-    proj[local], rate = _stage_projection(theta[local], basis, local, p, U, _generator(corr, basis))
-    return proj, rate
-
-
 def chart_points(dims, rng):
     """A random interior point and a regularised correlated start."""
     shape = as_shape(dims)
@@ -192,7 +188,7 @@ def test_project_matches_cond_and_solve(dims, rng):
     local = _local_sector(basis)
     for theta in thetas:
         pt = make_point(theta, basis)
-        proj, rate = stage_kernel(theta, basis, local, pt.eigvals, pt.eigvecs)
+        proj, rate = stage_kernel(theta, basis, pt.eigvals, pt.eigvecs)
         proj_ref, rate_ref = old_project(pt, local)
         assert np.abs(proj - proj_ref).max() <= TOL * max(1.0, np.abs(theta).max())
         assert abs(rate - rate_ref) <= TOL * max(1.0, abs(rate_ref))
@@ -221,7 +217,7 @@ def test_stage_kernel_matches_old_and_dense_projection(dims, rng):
     local = _local_sector(basis)
     for theta in thetas:
         _, p, U = _spectrum(_generator(theta, basis))
-        proj, rate = stage_kernel(theta, basis, local, p, U)
+        proj, rate = stage_kernel(theta, basis, p, U)
         pt = make_point(theta, basis)
         proj_pt, rate_pt = local_block_projection(pt)  # the exact path's eigenpairs
         assert np.array_equal(proj_pt, proj) and rate_pt == rate

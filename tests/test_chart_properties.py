@@ -12,13 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from entroflow import (
     as_shape,
-    local_block_projection,
     make_point,
     marginal_entropies,
     params_from_state,
     product_basis,
     von_neumann_entropy,
 )
+from tests.reference_geometry import local_block_projection
 
 CHART = settings(derandomize=True, deadline=None, max_examples=25)
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]

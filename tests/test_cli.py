@@ -212,6 +212,24 @@ def test_oversized_shape_exits_two_before_basis(tmp_path, capsys, monkeypatch, m
     assert "above the limit 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["simulate", "origin-analysis", "stiffness"])
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 256. MiB"), "Unable to allocate"), (MemoryError(), "MemoryError")],
+)
+def test_memory_error_exits_two(tmp_path, capsys, monkeypatch, mode, exc, message):
+    """Running out of memory is a runtime error (exit 2), not a failed check
+    (exit 1, the code of an uncaught exception)."""
+
+    def no_memory(shape):
+        raise exc
+
+    monkeypatch.setattr("entroflow.cli.product_basis", no_memory)
+    assert run_cli(tmp_path, mode) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -23,7 +23,6 @@ from entroflow import (
     constraint_gradient,
     constraint_hessian,
     constraint_max,
-    local_block_projection,
     make_point,
     marginal_entropies,
     modular_hamiltonian,
@@ -38,6 +37,7 @@ from entroflow.operators import marginals
 from tests.conftest import origin_point
 from tests.reference_geometry import (
     kernel_basis,
+    local_block_projection,
     marginal_jacobian,
     marginal_projector,
     reference_geometry,

@@ -31,7 +31,6 @@ from entroflow import (
     entropy_time_fit,
     as_shape,
     integrate,
-    local_block_projection,
     make_point,
     marginal_entropies,
     multi_information,
@@ -50,6 +49,7 @@ from tests.reference_geometry import (
     entropy_production_rate,
     entropy_time_velocity,
     lab_frame_endpoint,
+    local_block_projection,
     marginal_jacobian,
     metric_theta,
     reference_geometry,

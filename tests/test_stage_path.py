@@ -96,13 +96,14 @@ def _runs(rng):
 def test_runs_build_no_chart_point(name, monkeypatch):
     """Near the origin and far out, no stage and no sample builds a chart
     point or diagonalises a marginal.  A dissipative or combined stage takes
-    one eigendecomposition of K and each sample reuses it.  A reversible
-    stage evaluates no _spectrum: its rotating-frame field is zero, so h
+    one eigendecomposition of K, which each sample reuses, and one pass of
+    BKM rows over its rotated stack.  A reversible stage evaluates no
+    _spectrum and no rows: its rotating-frame field is zero, so h
     grows 5-fold per step, and theta stays theta0, so the run takes one
     eigendecomposition, for the first sample, and every sample reuses it."""
     assert not hasattr(entroflow.flow, "make_point")
     assert not hasattr(entroflow.flow, "marginal_eigh")
-    points, spectra = [], []
+    points, spectra, rows = [], [], []
 
     def counting(calls, real):
         def wrapped(*args):
@@ -113,18 +114,20 @@ def test_runs_build_no_chart_point(name, monkeypatch):
 
     monkeypatch.setattr(entroflow.expfamily, "make_point", counting(points, make_point))
     monkeypatch.setattr(entroflow.flow, "_spectrum", counting(spectra, entroflow.flow._spectrum))
+    monkeypatch.setattr(entroflow.flow, "_bkm_rows", counting(rows, entroflow.flow._bkm_rows))
     norms = []
     for theta0, basis, cfg, clock, duration in _runs(np.random.default_rng(1))[name]:
         spectra.clear()
+        rows.clear()
         traj = integrate(theta0, basis, cfg, clock=clock, duration=duration, kind=name)
         assert traj.status in ("completed", "stationary")
         assert points == []
         stages = traj.integrator["rhs_evals"]
         if name == "reversible":
-            assert len(spectra) == 1
+            assert len(spectra) == 1 and rows == []
             np.testing.assert_allclose(traj.tau, [0.0, 0.01, 0.06, 0.3], rtol=0, atol=1e-15)
         else:
-            assert len(spectra) == stages > 5 * traj.n_samples
+            assert len(spectra) == len(rows) == stages > 5 * traj.n_samples
         norms.append(np.linalg.norm(traj.theta, axis=1))
     assert norms[0].max() < LANDMARK < norms[1][0]
 
