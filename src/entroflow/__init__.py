@@ -27,7 +27,6 @@ from .errors import (
     IntegrationError,
     NonLocalGeneratorError,
     NumericalDegeneracyError,
-    StiffRegionError,
     UnsupportedShapeError,
 )
 from .expfamily import (
@@ -91,7 +90,6 @@ __all__ = [
     "NonLocalGeneratorError",
     "NumericalDegeneracyError",
     "OperatorBasis",
-    "StiffRegionError",
     "SubsystemShape",
     "Trajectory",
     "UnsupportedShapeError",

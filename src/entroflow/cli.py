@@ -293,6 +293,8 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     slope, r2 = None, None
     if cfg["clock"] == "entropy" and traj.n_samples >= 3:
         slope, _, r2 = entropy_time_fit(traj)
+        if not math.isfinite(r2):  # H constant to round-off (c t below its resolution)
+            r2 = None
         if abs(slope - cfg["c"]) > 1e-4 * max(1.0, cfg["c"]):
             failures.append(
                 {"check": "entropy_rate", "detail": f"slope {slope!r} vs c {cfg['c']!r}"}

@@ -33,12 +33,9 @@ class IntegrationError(EntroflowError):
         self.trajectory = trajectory
 
 
-class StiffRegionError(IntegrationError):
-    """Adaptive step size underflowed."""
-
-
 class ConservationError(IntegrationError):
-    """Conserved-quantity drift exceeded the configured budget."""
+    """Conserved-quantity drift exceeded the configured budget, or a point of
+    the curve could not be solved to the configured tolerance."""
 
 
 class DegenerateProjectionError(IntegrationError, NumericalDegeneracyError):

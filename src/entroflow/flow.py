@@ -3,23 +3,30 @@
 The dissipative field is the metric projection of the entropy gradient onto
 the marginal-preserving tangent space, theta' = -P theta in game time tau,
 with production rate theta^T G P theta >= 0.  P moves only the local
-coordinates theta_L, so the rest decays exactly, theta_C = e^(-tau)
-theta_C(0); entropy time t (dH/dt = c) is the integral of rate / c, finite up
-to the stationary endpoint.  A reversible sector, the pushforward of
--i[xi, rho] for a local Hermitian xi, changes neither the entropy nor any
-marginal spectrum.  V(tau) = e^(-i xi tau) is a local unitary, under which
-the dissipative field is covariant (G, the local span and hence P are carried
-into themselves): a combined run at game time tau is the dissipative run seen
-through V(tau), and a reversible-only run is theta0 seen through it.
+coordinates theta_L and keeps every marginal, so along a run the local mean
+parameters stay mu_L(theta0) and the rest decays exactly, theta_C =
+s theta_C(0) with s = e^(-tau).  Each point of the run is therefore the
+I-projection onto the start's marginals (Csiszar, Ann. Probab. 3, 1975):
+theta_L(s) minimises the strictly convex psi(theta_L, s theta_C(0)) -
+theta_L . mu_L(theta0).  Entropy time t = (H - H0) / c (dH/dt = c) is a
+function on this curve, finite up to its endpoint s = 0, the product of the
+start marginals.
 
-``integrate`` therefore steps only (theta_L, t) against tau with an embedded
-Dormand-Prince 4(5) pair, on both clocks and in the rotating frame, and turns
-each sample into the lab frame, coordinates(V(tau_k) K(theta_k) V(tau_k)^dag);
-H, every marginal entropy and the rate are invariant under V.  A stage takes
-K(theta) and its eigenpairs, rotates the local elements and K_C as one stack
-by one batched product (``_stage_projection``), and checks only the state
-spectrum and cond(G_LL).  Each marginal entropy is
-monitored separately, never corrected: a drift beyond the budget aborts.
+A reversible sector, the pushforward of -i[xi, rho] for a local Hermitian
+xi, changes neither the entropy nor any marginal spectrum.  V(tau) =
+e^(-i xi tau) is a local unitary, under which the dissipative field is
+covariant (G, the local span and hence P are carried into themselves): a
+combined run at game time tau is the dissipative run seen through V(tau),
+and a reversible-only run is theta0 seen through it.
+
+``integrate`` therefore solves the curve by damped Newton in theta_L at the
+samples of a grid, in the rotating frame, and turns each sample into the lab
+frame, coordinates(V(tau_k) K(theta_k) V(tau_k)^dag); H, every marginal
+entropy and the rate are invariant under V.  A chart point takes K and its
+eigenpairs, rotates the local elements and K_C as one stack by one batched
+product and takes one pass of BKM rows (``_curve_point``).  Each marginal
+entropy is monitored separately at the samples, never corrected: a drift
+beyond the budget aborts.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .errors import (
     DegenerateProjectionError,
     NonLocalGeneratorError,
     NumericalDegeneracyError,
-    StiffRegionError,
 )
 from .expfamily import _bkm_rows, _check_theta, _generator, _spectrum, bkm_kernel_matrix
 from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
@@ -44,32 +50,10 @@ from .states import marginal_entropies
 
 LOCALITY_TOL = 1e-10
 DEFAULT_RATE_MIN = 1e-10
-# Floor on the stored error norm of the previous accepted step, as RADAU5
-# stores ``erracc``: a near-exact step must not license a large growth.
-PREV_ERR_FLOOR = 1e-2
-
-# Dormand-Prince 4(5) tableau; row s weighs stages 0..s-1 and stage s runs at
-# tau + c_s h; the last row doubles as the 5th-order weights (FSAL: stage 7 is
-# the derivative at the accepted point).
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
-    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
-    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
-    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
-    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
-])
-_DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
-_DP_ERR = np.array([
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-])
+# Intervals of the sample grid, evenly spaced in the run's clock.
+SAMPLES = 8
+# Chart points one Newton solve may take, trial steps included.
+NEWTON_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -79,23 +63,22 @@ class FlowConfig:
     ``xi_parts`` lists (subsystem index, Hermitian block) pairs defining the
     local reversible generator xi = sum_i xi_i (x) I; the scale of xi sets
     the speed of the reversible sector.  Runs containing the dissipative
-    sector stop with status "stationary" once the production rate falls
-    below ``rate_min``.
+    sector stop with status "stationary" once the multi-information still to
+    produce falls to ``rate_min`` / 4.  Each point of the curve is solved
+    until max |mu_L - mu_L(theta0)| <= atol + rtol max |mu_L(theta0)|.
     """
 
     c: float = 1.0
     rate_min: float = DEFAULT_RATE_MIN
-    initial_step: float = 0.01
     atol: float = 1e-8
     rtol: float = 1e-8
-    max_steps: int = 100_000
     conservation_tol: float = 1e-6
     xi_parts: tuple = ()
 
     def __post_init__(self):
         # Written so that NaN fails every test; an infinite value would
         # switch off the clock, the stationarity stop or a monitor.
-        for name in ("c", "rate_min", "initial_step", "conservation_tol"):
+        for name in ("c", "rate_min", "conservation_tol"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -105,8 +88,6 @@ class FlowConfig:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if self.atol == 0 and self.rtol == 0:
             raise ValueError("atol and rtol must not both be zero")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 def assemble_local_generator(shape, parts) -> np.ndarray:
@@ -120,35 +101,65 @@ def assemble_local_generator(shape, parts) -> np.ndarray:
     return xi
 
 
-def _stage_projection(theta_local, F, p, U) -> tuple[np.ndarray, float]:
-    """(P theta)_L and the rate from theta_L, the eigenpairs (p, U) of rho and
-    the stage stack F = [F_a for a in L, K_C], K_C = sum_C theta_C F_C.
+@dataclass(frozen=True)
+class _CurvePoint:
+    """theta_L at x = log s and what one chart point gives there."""
 
-    One batched product rotates the stack, R = U^dag F U.  The local
-    diagonals give mu_L = p . diag R_a and g_L = (p c) . diag R_a with
-    c = log p - <log p>, and one pass of BKM rows sqrt(k) (R - mu I), k the
-    BKM kernel, gives the local rows Y and, last, the row z of K_C: G_LL = Y Y^T
-    and (P theta)_L = theta_L - G_LL^{-1} g_L.  The rate
+    x: float
+    theta: np.ndarray  # theta_L
+    p: np.ndarray  # spectrum and eigenvectors of rho
+    U: np.ndarray
+    mu: np.ndarray  # mu_L
+    objective: float  # psi - theta_L . mu_L(theta0)
+    H: float
+    H_curve: float  # H on the curve at x, to second order in mu_L - mu_L(theta0)
+    rate: float  # dH/dtau
+    newton: np.ndarray  # -G_LL^{-1} (mu_L - mu_L(theta0))
+    tangent: np.ndarray  # d theta_L / dx = -G_LL^{-1} Y z
+
+
+def _curve_point(x, theta_local, F, local_rows, mu_target) -> _CurvePoint:
+    """The chart point at theta_L and s = e^x, where the stack F holds the
+    local elements and, last, K_C(0) = sum_C theta_C(0) F_C.
+
+    One batched product rotates the stack, R = U^dag F U, in the eigenbasis U
+    of rho (spectrum p).  The local diagonals give mu_L = p . diag R_a, and one
+    pass of BKM rows sqrt(k) (R - mu I), k the BKM kernel, gives the local
+    rows Y and, last, the row of K_C(0), scaled by s into z, the row of K_C:
+    G_LL = Y Y^T.  One solve with G_LL gives the Newton step on the
+    gradient mu_L - ``mu_target`` and the tangent -G_LL^{-1} Y z.  The rate
     theta_C^T (G_CC - G_CL G_LL^{-1} G_LC) theta_C is |z - Y^T G_LL^{-1} Y z|^2,
-    a sum of squares, quadratic in theta_C and 0 at a product state.  The
-    field keeps g_L, whose p-weighted diagonal loses fewer digits than z when
-    the spectrum spans many decades.
+    a sum of squares, 0 at a product state.  dH/dtheta_L = -(G theta)_L =
+    -G_LL (theta_L - tangent), so the Newton step would change H by
+    (theta_L - tangent) . (mu_L - mu_target) to first order: ``H_curve``.
     """
-    logp = np.log(p)
-    c = logp - p @ logp
+    s = math.exp(x)
+    K = (theta_local @ local_rows).view(complex).reshape(F.shape[1:]) + s * F[-1]
+    psi, p, U = _spectrum(K)
     R = U.conj().T @ F @ U
     diag = np.diagonal(R, axis1=1, axis2=2).real
     mu = diag @ p
-    # mu_C stays its own dot product: a matvec row rounds differently, and the
-    # step controller would carry that ulp into every later step, so flows
-    # would stop reproducing earlier trajectory files byte for byte.
-    mu[-1] = p @ diag[-1]
     rows = _bkm_rows(R, np.sqrt(bkm_kernel_matrix(p)), mu)
-    Y, z = rows[:-1], rows[-1]
-    rhs = np.column_stack([diag[:-1] @ (p * c), Y @ z])
-    coeffs, corr_coeffs = _solve_local_block(Y @ Y.T, rhs).T
-    resid = z - corr_coeffs @ Y
-    return theta_local - coeffs, float(resid @ resid)
+    Y, z = rows[:-1], s * rows[-1]
+    mu_L = mu[:-1]
+    if mu_target is None:  # the start defines the target
+        mu_target = mu_L
+    newton, w = _solve_local_block(Y @ Y.T, np.column_stack([mu_target - mu_L, Y @ z])).T
+    resid = z - w @ Y
+    H = -float(p @ np.log(p))
+    return _CurvePoint(
+        x=x,
+        theta=theta_local,
+        p=p,
+        U=U,
+        mu=mu_L,
+        objective=psi - float(theta_local @ mu_target),
+        H=H,
+        H_curve=H + float((theta_local + w) @ (mu_L - mu_target)),
+        rate=float(resid @ resid),
+        newton=newton,
+        tangent=-w,
+    )
 
 
 def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
@@ -179,10 +190,11 @@ def _lab_frame(theta, tau, basis: OperatorBasis, w, W) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Diagnostics sampled at the accepted steps of one integration run.
+    """Diagnostics sampled on one run's grid.
 
-    Row k is the state after k accepted steps (row 0 is the start).
-    ``integrator`` holds the run's step-control counts (see ``integrate``).
+    Row 0 is the start; rows 1..SAMPLES lie evenly spaced in the run's clock
+    up to its end, so a run that is stationary at its start has one row.
+    ``integrator`` holds the counts of the solve (see ``integrate``).
     """
 
     clock: str
@@ -223,7 +235,7 @@ class Trajectory:
     def write_csv(self, path, *, bits: bool = False) -> None:
         """Write the per-sample table; --bits rescales entropic columns only.
 
-        ``step`` is the row index k and ``theta_norm`` is |theta_k|.
+        ``step`` is the sample index k and ``theta_norm`` is |theta_k|.
         """
         conv = 1.0 / math.log(2.0) if bits else 1.0
         nsub = self.marginals.shape[1]
@@ -263,42 +275,22 @@ class Trajectory:
 
 
 def entropy_time_fit(traj: Trajectory) -> tuple[float, float, float]:
-    """Least-squares line H = slope * t + intercept and its R^2."""
+    """Least-squares line H = slope * t + intercept and its R^2.
+
+    The fit runs against t / max |t|, so that no scale of t under- or
+    overflows the fit's column scaling.
+    """
     t = traj.t
     H = traj.H
-    slope, intercept = np.polyfit(t, H, 1)
+    scale = float(np.max(np.abs(t))) or 1.0
+    slope, intercept = np.polyfit(t / scale, H, 1)
+    slope /= scale
     resid = H - (slope * t + intercept)
     ss_res = float(resid @ resid)
     centred = H - H.mean()
     ss_tot = float(centred @ centred)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
     return float(slope), float(intercept), r2
-
-
-def _step_factor(err_norm: float, h: float, prev) -> float:
-    """Step-size factor after an accepted step of size h with error norm err_norm.
-
-    The classic rule 0.9 e^(-1/5) reads the last error alone.  Gustafsson's
-    predictive rule (ACM TOMS 20(4), 1994; Hairer & Wanner, Solving ODEs II,
-    IV.8) also reads the previous accepted step ``prev = (h_prev, err_prev)``:
-
-        0.9 (h / h_prev) e^(-1/5) (err_prev / e)^(1/5).
-
-    The factor is the smaller rule, clamped to [0.2, 5]: the prediction only
-    makes a step more cautious.  It is kept because it costs no more overall,
-    in RHS evaluations with ``FlowConfig()``: the default ``simulate`` run
-    takes 163 against 175 for the classic rule alone, and 18 runs take 2064
-    against 2058, single runs from 12 fewer to 18 more.  The 18 are the
-    eps = 0.05 origin ([2,3]: a 0.5 N(0, I) start) at [3,3], [2,3], [2,2,2],
-    [4,4] and [2,2,2,2] on the entropy clock to 10 and 0.5 and the game clock
-    to 2, and three 0.5 N(0, I) starts at [3,3] on the entropy clock to 10.
-    """
-    e = max(err_norm, 1e-16)
-    factor = 0.9 * e ** -0.2
-    if prev is not None:
-        h_prev, err_prev = prev
-        factor = min(factor, factor * (h / h_prev) * (err_prev / e) ** 0.2)
-    return min(5.0, max(0.2, factor))
 
 
 def integrate(
@@ -310,7 +302,7 @@ def integrate(
     duration: float,
     kind: str = "dissipative",
 ) -> Trajectory:
-    """Integrate one flow with adaptive Dormand-Prince 4(5) stepping.
+    """Solve one flow on a grid of SAMPLES intervals in its clock.
 
     Parameters
     ----------
@@ -321,8 +313,8 @@ def integrate(
     config : FlowConfig
         Tolerances, entropy speed c, stationarity threshold, generator.
     clock : {"entropy", "game"}
-        The clock ``duration`` limits, entropy time t (dH/dt = c) or game
-        time tau.  tau is always stepped and t integrated, t' = rate / c.
+        The clock ``duration`` limits and the grid is even in: entropy time
+        t = (H - H0) / c or game time tau.
     duration : float
         Upper limit of the chosen clock.
     kind : {"dissipative", "combined", "reversible"}
@@ -332,47 +324,45 @@ def integrate(
     Returns
     -------
     Trajectory
-        Samples at every accepted step, theta in the lab frame, with the
-        production rate (P theta)^T G (P theta) (0 in a reversible-only run).
-        ``integrator`` counts accepted steps, rejected attempts (error norm
-        above 1 or not finite), attempts cut short by a failed stage
-        (``failed_stages``, by cause: "boundary"), attempts redone to land a
-        stop (``landing_retries``) and RHS evaluations (6 per attempt plus 1
-        when no stage failed); it holds the smallest and largest accepted
-        step and the last finite error norm.
+        Samples at tau_k = k tau_end / SAMPLES (game clock) or
+        t_k = k t_end / SAMPLES (entropy clock), theta in the lab frame, with
+        the production rate (P theta)^T G (P theta) (0 in a reversible-only
+        run).  ``integrator`` counts the Newton steps taken and the chart
+        points, each one eigendecomposition of K.
 
     Notes
     -----
-    The stepped state is (theta_L, t) (module docstring); theta_C is
-    e^(-tau) theta0_C with the dissipative sector and theta0_C without.  A
-    reversible-only run steps a zero field, so h grows 5-fold per step from
-    ``initial_step`` (duration 2 is sampled at tau = 0, 0.01, 0.06, 0.31, 1.56
-    and 2), and its samples share one eigendecomposition, of K(theta0).
+    With x = log s, theta_L(x) minimises psi(theta_L, e^x theta_C(0)) -
+    theta_L . mu_L(theta0) (module docstring).  Each point is solved by
+    Newton with the step -G_LL^{-1} (mu_L - mu_L(theta0)), from the previous
+    point's Newton update moved along its tangent, until
+    max |mu_L - mu_L(theta0)| <= atol + rtol max |mu_L(theta0)|; a trial that
+    meets the state-spectrum floor or raises the objective is halved, and a
+    solve not converged within NEWTON_MAX chart points raises
+    ConservationError.
 
-    Runs with the dissipative sector stop "stationary" once the rate falls
-    below ``config.rate_min``, at theta0 too.  Two stops are landed by redoing
-    an attempt that met the tolerance.  One that carries t past an
-    entropy-clock ``duration`` by more than 1e-14 max(1, duration) brackets
-    it between h = 0 (or the last attempt that fell short) and the last that
-    went past.  A Newton step on t(h) = duration is tried from each end with
-    that end's own slope rate / c, the end nearer the duration first, and
-    the first that falls strictly inside the bracket is taken; if neither
-    does, the bracket is bisected.
-    One whose rate falls below rate_min / 100 takes h from log rate
-    interpolated across it (the rate decays like e^(-2 tau) near the
-    endpoint), aimed at rate_min / 10.
+    Both stops and every entropy-clock sample land H on a goal within
+    1e-14 max(1, |H|) by Newton steps in x on log(C(theta0) - H), whose
+    slope is rate / (C(theta0) - H) and which is linear on the tail; the
+    steps read H on the curve to second order in the Newton residual
+    (``_curve_point``), and the landed point takes one more Newton step
+    when its own H is off the goal.  Until the goal is bracketed a step
+    changes s by at most a factor e (and stops at a game-clock
+    ``duration``); inside the bracket a step that leaves it is replaced by
+    bisection.  A run with the dissipative sector ends
+    "stationary" where C(theta0) - H reaches rate_min / 4, so its last rate
+    is about rate_min / 2 (when rate_min / 4 is below the resolution of H,
+    one step along the tail law rate ~ e^(2x) puts it there), or at theta0
+    when C(theta0) - H0 <= rate_min / 4 or the rate is 0; otherwise
+    "completed" at ``duration``.  A reversible-only run solves nothing: its
+    samples share one eigendecomposition, of K(theta0).
 
-    A stage fails ("boundary") when the spectrum of rho underflows
-    STATE_UNDERFLOW_FLOOR; a non-finite stage state gets a NaN field, which
-    the error norm rejects.  An accepted step grows h by ``_step_factor``, a
-    rejected attempt shrinks it by max(0.2, 0.9 e^(-1/5)), a failed stage
-    halves it; below 1e-14 max(1, tau) it has underflowed (StiffRegionError).
-    A drift of any h_i beyond ``config.conservation_tol`` raises
-    ConservationError, and cond(G_LL) above PROJECTOR_COND_MAX after the
-    first sample DegenerateProjectionError; all three carry the partial
-    trajectory.  A single-subsystem basis raises FullyConstrainedError, a
-    non-local generator NonLocalGeneratorError and a degenerate block at
-    theta0 NumericalDegeneracyError, before the first step.
+    A drift of any h_i beyond ``config.conservation_tol`` at a sample raises
+    ConservationError, and cond(G_LL) above PROJECTOR_COND_MAX after theta0
+    DegenerateProjectionError; both carry the samples taken so far.  A
+    single-subsystem basis raises FullyConstrainedError, a non-local
+    generator NonLocalGeneratorError and a degenerate block at theta0
+    NumericalDegeneracyError, before the first sample.
     """
     if clock not in ("entropy", "game"):
         raise ValueError(f"unknown clock {clock!r}")
@@ -387,7 +377,6 @@ def integrate(
 
     shape = basis.shape
     local = _local_sector(basis)
-    dissipative = kind in ("dissipative", "combined")
     frame = None  # eigenpairs of xi, which rotate the samples into the lab frame
     if kind != "dissipative":
         # Locality is what makes the rotation exact (module docstring).
@@ -395,55 +384,8 @@ def integrate(
         frame = np.linalg.eigh(xi)
 
     theta0 = _check_theta(theta0, basis)
-    local_rows = basis.real_rows[local]
-    theta_corr = theta0.copy()
-    theta_corr[local] = 0.0
-    K_corr = _generator(theta_corr, basis)  # K_C at tau = 0
-    F = np.concatenate([basis.stack[local], K_corr[None]])  # a stage writes K_C(tau) last
-
-    def rhs(tau, y, out):
-        """Write the field at (tau, (theta_L, t)) into ``out``; return ((p, U) or None, rate)."""
-        stats["rhs_evals"] += 1
-        if not dissipative:  # the reversible sector is applied in ``build``
-            out.fill(0.0)
-            return None, 0.0
-        if not np.isfinite(y).all():  # the error norm rejects the attempt
-            out.fill(np.nan)
-            return None, math.nan
-        K_C = np.multiply(K_corr, math.exp(-tau), out=F[-1])
-        eig = _spectrum((y[:-1] @ local_rows).view(complex).reshape(K_C.shape) + K_C)[1:]
-        proj_local, rate = _stage_projection(y[:-1], F, *eig)
-        np.negative(proj_local, out=out[:-1])
-        out[-1] = rate / config.c
-        return eig, rate
-
-    y = np.append(theta0[local], 0.0)
     rows = []  # one (tau, t, H, marginal entropies, rate, theta) per sample
-    stats = {
-        "accepted": 0,
-        "rejected": 0,
-        "failed_stages": {"boundary": 0},
-        "landing_retries": 0,
-        "rhs_evals": 0,
-        "h_min": None,
-        "h_max": None,
-        "last_err_norm": None,
-    }
-    # Row s holds the field of stage s; row 6 is the new point's, copied to
-    # row 0 when the step is accepted.
-    stages = np.empty((7, y.size))
-
-    def record(tau, eig, rate):
-        theta = theta0 * (math.exp(-tau) if dissipative else 1.0)
-        theta[local] = y[:-1]
-        if eig is None and rows:  # reversible-only: every sample is theta0's state
-            H, marg = rows[0][2:4]
-        else:
-            p, U = _spectrum(_generator(theta, basis))[1:] if eig is None else eig
-            H = -float(p @ np.log(p))
-            marg = marginal_entropies((U * p) @ U.conj().T, shape)
-        rows.append((tau, float(y[-1]), H, marg, rate, theta))
-        return marg
+    stats = {"newton_steps": 0, "chart_points": 0}
 
     def build(status):
         tau, t, H, marg, rate, theta = (np.array(col) for col in zip(*rows))
@@ -451,85 +393,34 @@ def integrate(
             theta = _lab_frame(theta, tau, basis, *frame)
         return Trajectory(clock, kind, shape.dims, status, tau, t, H, marg, rate, theta, stats)
 
-    eig, rate = rhs(0.0, y, stages[0])
-    marg0 = record(0.0, eig, rate)
-    if dissipative and rate < config.rate_min:
-        return build("stationary")
+    if kind == "reversible":  # theta stays theta0 in the rotating frame
+        stats["chart_points"] = 1
+        p, U = _spectrum(_generator(theta0, basis))[1:]
+        H = -float(p @ np.log(p))
+        marg = marginal_entropies((U * p) @ U.conj().T, shape)
+        for k in range(SAMPLES + 1):
+            rows.append((duration * k / SAMPLES, 0.0, H, marg, 0.0, theta0))
+        return build("completed")
 
-    tau = 0.0
-    tau_end, t_end = (duration, math.inf) if clock == "game" else (math.inf, duration)
-    land_tol = 1e-14 * max(1.0, duration)
-    h = config.initial_step
-    status = "max_steps"
-    prev = None
-    bracket = None  # [short, past]: step sizes whose t fell short of / passed t_end
+    local_rows = basis.real_rows[local]
+    theta_corr = theta0.copy()
+    theta_corr[local] = 0.0
+    F = np.concatenate([basis.stack[local], _generator(theta_corr, basis)[None]])
 
-    while stats["accepted"] < config.max_steps:
-        h_min = 1e-14 * max(1.0, tau)  # the spacing of tau, not of duration
-        if tau_end - tau <= h_min or t_end - y[-1] <= land_tol:
-            status = "completed"
-            break
-        h = min(h, tau_end - tau)
+    def point(x, theta_local, mu_target):
+        stats["chart_points"] += 1
+        return _curve_point(x, theta_local, F, local_rows, mu_target)
 
-        try:
-            for s in range(1, 7):
-                y_new = y + h * (_DP_A[s, :s] @ stages[:s])
-                new_eig, new_rate = rhs(tau + _DP_C[s] * h, y_new, stages[s])
-        except BoundaryStateError:
-            stats["failed_stages"]["boundary"] += 1
-            factor = 0.5
-        except NumericalDegeneracyError as exc:
-            raise DegenerateProjectionError(str(exc), build("degenerate")) from exc
-        else:
-            factor = None
-            err = h * (_DP_ERR @ stages)
-            scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            # With atol = 0 a component that stays exactly 0 has scale 0: a
-            # zero error there meets the tolerance, any other error fails it.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = err / scale
-            ratio[err == 0.0] = 0.0
-            err_norm = float(np.sqrt(np.mean(ratio**2)))
-            if not np.isfinite(err_norm):
-                stats["rejected"] += 1
-                factor = 0.5
-            else:
-                stats["last_err_norm"] = err_norm
-                if err_norm > 1.0:
-                    stats["rejected"] += 1
-                    factor = max(0.2, 0.9 * err_norm ** -0.2)
+    start = point(0.0, theta0[local], None)
+    target = start.mu
+    newton_tol = config.atol + config.rtol * float(np.abs(target).max())
 
-        if factor is not None:
-            h *= factor
-            if h < h_min:
-                raise StiffRegionError(f"step size underflowed below {h_min:.1e}", build("stiff"))
-            continue
-
-        miss = float(y_new[-1] - t_end)
-        if miss > land_tol or (bracket and miss < -land_tol):
-            stats["landing_retries"] += 1
-            bracket = bracket or [(0.0, float(y[-1] - t_end), float(stages[0, -1])), None]
-            bracket[int(miss > 0)] = (h, miss, float(stages[6, -1]))
-            (lo, *_), (hi, *_) = bracket
-            ends = sorted(bracket, key=lambda end: abs(end[1]))  # nearer end first
-            newton = (h_e - miss_e / slope for h_e, miss_e, slope in ends if slope > 0)
-            h = next((h_n for h_n in newton if lo < h_n < hi), 0.5 * (lo + hi))
-            continue
-        if dissipative and new_rate < 0.01 * config.rate_min:
-            stats["landing_retries"] += 1
-            aim = math.log(10.0 * rate / config.rate_min)
-            h *= aim / math.log(rate / new_rate) if new_rate > 0 else 0.5
-            continue
-
-        # Accepted step.
-        stats["accepted"] += 1
-        stats["h_min"] = h if stats["h_min"] is None else min(stats["h_min"], h)
-        stats["h_max"] = h if stats["h_max"] is None else max(stats["h_max"], h)
-        tau += h
-        y = y_new
-        eig, rate = new_eig, new_rate
-        stages[0] = stages[6]
-        drift = np.abs(record(tau, eig, rate) - marg0)
+    def record(pt, t):
+        theta = theta0 * math.exp(pt.x)
+        theta[local] = pt.theta
+        marg = marginal_entropies((pt.U * pt.p) @ pt.U.conj().T, shape)
+        rows.append((0.0 - pt.x, t, pt.H, marg, pt.rate, theta))  # tau, never -0.0
+        drift = np.abs(marg - rows[0][3])
         if drift.max() > config.conservation_tol:
             worst = int(np.argmax(drift))
             raise ConservationError(
@@ -537,11 +428,99 @@ def integrate(
                 f"exceeds {config.conservation_tol:.1e}",
                 build("conservation"),
             )
-        if dissipative and rate < config.rate_min:
-            status = "stationary"
-            break
-        factor = _step_factor(err_norm, h, prev)
-        prev = (h, max(err_norm, PREV_ERR_FLOOR))
-        h *= factor
 
+    def solve(x, near):
+        """The curve point at x, by damped Newton from ``near``'s own Newton
+        update moved along its tangent (exact to first order in s)."""
+        base, step = near.theta + near.newton, math.expm1(x - near.x) * near.tangent
+        pt = None
+        for _ in range(NEWTON_MAX):
+            theta = base + step
+            try:
+                trial = point(x, theta, target) if np.isfinite(theta).all() else None
+            except BoundaryStateError:
+                trial = None
+            # Halve a trial that left the chart or raised the objective beyond round-off.
+            if trial is None or (
+                pt is not None and trial.objective > pt.objective + 1e-13 * max(1.0, abs(pt.objective))
+            ):
+                step = 0.5 * step
+                continue
+            pt = trial
+            if float(np.abs(pt.mu - target).max()) <= newton_tol:
+                return pt
+            stats["newton_steps"] += 1
+            base, step = pt.theta, pt.newton
+        raise ConservationError(
+            f"Newton did not bring mu_L within {newton_tol:.1e} of mu_L(theta0) "
+            f"at tau = {-x:.6g} in {NEWTON_MAX} chart points",
+            build("conservation"),
+        )
+
+    def land(pt, H_goal, gap_goal, x_min=-math.inf):
+        """The curve point from ``pt`` on where H = H_goal, C(theta0) - H_goal
+        being ``gap_goal``; the point at x_min, or where the rate is 0, if
+        H stays below the goal until there.  The steps read ``H_curve``, which
+        the Newton tolerance leaves smooth in x, and the landed point takes
+        one more Newton step when its own H is off the goal."""
+        above = None  # the nearest point found with H above the goal
+        below = pt  # and below it; x falls as H rises
+        while abs(pt.H_curve - H_goal) > 1e-14 * max(1.0, abs(pt.H)):
+            if pt.H_curve < H_goal:
+                below = pt
+            else:
+                above = pt
+            if above is None and (pt.x <= x_min or pt.rate == 0.0):
+                return pt
+            gap = C0 - pt.H_curve
+            x = -math.inf
+            if gap > 0.0 and gap_goal > 0.0 and pt.rate > 0.0:
+                x = pt.x + (math.log(gap_goal) - math.log(gap)) * gap / pt.rate
+            if above is None:
+                x = max(x, pt.x - 1.0, x_min)
+            elif not above.x < x < below.x:
+                x = 0.5 * (above.x + below.x)
+                if x in (above.x, below.x):  # the bracket holds no other double
+                    return min(above, below, key=lambda q: abs(q.H - H_goal))
+            pt = solve(x, pt)
+        if abs(pt.H - H_goal) > 1e-14 * max(1.0, abs(pt.H)):
+            pt = solve(pt.x, pt)
+        return pt
+
+    record(start, 0.0)
+    C0 = float(rows[0][3].sum())
+    gap_stop = 0.25 * config.rate_min
+    if C0 - start.H <= gap_stop or start.rate == 0.0:
+        return build("stationary")
+
+    try:
+        status = "completed"
+        x_min = -duration if clock == "game" else -math.inf
+        end = None
+        if clock == "game" or config.c * duration >= C0 - start.H - gap_stop:
+            end = land(start, C0 - gap_stop, gap_stop, x_min)
+            if end.x > x_min or end.H >= C0 - gap_stop - 1e-14 * max(1.0, abs(end.H)):
+                status = "stationary"
+                if end.rate > 0.0 and not 0.01 * config.rate_min <= end.rate < config.rate_min:
+                    x = end.x + 0.5 * math.log(0.5 * config.rate_min / end.rate)
+                    if x <= x_min:
+                        x, status = x_min, "completed"
+                    end = solve(x, end)
+        pt = start
+        if clock == "game":
+            for k in range(1, SAMPLES):
+                pt = solve(end.x * k / SAMPLES, pt)
+                record(pt, (pt.H - start.H) / config.c)
+            record(end, (end.H - start.H) / config.c)
+        else:
+            t_end = duration if end is None else (end.H - start.H) / config.c
+            for k in range(1, SAMPLES + (end is None)):
+                t = t_end * k / SAMPLES
+                H_goal = start.H + config.c * t
+                pt = land(pt, H_goal, C0 - H_goal)
+                record(pt, t)
+            if end is not None:
+                record(end, t_end)
+    except NumericalDegeneracyError as exc:
+        raise DegenerateProjectionError(str(exc), build("degenerate")) from exc
     return build(status)

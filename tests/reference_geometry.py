@@ -15,9 +15,9 @@ dissipative field on every coordinate (``lab_frame_endpoint``); and the
 eigen-route exp and log of a Hermitian matrix (``matrix_function``) that the
 divided differences and the Frechet derivative of exp are checked against.
 
-The integrator's stage kernel is reached at a chart point through
-``local_block_projection`` (P theta and the rate), on the stage stack that
-``integrate`` builds (``stage_kernel``).
+The stepped integrator's stage kernel, P theta and the rate by the
+local-block route from the eigenpairs of rho alone (``stage_kernel``), is
+reached at a chart point through ``local_block_projection``.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from entroflow import (
     hermitian_eig,
     make_point,
 )
-from entroflow.constraint import PROJECTOR_COND_MAX, _local_sector, marginal_eigh
-from entroflow.expfamily import _generator
-from entroflow.flow import DEFAULT_RATE_MIN, _require_local, _stage_projection
+from entroflow.constraint import PROJECTOR_COND_MAX, _local_sector, _solve_local_block, marginal_eigh
+from entroflow.expfamily import _bkm_rows, _generator
+from entroflow.flow import DEFAULT_RATE_MIN, _require_local
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
 KERNEL_RCOND = 1e-8
@@ -93,17 +93,31 @@ def _centred_rotation(point: ExpFamilyPoint) -> np.ndarray:
 
 
 def stage_kernel(theta, basis, p, U) -> tuple[np.ndarray, float]:
-    """P theta and the rate from the integrator's stage kernel at the eigenpairs (p, U).
+    """P theta and the rate at the eigenpairs (p, U) of rho(theta), the kernel
+    that the stepped integrator evaluated at every stage.
 
-    The stage stack is built as ``integrate`` builds it: the local elements,
-    then K_C = sum_C theta_C F_C.
+    One batched product rotates the local elements and K_C = sum_C theta_C F_C,
+    R = U^dag F U.  The local diagonals give mu_L = p . diag R_a and
+    g_L = (G theta)_L = (p c) . diag R_a with c = log p - <log p>, and one pass
+    of BKM rows sqrt(k) (R - mu I) gives the local rows Y and, last, the row z
+    of K_C: G_LL = Y Y^T and (P theta)_L = theta_L - G_LL^{-1} g_L.  The rate
+    theta_C^T (G_CC - G_CL G_LL^{-1} G_LC) theta_C is |z - Y^T G_LL^{-1} Y z|^2.
     """
     local = _local_sector(basis)
     proj = theta.copy()
     proj[local] = 0.0
     F = np.concatenate([basis.stack[local], _generator(proj, basis)[None]])
-    proj[local], rate = _stage_projection(theta[local], F, p, U)
-    return proj, rate
+    logp = np.log(p)
+    c = logp - p @ logp
+    R = U.conj().T @ F @ U
+    diag = np.diagonal(R, axis1=1, axis2=2).real
+    rows = _bkm_rows(R, np.sqrt(bkm_kernel_matrix(p)), diag @ p)
+    Y, z = rows[:-1], rows[-1]
+    rhs = np.column_stack([diag[:-1] @ (p * c), Y @ z])
+    coeffs, corr_coeffs = _solve_local_block(Y @ Y.T, rhs).T
+    resid = z - corr_coeffs @ Y
+    proj[local] = theta[local] - coeffs
+    return proj, float(resid @ resid)
 
 
 def local_block_projection(point: ExpFamilyPoint) -> tuple[np.ndarray, float]:

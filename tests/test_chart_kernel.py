@@ -237,8 +237,9 @@ def test_stage_kernel_matches_old_and_dense_projection(dims, rng):
 
 @pytest.mark.parametrize("dims", SHAPES)
 def test_recorded_entropy_matches_chart_point(dims, rng):
-    """H = -sum p log p from the stage's eigenpairs (or one eigh of K per
-    sample in a reversible run) equals psi - theta . mu of a chart point."""
+    """H = -sum p log p from the eigenpairs of each sample's point on the
+    curve (or the one eigh of K(theta0) in a reversible run) equals
+    psi - theta . mu of a chart point."""
     shape, basis, thetas = thetas_past_radius(dims, rng)
     xi_parts = [(i, random_hermitian(q, rng)) for i, q in enumerate(shape.dims)]
     cfg = FlowConfig(xi_parts=xi_parts)

@@ -1,12 +1,14 @@
-"""Flow stages at every |theta|: one stage path, near the origin and far out.
+"""Chart points at every |theta|: one path, near the origin and far out.
 
-Every stage of a run with a dissipative sector computes K(theta) and one
-eigendecomposition of it, at any |theta|, and a reversible-only stage
-computes nothing.  Runs start both near theta = 0 and beyond |theta| = 18.27,
-where a [3,3] flow once switched to another stage path; the spectrum bound
-lambda_min(rho_i) >= e^(-sqrt2 |theta|) / d_i that set that landmark still
-holds.
+Every chart point of a run with a dissipative sector computes K(theta) and
+one eigendecomposition of it, at any |theta|, and a reversible-only run
+computes one, of K(theta0).  Runs start both near theta = 0 and beyond
+|theta| = 18.27, where a [3,3] flow once switched to another stage path; the
+spectrum bound lambda_min(rho_i) >= e^(-sqrt2 |theta|) / d_i that set that
+landmark still holds.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,10 +20,10 @@ import entroflow.expfamily
 import entroflow.flow
 from entroflow import (
     BoundaryStateError,
+    ConservationError,
     FlowConfig,
     IntegrationError,
     NumericalDegeneracyError,
-    StiffRegionError,
     as_shape,
     integrate,
     make_point,
@@ -31,6 +33,7 @@ from entroflow import (
     regularized_origin,
 )
 from entroflow.constraint import marginal_eigh
+from entroflow.flow import SAMPLES
 from entroflow.operators import marginals
 
 BOUND_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4)]
@@ -94,13 +97,12 @@ def _runs(rng):
 
 @pytest.mark.parametrize("name", ["reversible", "dissipative", "combined"])
 def test_runs_build_no_chart_point(name, monkeypatch):
-    """Near the origin and far out, no stage and no sample builds a chart
-    point or diagonalises a marginal.  A dissipative or combined stage takes
-    one eigendecomposition of K, which each sample reuses, and one pass of
-    BKM rows over its rotated stack.  A reversible stage evaluates no
-    _spectrum and no rows: its rotating-frame field is zero, so h
-    grows 5-fold per step, and theta stays theta0, so the run takes one
-    eigendecomposition, for the first sample, and every sample reuses it."""
+    """Near the origin and far out, no chart point and no sample builds an
+    ExpFamilyPoint or diagonalises a marginal.  A dissipative or combined
+    chart point takes one eigendecomposition of K, which a sample reuses, and
+    one pass of BKM rows over its rotated stack.  A reversible-only run
+    evaluates no rows: theta stays theta0 in the rotating frame, so the run
+    takes one eigendecomposition and every sample of its tau grid reuses it."""
     assert not hasattr(entroflow.flow, "make_point")
     assert not hasattr(entroflow.flow, "marginal_eigh")
     points, spectra, rows = [], [], []
@@ -122,12 +124,12 @@ def test_runs_build_no_chart_point(name, monkeypatch):
         traj = integrate(theta0, basis, cfg, clock=clock, duration=duration, kind=name)
         assert traj.status in ("completed", "stationary")
         assert points == []
-        stages = traj.integrator["rhs_evals"]
+        chart_points = traj.integrator["chart_points"]
         if name == "reversible":
-            assert len(spectra) == 1 and rows == []
-            np.testing.assert_allclose(traj.tau, [0.0, 0.01, 0.06, 0.3], rtol=0, atol=1e-15)
+            assert len(spectra) == 1 and rows == [] and chart_points == 1
+            np.testing.assert_array_equal(traj.tau, duration * np.arange(SAMPLES + 1) / SAMPLES)
         else:
-            assert len(spectra) == len(rows) == stages > 5 * traj.n_samples
+            assert len(spectra) == len(rows) == chart_points >= traj.n_samples
         norms.append(np.linalg.norm(traj.theta, axis=1))
     assert norms[0].max() < LANDMARK < norms[1][0]
 
@@ -153,12 +155,11 @@ def test_reversible_run_far_out_still_hits_marginal_floor(qutrit_pair):
 
 
 def test_non_finite_stage_theta_takes_exact_path(qutrit_pair, monkeypatch):
-    """The one stage path for a theta that is not finite: once every field
-    comes out NaN the next stage theta is NaN, its stage writes a NaN field
-    without evaluating anything, the error norm rejects each attempt, and the
-    step size underflows.  For both kinds with a field (a reversible-only run
-    steps a zero field) the partial trajectory is the clean run's up to the
-    poisoning, in the lab frame too."""
+    """The one path for a theta_L that is not finite: once every Newton step
+    comes out NaN, the next trial is NaN and is halved without evaluating a
+    chart point, until the solve's budget runs out (ConservationError).  For
+    both kinds with a dissipative sector the partial trajectory is the clean
+    run's up to the poisoning, in the lab frame too."""
     shape, basis = qutrit_pair
     theta0 = np.random.default_rng(3).normal(size=basis.size) * 0.1
     cfg = FlowConfig(xi_parts=_xi_parts(np.random.default_rng(4)))
@@ -174,21 +175,21 @@ def test_non_finite_stage_theta_takes_exact_path(qutrit_pair, monkeypatch):
         def wrapped(*args):
             calls.append(None)
             out = real(*args)
-            if len(calls) <= 20:
+            if len(calls) <= 8:
                 return out
-            return np.full_like(out[0], np.nan), out[1]  # (P theta, rate)
+            return dataclasses.replace(out, newton=np.full_like(out.newton, np.nan))
 
         return wrapped
 
-    real = entroflow.flow._stage_projection
-    monkeypatch.setattr(entroflow.flow, "_stage_projection", poisoned(real))
+    real = entroflow.flow._curve_point
+    monkeypatch.setattr(entroflow.flow, "_curve_point", poisoned(real))
     for kind in kinds:
         calls.clear()
-        with pytest.raises(StiffRegionError) as exc_info:
+        with pytest.raises(ConservationError, match="Newton") as exc_info:
             run(kind)
         partial = exc_info.value.trajectory
-        assert partial.status == "stiff" and 1 < partial.n_samples < clean[kind].n_samples
-        assert partial.integrator["rejected"] > 0
+        assert partial.status == "conservation" and 1 < partial.n_samples < clean[kind].n_samples
+        assert len(calls) == partial.integrator["chart_points"] == 9
         n = partial.n_samples
         for field in ("tau", "t", "H", "theta", "rate", "marginals"):
             np.testing.assert_array_equal(
