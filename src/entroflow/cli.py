@@ -119,7 +119,7 @@ _OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
 
 # Allowed range of each numeric key, as (description, predicate); a list value
 # must be non-empty and every element must pass.  NaN passes no predicate.
-# The step-control keys of simulate are checked by FlowConfig itself.
+# FlowConfig checks the flow keys of simulate: c, rate_min, atol, rtol, conservation_tol.
 _RANGES = {
     "simulate": {
         "eps": _OPEN_UNIT,

@@ -215,74 +215,101 @@ def frechet_exp(A, E) -> np.ndarray:
     return U @ (Et * exp_divided_difference(w)) @ U.conj().T
 
 
-def gell_mann_basis(d: int) -> list[np.ndarray]:
+def gell_mann_basis(d: int) -> np.ndarray:
     """Generalised Gell-Mann matrices for one factor, tr(F_a F_b) = delta_ab.
 
-    Ordering: symmetric off-diagonal pairs (j<k), antisymmetric pairs (j<k),
-    then the d-1 diagonal elements.
+    A (d^2 - 1, d, d) stack: symmetric off-diagonal pairs (j<k),
+    antisymmetric pairs (j<k), then the d-1 diagonal elements.
     """
     if d < 2:
         raise UnsupportedShapeError(f"need local dimension >= 2, got {d}")
-    out = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            out.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2.0)
-            m[k, j] = 1j / np.sqrt(2.0)
-            out.append(m)
+    j, k = np.triu_indices(d, 1)
+    sym, anti = np.arange(j.size), np.arange(j.size, 2 * j.size)
+    out = np.zeros((d * d - 1, d, d), dtype=complex)
+    out[sym, j, k] = out[sym, k, j] = 1.0 / np.sqrt(2.0)
+    out[anti, j, k], out[anti, k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
     for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        out.append(m / np.sqrt(l * (l + 1)))
+        diag = np.append(np.ones(l), -float(l)).astype(complex) / np.sqrt(l * (l + 1))
+        out[2 * j.size + l - 1, range(l + 1), range(l + 1)] = diag
     return out
 
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """Orthonormal set of traceless Hermitian operators with sector tags.
+    """Orthonormal traceless Hermitian Kronecker products, with sector tags.
 
-    ``stack`` has shape (m, d, d).  ``sector_labels[a]`` is "local:i" when
-    element a acts nontrivially on subsystem i alone, otherwise "corr:..."
-    listing the supporting subsystems.
+    Element a is the product over subsystems i of ``factors[i][elements[a][i]]``,
+    each ``factors[i]`` a (k_i, d_i, d_i) stack; index -1 stands for I/sqrt(d_i).
+    Its support, the i with index >= 0, sets its sector label: "local:i" for i
+    alone, otherwise "corr:..." listing them.
+
+    As tr(A x B) = tr A tr B, the products are Hermitian, traceless and
+    orthonormal when each factor stack is, no index tuple repeats and none is
+    all -1; only these are checked.  Factor entries are at most 1 in modulus,
+    so factor defects within the tolerances bound the products' hermiticity
+    and Gram defects by (1 + tol)^n - 1 ~ n tol, and |tr| by TRACELESS_TOL sqrt(d).
     """
 
     shape: SubsystemShape
-    stack: np.ndarray
-    sector_labels: tuple[str, ...]
+    factors: tuple[np.ndarray, ...]
+    elements: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        stack = np.asarray(self.stack, dtype=complex)
-        d = self.shape.total_dim
-        if stack.ndim != 3 or stack.shape[1:] != (d, d):
-            raise ValueError(f"basis stack shape {stack.shape} does not match dim {d}")
-        if len(self.sector_labels) != stack.shape[0]:
-            raise ValueError("sector_labels length must match the number of elements")
-        # Written so that NaN fails every test: a non-finite entry has a NaN
-        # or infinite hermiticity defect and is rejected here.
-        herm = hermiticity_defect(stack).max()
-        if not herm <= HERMITICITY_TOL:
-            raise ValueError(f"basis elements must be Hermitian and finite (defect {herm:.3e})")
-        traces = np.abs(np.trace(stack, axis1=1, axis2=2))
-        if not traces.max() <= TRACELESS_TOL:
-            raise ValueError(f"basis elements must be traceless (max |tr| {traces.max():.3e})")
-        m = stack.shape[0]
-        flat = stack.reshape(m, -1)
-        gram = np.real(flat @ flat.conj().T)
-        defect = np.max(np.abs(gram - np.eye(m)))
-        if not defect <= ORTHONORMALITY_TOL:
-            raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
-        object.__setattr__(self, "stack", _readonly(stack))
-        object.__setattr__(self, "sector_labels", tuple(self.sector_labels))
+        dims = self.shape.dims
+        factors = tuple(_readonly(np.array(F, dtype=complex)) for F in self.factors)
+        if [F.shape[1:] for F in factors] != [(d_i, d_i) for d_i in dims]:
+            shapes = [F.shape for F in factors]
+            raise ValueError(f"factor stacks {shapes} are not one (k_i, d_i, d_i) per {dims}")
+        for F in factors:
+            # NaN fails every test, so a non-finite entry (NaN or inf defect) stops here.
+            herm = hermiticity_defect(F).max(initial=0.0)
+            if not herm <= HERMITICITY_TOL:
+                raise ValueError(f"basis elements must be Hermitian and finite (defect {herm:.3e})")
+            trace = np.abs(np.trace(F, axis1=1, axis2=2)).max(initial=0.0)
+            if not trace <= TRACELESS_TOL:
+                raise ValueError(f"basis elements must be traceless (max |tr| {trace:.3e})")
+            flat = F.reshape(len(F), -1)
+            gram = np.abs(flat @ flat.conj().T - np.eye(len(F))).max(initial=0.0)
+            if not gram <= ORTHONORMALITY_TOL:
+                raise ValueError(f"basis is not orthonormal (Gram defect {gram:.3e})")
+        elements = tuple(tuple(int(j) for j in e) for e in self.elements)
+        for e in elements:
+            if len(e) != len(dims) or not all(-1 <= j < len(F) for j, F in zip(e, factors)):
+                raise ValueError(f"element {e} needs an index in [-1, k_i) for each subsystem")
+        if len(set(elements)) != len(elements):
+            raise ValueError("basis is not orthonormal (an element repeats)")
+        if not elements or (-1,) * len(dims) in elements:
+            raise ValueError("basis needs at least one element, none all -1 (the identity)")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "elements", elements)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The (m, d, d) elements, built on first read (read-only).
+
+        One broadcast product per factor multiplies elementwise as np.kron
+        does, so the bits are those of a loop of np.kron over the elements.
+        """
+        prefix = np.ones((self.size, 1, 1), dtype=complex)
+        for F, index in zip(self.factors, np.array(self.elements).T):
+            d_i, r = F.shape[1], prefix.shape[1]
+            picked = np.concatenate([np.eye(d_i, dtype=complex)[None] / np.sqrt(d_i), F])[index + 1]
+            prefix = prefix[:, :, None, :, None] * picked[:, None, :, None, :]
+            prefix = prefix.reshape(-1, r * d_i, r * d_i)
+        return _readonly(prefix)
+
+    @cached_property
+    def _supports(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(i for i, j in enumerate(e) if j >= 0) for e in self.elements)
+
+    @property
+    def sector_labels(self) -> tuple[str, ...]:
+        joined = (",".join(map(str, s)) for s in self._supports)
+        return tuple(f"corr:{j}" if "," in j else f"local:{j}" for j in joined)
 
     @property
     def size(self) -> int:
-        return self.stack.shape[0]
+        return len(self.elements)
 
     @cached_property
     def real_rows(self) -> np.ndarray:
@@ -316,55 +343,27 @@ class OperatorBasis:
         return tuple(_readonly(self.local_indices(i)) for i in range(self.shape.n_subsystems))
 
     def local_indices(self, subsystem: int | None = None) -> np.ndarray:
-        if subsystem is None:
-            mask = [lbl.startswith("local:") for lbl in self.sector_labels]
-        else:
-            mask = [lbl == f"local:{subsystem}" for lbl in self.sector_labels]
-        return np.flatnonzero(mask)
+        return np.flatnonzero([len(s) == 1 and subsystem in (None, *s) for s in self._supports])
 
     def correlation_indices(self) -> np.ndarray:
-        return np.flatnonzero([lbl.startswith("corr") for lbl in self.sector_labels])
+        return np.flatnonzero([len(s) > 1 for s in self._supports])
 
 
 def product_basis(shape) -> OperatorBasis:
     """Full traceless orthonormal product basis for a multipartite shape.
 
-    Elements are tensor products of local Gell-Mann matrices on a support
-    set S and normalised identities I/sqrt(d_i) elsewhere.  Singleton
-    supports give the local sectors; larger supports the correlation
-    sector.  For a single subsystem this is just the Gell-Mann basis.
-    The basis is cached per ``SubsystemShape``, so every spelling of one
-    shape (list, tuple or SubsystemShape) returns the same object.
+    Gell-Mann matrices on each support set S, by size then in order, with
+    I/sqrt(d_i) elsewhere: the local sectors, then the correlation sector.
+    Cached per ``SubsystemShape``, so every spelling of one shape (list,
+    tuple or SubsystemShape) returns the same object.
     """
     return _product_basis(as_shape(shape))
 
 
 @functools.lru_cache(maxsize=None)
 def _product_basis(shape: SubsystemShape) -> OperatorBasis:
-    n = shape.n_subsystems
-    local = [gell_mann_basis(d) for d in shape.dims]
-    idents = [np.eye(d, dtype=complex) / np.sqrt(d) for d in shape.dims]
-
-    supports: list[tuple[int, ...]] = [(i,) for i in range(n)]
-    for size in range(2, n + 1):
-        supports.extend(itertools.combinations(range(n), size))
-
-    elements = []
-    labels = []
-    for support in supports:
-        label = (
-            f"local:{support[0]}"
-            if len(support) == 1
-            else "corr:" + ",".join(str(i) for i in support)
-        )
-        choices = [range(len(local[i])) for i in support]
-        for combo in itertools.product(*choices):
-            picks = dict(zip(support, combo))
-            op = np.eye(1, dtype=complex)
-            for i in range(n):
-                factor = local[i][picks[i]] if i in picks else idents[i]
-                op = np.kron(op, factor)
-            elements.append(op)
-            labels.append(label)
-    stack = np.stack(elements)
-    return OperatorBasis(shape=shape, stack=stack, sector_labels=tuple(labels))
+    n, dims = shape.n_subsystems, shape.dims
+    supports = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+    choices = [[range(d * d - 1) if i in s else [-1] for i, d in enumerate(dims)] for s in supports]
+    elements = tuple(e for c in choices for e in itertools.product(*c))
+    return OperatorBasis(shape, tuple(gell_mann_basis(d) for d in dims), elements)

@@ -15,6 +15,10 @@ dissipative field on every coordinate (``lab_frame_endpoint``); and the
 eigen-route exp and log of a Hermitian matrix (``matrix_function``) that the
 divided differences and the Frechet derivative of exp are checked against.
 
+``kron_product_basis`` is the former construction of ``product_basis``: the
+Gell-Mann matrices built one by one, and a loop of np.kron over every
+element, with the sector label of each.
+
 The stepped integrator's stage kernel, P theta and the rate by the
 local-block route from the eigenpairs of rho alone (``stage_kernel``), is
 reached at a chart point through ``local_block_projection``.
@@ -22,6 +26,7 @@ reached at a chart point through ``local_block_projection``.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass
 
@@ -68,6 +73,53 @@ def hermitian_vec(X) -> np.ndarray:
     return np.concatenate(
         [diag, root2 * np.real(upper), root2 * np.imag(upper)], axis=-1
     )
+
+
+def gell_mann_list(d: int) -> list[np.ndarray]:
+    """The generalised Gell-Mann matrices of one factor, one array each:
+    symmetric pairs (j<k), antisymmetric pairs (j<k), then diagonals."""
+    out = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
+            out.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j / np.sqrt(2.0)
+            m[k, j] = 1j / np.sqrt(2.0)
+            out.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -float(l)
+        out.append(m / np.sqrt(l * (l + 1)))
+    return out
+
+
+def kron_product_basis(shape) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The (m, d, d) stack of ``product_basis`` and its sector labels, one
+    np.kron loop per element: supports by size, then lexicographic choices
+    of local Gell-Mann matrices with I/sqrt(d_i) elsewhere."""
+    shape = as_shape(shape)
+    n = shape.n_subsystems
+    local = [gell_mann_list(d) for d in shape.dims]
+    idents = [np.eye(d, dtype=complex) / np.sqrt(d) for d in shape.dims]
+    supports: list[tuple[int, ...]] = [(i,) for i in range(n)]
+    for size in range(2, n + 1):
+        supports.extend(itertools.combinations(range(n), size))
+    elements, labels = [], []
+    for support in supports:
+        label = f"local:{support[0]}" if len(support) == 1 else "corr:" + ",".join(map(str, support))
+        for combo in itertools.product(*(range(len(local[i])) for i in support)):
+            picks = dict(zip(support, combo))
+            op = np.eye(1, dtype=complex)
+            for i in range(n):
+                op = np.kron(op, local[i][picks[i]] if i in picks else idents[i])
+            elements.append(op)
+            labels.append(label)
+    return np.stack(elements), tuple(labels)
 
 
 def matrix_function(A, f, *, positive: bool = False) -> np.ndarray:

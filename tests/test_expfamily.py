@@ -66,7 +66,7 @@ def fd_hessian_psi(theta, basis, h=PSI_FD_STEP):
 
 def qubit_sigma_z_basis():
     sz = np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2.0)
-    return OperatorBasis(as_shape([2]), np.stack([sz]), ("local:0",))
+    return OperatorBasis(as_shape([2]), (sz[None],), ((0,),))
 
 
 def test_log_partition_at_zero():
@@ -302,7 +302,7 @@ def test_commutative_reduction_to_classical_covariance(rng):
     d = 3
     f1 = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     f2 = np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    basis = OperatorBasis(as_shape([d]), np.stack([f1, f2]).astype(complex), ("local:0", "local:0"))
+    basis = OperatorBasis(as_shape([d]), (np.stack([f1, f2]).astype(complex),), ((0,), (1,)))
     theta = rng.normal(size=2)
     pt = make_point(theta, basis)
     # the family stays diagonal, so the populations sit on the diagonal

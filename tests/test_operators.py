@@ -1,6 +1,7 @@
 """Operator-algebra layer: partial-trace index oracles, matrix functions,
 divided differences and the Fréchet derivative of exp."""
 
+import math
 import warnings
 
 import numpy as np
@@ -19,8 +20,14 @@ from entroflow import (
     product_basis,
     random_hermitian,
 )
+from entroflow import operators
 from entroflow.operators import is_hermitian, marginals, require_hermitian
-from tests.reference_geometry import hermitian_vec, matrix_function
+from tests.reference_geometry import (
+    gell_mann_list,
+    hermitian_vec,
+    kron_product_basis,
+    matrix_function,
+)
 
 FD_STEP = 1e-5
 FRECHET_REL_TOL = 1e-8
@@ -306,6 +313,7 @@ def test_gell_mann_basis_orthonormal():
     for d in (2, 3, 4):
         mats = gell_mann_basis(d)
         assert len(mats) == d * d - 1
+        assert mats.tobytes() == np.stack(gell_mann_list(d)).tobytes()
         for a, Fa in enumerate(mats):
             assert np.abs(Fa - Fa.conj().T).max() < 1e-14
             assert abs(np.trace(Fa)) < 1e-14
@@ -314,19 +322,36 @@ def test_gell_mann_basis_orthonormal():
                 assert abs(gram - (1.0 if a == b else 0.0)) < 1e-12
 
 
-def test_product_basis_sector_structure():
-    shape = as_shape([3, 3])
-    basis = product_basis(shape)
-    assert basis.size == 80
-    assert len(basis.local_indices(0)) == 8
-    assert len(basis.local_indices(1)) == 8
-    assert len(basis.correlation_indices()) == 64
-    labels = set(basis.sector_labels)
-    assert labels == {"local:0", "local:1", "corr:0,1"}
-    # Hilbert-Schmidt Gram matrix of the full stack
-    flat = basis.stack.reshape(80, -1)
+@pytest.mark.parametrize(
+    "dims", [[2], [3], [2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2], [3, 3, 3]]
+)
+def test_product_basis_sector_structure(dims):
+    """The sector sizes, and the stack built from the factors: bitwise the
+    np.kron loop's, with its sector labels, and a Hilbert-Schmidt Gram
+    matrix equal to the identity."""
+    basis = product_basis(dims)
+    local_sizes = [d * d - 1 for d in dims]
+    assert basis.size == math.prod(dims) ** 2 - 1
+    assert [len(basis.local_indices(i)) for i in range(len(dims))] == local_sizes
+    assert len(basis.correlation_indices()) == basis.size - sum(local_sizes)
+    stack, labels = kron_product_basis(dims)
+    assert basis.stack.shape == stack.shape
+    assert basis.stack.tobytes() == stack.tobytes()
+    assert basis.sector_labels == labels
+    flat = basis.stack.reshape(basis.size, -1)
     gram = np.real(flat @ flat.conj().T)
-    np.testing.assert_allclose(gram, np.eye(80), atol=1e-10)
+    np.testing.assert_allclose(gram, np.eye(basis.size), atol=1e-10)
+
+
+def test_product_basis_forms_no_stack():
+    """At [8,8] (m = 4095) neither construction nor the sector indices build
+    the m x d x d stack.  Built past the per-shape cache, so that no other
+    test's read of the stack shows here."""
+    basis = operators._product_basis.__wrapped__(as_shape([8, 8]))
+    assert "stack" not in vars(basis)
+    assert basis.local_sector.size == 126 and len(basis.local_blocks) == 2
+    assert basis.correlation_indices().size == 3969
+    assert "stack" not in vars(basis)
 
 
 def test_product_basis_is_cached_per_shape():
@@ -345,13 +370,41 @@ def test_product_basis_single_system():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
 @pytest.mark.parametrize("index", [(0, 0), (0, 1)])
 def test_operator_basis_rejects_non_finite_entries(bad, index):
-    """A non-finite element fails validation with a ValueError and no warning."""
-    stack = np.diag([1.0, -1.0]).astype(complex)[None] / np.sqrt(2.0)
-    stack[(0, *index)] = bad
+    """A non-finite factor entry fails validation with a ValueError and no warning."""
+    factor = np.diag([1.0, -1.0]).astype(complex)[None] / np.sqrt(2.0)
+    factor[(0, *index)] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="Hermitian and finite"):
-            OperatorBasis(as_shape([2]), stack, ("local:0",))
+            OperatorBasis(as_shape([2]), (factor,), ((0,),))
+
+
+QUBIT = gell_mann_basis(2)
+
+
+@pytest.mark.parametrize(
+    "dims, factors, elements, match",
+    [
+        ([2], (np.array([[[0.0, 1.0], [0.0, 0.0]]]),), ((0,),), "Hermitian and finite"),
+        ([2], (np.eye(2)[None] / np.sqrt(2.0),), ((0,),), "traceless"),
+        ([2], (2.0 * QUBIT,), ((0,),), "not orthonormal"),
+        ([2], (QUBIT[[0, 0]],), ((0,), (1,)), "not orthonormal"),
+        ([2], (QUBIT,), ((0,), (1,), (0,)), "repeats"),
+        ([2, 2], (QUBIT, QUBIT), ((0, -1), (-1, -1)), "none all -1"),
+        ([2], (QUBIT,), (), "at least one element"),
+        ([2], (QUBIT,), ((3,),), r"index in \[-1, k_i\)"),
+        ([2], (QUBIT,), ((-2,),), r"index in \[-1, k_i\)"),
+        ([2, 2], (QUBIT, QUBIT), ((0,),), r"index in \[-1, k_i\)"),
+        ([2, 2], (QUBIT,), ((0,),), r"not one \(k_i, d_i, d_i\)"),
+        ([3], (QUBIT,), ((0,),), r"not one \(k_i, d_i, d_i\)"),
+        ([2], (QUBIT[0],), ((0,),), r"not one \(k_i, d_i, d_i\)"),
+    ],
+)
+def test_operator_basis_refuses_invalid_factors(dims, factors, elements, match):
+    """Each condition that keeps the Kronecker products from being an
+    orthonormal traceless Hermitian set is refused with a ValueError."""
+    with pytest.raises(ValueError, match=match):
+        OperatorBasis(as_shape(dims), factors, elements)
 
 
 def test_as_shape_rejects_bad_dims():
