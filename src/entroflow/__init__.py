@@ -57,9 +57,7 @@ from .operators import (
     embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
-    frechet_exp,
     gell_mann_basis,
-    hermitian_eig,
     product_basis,
 )
 from .states import (
@@ -106,12 +104,10 @@ __all__ = [
     "entropy_time_fit",
     "exp_divided_difference",
     "exp_second_divided_difference",
-    "frechet_exp",
     "gell_mann_basis",
     "gibbs_entropy_derivative",
     "gibbs_lock_residual",
     "gibbs_state",
-    "hermitian_eig",
     "integrate",
     "lme_origin",
     "make_point",

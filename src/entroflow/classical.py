@@ -16,7 +16,7 @@ from .states import entropy_of_spectrum
 TABLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Bivariate probability table; rows are variable 1, columns variable 2."""
 

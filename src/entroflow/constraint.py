@@ -28,21 +28,14 @@ import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
 from .expfamily import ExpFamilyPoint, bkm_kernel_matrix
-from .operators import (
-    OperatorBasis,
-    _marginal_map,
-    embed_local,
-    exp_second_divided_difference,
-    frechet_exp,
-    marginals,
-)
+from .operators import OperatorBasis, embed_local, exp_second_divided_difference, marginals
 from .states import FULL_RANK_FLOOR
 
 PROJECTOR_COND_MAX = 1e12
 SOFT_MODE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintGeometry:
     """Constraint data at one family point.
 
@@ -148,12 +141,15 @@ def constraint_gradient(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
 
     d rho / d theta_b = Dexp_A[F~_b] with A = K - psi I and F~_b = F_b - mu_b I,
     and the Daleckii-Krein derivative is self-adjoint, so with X = Dexp_A[Lambda]
-    a_b = -tr(X F_b) + mu_b tr(X): one ``frechet_exp`` and one ``coordinates``
-    product, O(d^3 + m d^2).  Vanishes identically wherever every marginal is
-    maximally mixed.  ``spectra`` is ``marginal_eigh(point)`` if the caller has it.
+    a_b = -tr(X F_b) + mu_b tr(X).  A has the eigenpairs (log p, U) of rho, and
+    the divided differences of exp on log p are the BKM kernel k, so
+    X = U ((U^dag Lambda U) o k) U^dag: one ``coordinates`` product, O(d^3 + m d^2).
+    Vanishes identically wherever every marginal is maximally mixed.
+    ``spectra`` is ``marginal_eigh(point)`` if the caller has it.
     """
     Lam = _marginal_log_sum(point.basis.shape, spectra or marginal_eigh(point))
-    X = frechet_exp(point.generator - point.psi * np.eye(point.dim), Lam)
+    U = point.eigvecs
+    X = U @ ((U.conj().T @ Lam @ U) * bkm_kernel_matrix(point.eigvals)) @ U.conj().T
     return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
 
 
@@ -189,6 +185,16 @@ def constraint_geometry(
     )
 
 
+def _local_marginals(basis: OperatorBasis, i: int, L_i: np.ndarray) -> np.ndarray:
+    """tr_{-i} F_alpha for the local elements alpha in L_i of subsystem i.
+
+    F_alpha is lambda_alpha on factor i and I/sqrt(d_j) on every other j, and
+    tr(I/sqrt(d_j)) = sqrt(d_j), so tr_{-i} F_alpha = sqrt(d / d_i) lambda_alpha.
+    """
+    scale = math.sqrt(basis.shape.total_dim / basis.shape.dims[i])
+    return scale * basis.factors[i][[basis.elements[a][i] for a in L_i]]
+
+
 def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     """Exact Hessian of C from second-order Daleckii-Krein divided differences.
 
@@ -203,7 +209,8 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     Lambda~_kj (F~_b)_lk and f are the second divided differences of exp;
     this costs O(m d^3 + m^2 d^2).  The divided differences of log are 1/k
     with k the BKM kernel, and d_a rho_i = sum_{alpha in L_i} G_{a alpha}
-    tr_{-i} F_alpha, so the marginal sum is G_{:L_i} Q_i G_{L_i:} with
+    tr_{-i} F_alpha, read from factor i (``_local_marginals``), so the
+    marginal sum is G_{:L_i} Q_i G_{L_i:} with
     Q_i = Re(Y Y^dag) over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i
     / sqrt(k(lambda_i)).  At saturation (every rho_i = I/d_i) Q_i = d I and
     the other terms cancel, so Hess C = -d G_{:L} G_{L:}, whose kernel is
@@ -212,25 +219,18 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     span raise ValueError (``_local_blocks``).
     """
     basis = point.basis
-    shape = basis.shape
     m = basis.size
     G = point.metric
     H = np.zeros((m, m))
     spectra = spectra or marginal_eigh(point)
-    start = 0
-    for (lam, V), L_i in zip(spectra, _local_blocks(basis)):
-        di = lam.size
-        # f[alpha] = tr_{-i} F_alpha for every alpha in L_i, from one product
-        block = _marginal_map(shape)[start : start + di * di]
-        f = (basis.stack[L_i].reshape(L_i.size, -1) @ block.T).reshape(-1, di, di)
-        start += di * di
-        Y = V.conj().T @ f @ V / np.sqrt(bkm_kernel_matrix(lam))
+    for i, ((lam, V), L_i) in enumerate(zip(spectra, _local_blocks(basis))):
+        Y = V.conj().T @ _local_marginals(basis, i, L_i) @ V / np.sqrt(bkm_kernel_matrix(lam))
         Y = Y.reshape(L_i.size, -1)
         G_i = G[:, L_i]
         H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 
     U = point.eigvecs
-    Lam_t = U.conj().T @ _marginal_log_sum(shape, spectra) @ U
+    Lam_t = U.conj().T @ _marginal_log_sum(basis.shape, spectra) @ U
     idx = np.arange(point.dim)
     Fc = U.conj().T @ basis.stack @ U
     Fc[:, idx, idx] -= point.mu[:, None]  # U^dag F~_a U

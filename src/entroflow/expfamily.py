@@ -18,20 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundaryStateError
-from .operators import (
-    OperatorBasis,
-    _readonly,
-    exp_divided_difference,
-    hermitian_eig,
-    require_hermitian,
-)
+from .operators import OperatorBasis, _readonly, exp_divided_difference, require_hermitian
 from .states import FULL_RANK_FLOOR
 
 # Underflow guard: below this the state is numerically rank deficient.
 STATE_UNDERFLOW_FLOOR = 1e-250
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpFamilyPoint:
     """Immutable snapshot of one family member and its local geometry.
 
@@ -180,7 +174,7 @@ def params_from_state(rho, basis: OperatorBasis) -> np.ndarray:
     FULL_RANK_FLOOR); rank-deficient input is rejected rather than clipped.
     """
     rho = require_hermitian(rho, name="density matrix")
-    w, U = hermitian_eig(rho)
+    w, U = np.linalg.eigh(rho)
     if w[0] <= FULL_RANK_FLOOR:
         raise BoundaryStateError(
             f"state eigenvalue {w[0]:.3e} at or below {FULL_RANK_FLOOR}; chart inversion rejected"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryStateError
-from .operators import hermitian_eig, marginals, require_hermitian
+from .operators import marginals, require_hermitian
 from .states import FULL_RANK_FLOOR, gibbs_state, marginal_entropies
 
 GENERATOR_TRIVIAL_TOL = 1e-12
@@ -24,7 +24,7 @@ GENERATOR_TRIVIAL_TOL = 1e-12
 
 def modular_hamiltonian(rho_i) -> np.ndarray:
     """K_i = -log rho_i for a full-rank marginal."""
-    w, U = hermitian_eig(require_hermitian(rho_i, name="marginal"))
+    w, U = np.linalg.eigh(require_hermitian(rho_i, name="marginal"))
     if w[0] <= FULL_RANK_FLOOR:
         raise BoundaryStateError(
             f"marginal eigenvalue {w[0]:.3e} at or below {FULL_RANK_FLOOR}; "

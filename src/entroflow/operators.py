@@ -1,9 +1,8 @@
 """Hermitian operator algebra on multipartite systems.
 
-Local embeddings, marginals (partial traces), divided differences and
-directional derivatives of the matrix exponential, and orthonormal traceless
-operator bases.  Operators are plain complex numpy arrays; subsystem 0 is always the
-slowest-varying Kronecker factor.
+Local embeddings, marginals (partial traces), divided differences of exp,
+and orthonormal traceless operator bases.  Operators are plain complex numpy
+arrays; subsystem 0 is always the slowest-varying Kronecker factor.
 """
 
 from __future__ import annotations
@@ -102,51 +101,23 @@ def embed_local(op, index: int, shape) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _marginal_map(shape: SubsystemShape) -> np.ndarray:
-    """0/1 matrix taking the flat entries of X to those of every marginal.
-
-    Row block i (d_i^2 rows) sums X[(a, j, b), (a, k, b)] over the other
-    factors a, b into entry (j, k) of tr_{-i} X.
-    """
-    d = shape.total_dim
-    blocks = []
-    for i, di in enumerate(shape.dims):
-        r = np.arange(d).reshape(math.prod(shape.dims[:i]), di, -1)
-        cols = r[:, :, None, :] * d + r[:, None, :, :]
-        rows = np.broadcast_to(np.arange(di * di).reshape(1, di, di, 1), cols.shape)
-        block = np.zeros((di * di, d * d))
-        block[rows, cols] = 1.0
-        blocks.append(block)
-    return _readonly(np.concatenate(blocks))
-
-
 def marginals(X, shape) -> list[np.ndarray]:
-    """The reduced operators tr_{-i} X of every subsystem i.
+    """The reduced operators tr_{-i} X of every subsystem i, as fresh arrays.
 
-    One real product of the cached 0/1 map (``_marginal_map``) with the
-    interleaved real view of X; works for any square operator.
+    One einsum per subsystem traces X, viewed as (a, d_i, b) x (a, d_i, b)
+    with a and b the dimensions before and after factor i, over a and b;
+    works for any square operator.
     """
     shape = as_shape(shape)
     X = np.asarray(X, dtype=complex)
     d = shape.total_dim
     if X.shape != (d, d):
         raise ValueError(f"operator shape {X.shape} does not match total dim {d}")
-    if shape.n_subsystems == 1:
-        return [X.copy()]
-    pairs = np.ascontiguousarray(X).view(float).reshape(-1, 2)
-    flat = (_marginal_map(shape) @ pairs).view(complex)
-    out, start = [], 0
-    for di in shape.dims:
-        out.append(flat[start : start + di * di].reshape(di, di))
-        start += di * di
+    out = []
+    for i, di in enumerate(shape.dims):
+        a, b = math.prod(shape.dims[:i]), math.prod(shape.dims[i + 1 :])
+        out.append(np.einsum("ajbakb->jk", X.reshape(a, di, b, a, di, b)))
     return out
-
-
-def hermitian_eig(A):
-    """Eigendecomposition of (A + A^dag)/2, eigenvalues ascending."""
-    A = np.asarray(A, dtype=complex)
-    return np.linalg.eigh(0.5 * (A + A.conj().T))
 
 
 def _exp_pair_difference(x, y) -> np.ndarray:
@@ -204,17 +175,6 @@ def exp_second_divided_difference(w) -> np.ndarray:
     return out
 
 
-def frechet_exp(A, E) -> np.ndarray:
-    """Directional derivative of the matrix exponential at Hermitian A.
-
-    Returns d/ds exp(A + s E) at s = 0.  A must be Hermitian; E may be any
-    complex matrix (the derivative is linear in E).
-    """
-    w, U = hermitian_eig(A)
-    Et = U.conj().T @ np.asarray(E, dtype=complex) @ U
-    return U @ (Et * exp_divided_difference(w)) @ U.conj().T
-
-
 def gell_mann_basis(d: int) -> np.ndarray:
     """Generalised Gell-Mann matrices for one factor, tr(F_a F_b) = delta_ab.
 
@@ -234,7 +194,7 @@ def gell_mann_basis(d: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """Orthonormal traceless Hermitian Kronecker products, with sector tags.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedShapeError
-from .operators import as_shape, hermitian_eig, is_hermitian, marginals, require_hermitian
+from .operators import as_shape, is_hermitian, marginals, require_hermitian
 
 # Spectrum floor: eigenvalues in [EIG_CLIP_FLOOR, 0) are treated as exact
 # zeros; anything below is an invariant violation, not round-off.
@@ -96,7 +96,7 @@ def gibbs_state(H, beta: float) -> np.ndarray:
     it is <= 0; a beta too large for the gaps overflows it to -inf, which
     exp takes to an exact 0 (a rank-deficient state, not NaN).
     """
-    w, U = hermitian_eig(require_hermitian(H, name="generator"))
+    w, U = np.linalg.eigh(require_hermitian(H, name="generator"))
     with np.errstate(over="ignore"):
         x = -beta * (w - (w[0] if beta >= 0 else w[-1]))
     p = np.exp(x)

@@ -15,6 +15,14 @@ dissipative field on every coordinate (``lab_frame_endpoint``); and the
 eigen-route exp and log of a Hermitian matrix (``matrix_function``) that the
 divided differences and the Frechet derivative of exp are checked against.
 
+The library's former constraint routes are kept too: the Frechet derivative
+of exp from its own eigendecomposition (``frechet_exp``, with
+``hermitian_eig``) and the constraint gradient built on it
+(``frechet_gradient``); the cached 0/1 matrix taking the entries of X to those
+of every marginal (``marginal_map``), the partial traces it gives
+(``map_marginals``) and the local marginals tr_{-i} F_alpha read as the stack
+rows times its row block (``map_local_marginals``).
+
 ``kron_product_basis`` is the former construction of ``product_basis``: the
 Gell-Mann matrices built one by one, and a loop of np.kron over every
 element, with the sector label of each.
@@ -26,7 +34,9 @@ reached at a chart point through ``local_block_projection``.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import string
 from dataclasses import dataclass
 
@@ -45,10 +55,15 @@ from entroflow import (
     embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
-    hermitian_eig,
     make_point,
 )
-from entroflow.constraint import PROJECTOR_COND_MAX, _local_sector, _solve_local_block, marginal_eigh
+from entroflow.constraint import (
+    PROJECTOR_COND_MAX,
+    _local_sector,
+    _marginal_log_sum,
+    _solve_local_block,
+    marginal_eigh,
+)
 from entroflow.expfamily import _bkm_rows, _generator
 from entroflow.flow import DEFAULT_RATE_MIN, _require_local
 
@@ -120,6 +135,76 @@ def kron_product_basis(shape) -> tuple[np.ndarray, tuple[str, ...]]:
             elements.append(op)
             labels.append(label)
     return np.stack(elements), tuple(labels)
+
+
+def hermitian_eig(A):
+    """Eigendecomposition of (A + A^dag)/2, eigenvalues ascending."""
+    A = np.asarray(A, dtype=complex)
+    return np.linalg.eigh(0.5 * (A + A.conj().T))
+
+
+def frechet_exp(A, E) -> np.ndarray:
+    """Directional derivative of the matrix exponential at Hermitian A.
+
+    Returns d/ds exp(A + s E) at s = 0.  A must be Hermitian; E may be any
+    complex matrix (the derivative is linear in E).
+    """
+    w, U = hermitian_eig(A)
+    Et = U.conj().T @ np.asarray(E, dtype=complex) @ U
+    return U @ (Et * exp_divided_difference(w)) @ U.conj().T
+
+
+def frechet_gradient(point: ExpFamilyPoint) -> np.ndarray:
+    """a_b = -tr(X F_b) + mu_b tr(X) with X = Dexp_{K - psi I}[Lambda] from
+    ``frechet_exp``, which diagonalises K - psi I again."""
+    Lam = _marginal_log_sum(point.basis.shape, marginal_eigh(point))
+    X = frechet_exp(point.generator - point.psi * np.eye(point.dim), Lam)
+    return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
+
+
+@functools.lru_cache(maxsize=None)
+def marginal_map(shape) -> np.ndarray:
+    """0/1 matrix taking the flat entries of X to those of every marginal.
+
+    Row block i (d_i^2 rows) sums X[(a, j, b), (a, k, b)] over the other
+    factors a, b into entry (j, k) of tr_{-i} X.
+    """
+    d = shape.total_dim
+    blocks = []
+    for i, di in enumerate(shape.dims):
+        r = np.arange(d).reshape(math.prod(shape.dims[:i]), di, -1)
+        cols = r[:, :, None, :] * d + r[:, None, :, :]
+        rows = np.broadcast_to(np.arange(di * di).reshape(1, di, di, 1), cols.shape)
+        block = np.zeros((di * di, d * d))
+        block[rows, cols] = 1.0
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _map_block(shape, i: int) -> np.ndarray:
+    """Row block i of ``marginal_map``: the d_i^2 rows of tr_{-i}."""
+    start = sum(dj * dj for dj in shape.dims[:i])
+    return marginal_map(shape)[start : start + shape.dims[i] ** 2]
+
+
+def map_marginals(X, shape) -> list[np.ndarray]:
+    """tr_{-i} X for every i from ``marginal_map``: one real product per row
+    block with the interleaved real view of X."""
+    shape = as_shape(shape)
+    pairs = np.ascontiguousarray(X, dtype=complex).view(float).reshape(-1, 2)
+    return [
+        (_map_block(shape, i) @ pairs).view(complex).reshape(di, di)
+        for i, di in enumerate(shape.dims)
+    ]
+
+
+def map_local_marginals(basis, i: int) -> np.ndarray:
+    """tr_{-i} F_alpha for the local elements alpha of subsystem i: their
+    stack rows times row block i of ``marginal_map``."""
+    L_i = basis.local_blocks[i]
+    d_i = basis.shape.dims[i]
+    rows = basis.stack[L_i].reshape(L_i.size, -1)
+    return (rows @ _map_block(basis.shape, i).T).reshape(-1, d_i, d_i)
 
 
 def matrix_function(A, f, *, positive: bool = False) -> np.ndarray:

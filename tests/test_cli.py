@@ -542,6 +542,38 @@ def test_origin_analysis_at_ghz_origin(tmp_path, capsys, dims, kdim):
     assert abs(row["C"] - len(dims) * LN2) <= 1e-12
 
 
+_SMALL_GIBBS = {"n_states": 3, "n_planted": 2}
+
+
+@pytest.mark.parametrize(
+    "mode, cfg, checks",
+    [
+        ("origin-analysis", {"shape": [2, 2], "eps_sweep": [0.3], "grad_norm_tol": 0}, ["grad_norm"]),
+        ("origin-analysis", {"shape": [2, 2], "eps_sweep": [0.3], "angle_tol": 0}, ["soft_kernel_angle"]),
+        ("stiffness", {"shape": [2, 2], "eps": 0.3, "soft_tol": 0}, ["stiffness_nonnegative", "soft_mode_count"]),
+        ("gibbs-check", {**_SMALL_GIBBS, "identity_tol": 0}, ["modular_identity"]),
+        ("gibbs-check", {**_SMALL_GIBBS, "recovery_tol": 0}, ["beta_recovery"]),
+        ("gibbs-check", {**_SMALL_GIBBS, "derivative_tol": 0}, ["entropy_derivative"]),
+    ],
+)
+def test_check_past_its_tolerance_exits_one(tmp_path, capsys, mode, cfg, checks):
+    """A tolerance of 0 where the value is round-off away from 0 fails the
+    check: exit 1, and the failure record names it."""
+    assert run_cli(tmp_path, mode, cfg) == 1
+    assert [f["check"] for f in read_report(capsys)["failures"]] == checks
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="soft_tol is absolute (ROADMAP item 2)")
+def test_stiffness_small_eps_counts_the_kernel(tmp_path, capsys):
+    """At eps <= 1e-6 on [3,3] eight stiff eigenvalues equal eps and fall
+    under the absolute soft_tol 1e-6: 72 soft modes against kernel_dim 64,
+    exit 1.  A soft threshold that separates them makes this pass."""
+    code = run_cli(tmp_path, "stiffness", {"eps": 1e-7})
+    report = read_report(capsys)
+    assert report["soft_mode_count"] == report["kernel_dim"] == 64
+    assert code == 0
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("eps", [0.3, 0.01])
 def test_soft_kernel_angle_matches_full_subspaces(q, eps):

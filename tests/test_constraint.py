@@ -33,11 +33,14 @@ from entroflow import (
     state_from_params,
     stiffness_spectrum,
 )
+from entroflow.constraint import _local_marginals
 from entroflow.operators import marginals
 from tests.conftest import origin_point
 from tests.reference_geometry import (
+    frechet_gradient,
     kernel_basis,
     local_block_projection,
+    map_local_marginals,
     marginal_jacobian,
     marginal_projector,
     reference_geometry,
@@ -164,6 +167,28 @@ def test_gradient_single_qubit_closed_form(rng):
     p_plus = 1.0 / (1.0 + np.exp(-2.0 * r))
     expected = -2.0 * p_plus * (1.0 - p_plus) * theta
     np.testing.assert_allclose(constraint_gradient(pt), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2]])
+def test_gradient_matches_frechet_route(dims, rng):
+    """X = U ((U^dag Lambda U) o k) U^dag from the point's eigenpairs against
+    the former route, which diagonalised K - psi I again in ``frechet_exp``."""
+    basis = product_basis(as_shape(dims))
+    for _ in range(3):
+        pt = make_point(rng.normal(size=basis.size) * 0.5, basis)
+        ref = frechet_gradient(pt)
+        assert (np.abs(constraint_gradient(pt) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2]])
+def test_local_marginals_match_the_map_route(dims):
+    """tr_{-i} F_alpha read from factor i against the former product of the
+    stack rows with the 0/1 marginal map."""
+    basis = product_basis(as_shape(dims))
+    for i, L_i in enumerate(basis.local_blocks):
+        got = _local_marginals(basis, i, L_i)
+        assert got.shape == (L_i.size, basis.shape.dims[i], basis.shape.dims[i])
+        assert np.abs(got - map_local_marginals(basis, i)).max() <= 1e-15
 
 
 def relative_gap(A, B) -> float:

@@ -1,5 +1,6 @@
 """Operator-algebra layer: partial-trace index oracles, matrix functions,
-divided differences and the Fréchet derivative of exp."""
+divided differences, and the Fréchet derivative of exp that the constraint
+gradient was built on (now a test oracle)."""
 
 import math
 import warnings
@@ -15,7 +16,6 @@ from entroflow import (
     embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
-    frechet_exp,
     gell_mann_basis,
     product_basis,
     random_hermitian,
@@ -23,9 +23,11 @@ from entroflow import (
 from entroflow import operators
 from entroflow.operators import is_hermitian, marginals, require_hermitian
 from tests.reference_geometry import (
+    frechet_exp,
     gell_mann_list,
     hermitian_vec,
     kron_product_basis,
+    map_marginals,
     matrix_function,
 )
 
@@ -126,6 +128,22 @@ def test_partial_trace_kills_commutator_with_traced_local_generator(rng):
     np.testing.assert_allclose(
         marginals(xi2 @ rho - rho @ xi2, shape)[0], np.zeros((3, 3)), atol=1e-13
     )
+
+
+@pytest.mark.parametrize("dims", [[2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2], [8, 8]])
+def test_marginals_match_the_map_route(dims, rng):
+    """The reshape-and-trace marginals against the former product of a 0/1
+    map with the entries of X, on a general complex X; no result is a view
+    of X, with one subsystem too."""
+    shape = as_shape(dims)
+    d = shape.total_dim
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    got = marginals(X, shape)
+    ref = map_marginals(X, shape)
+    assert len(got) == len(ref) == shape.n_subsystems
+    for g, r in zip(got, ref):
+        assert np.abs(g - r).max() <= 1e-14 * np.abs(X).max()
+        assert not np.shares_memory(g, X)
 
 
 def test_matrix_exp_zero_is_identity():
