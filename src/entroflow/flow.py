@@ -31,6 +31,7 @@ beyond the budget aborts.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ SAMPLES = 8
 NEWTON_MAX = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowConfig:
     """Run parameters for the flows.
 
@@ -101,7 +102,7 @@ def assemble_local_generator(shape, parts) -> np.ndarray:
     return xi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CurvePoint:
     """theta_L at x = log s and what one chart point gives there."""
 
@@ -162,6 +163,29 @@ def _curve_point(x, theta_local, F, local_rows, mu_target) -> _CurvePoint:
     )
 
 
+def _hermite_root(a, b, C0, gap_goal) -> float:
+    """x in (a.x, b.x) where the cubic Hermite interpolant of g = log(C0 -
+    H_curve), slope rate / (C0 - H_curve), through the curve points a and b
+    equals log(gap_goal), by safeguarded Newton in u = (x - a.x) / (b.x -
+    a.x); nan if a gap is not positive."""
+    gap_a, gap_b, h = C0 - a.H_curve, C0 - b.H_curve, b.x - a.x
+    if not (gap_a > 0.0 and gap_goal > 0.0):
+        return math.nan
+    d, y = math.log(gap_b / gap_a), math.log(gap_goal / gap_a)
+    m0, m1 = h * a.rate / gap_a, h * b.rate / gap_b
+    c2, c3 = 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d
+    lo, hi, u = 0.0, 1.0, y / d
+    for _ in range(30):
+        f = ((c3 * u + c2) * u + m0) * u - y
+        lo, hi = (u, hi) if f < 0.0 else (lo, u)
+        df = (3.0 * c3 * u + 2.0 * c2) * u + m0
+        step = f / df if df else math.inf
+        if lo <= u - step <= hi and abs(step) <= 1e-13:
+            return a.x + (u - step) * h
+        u = u - step if lo <= u - step <= hi else 0.5 * (lo + hi)
+    return a.x + u * h
+
+
 def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
     xi = require_hermitian(xi, name="reversible generator")
     d = basis.shape.total_dim
@@ -188,7 +212,7 @@ def _lab_frame(theta, tau, basis: OperatorBasis, w, W) -> np.ndarray:
     return lab
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Diagnostics sampled on one run's grid.
 
@@ -342,20 +366,22 @@ def integrate(
     ConservationError.
 
     Both stops and every entropy-clock sample land H on a goal within
-    1e-14 max(1, |H|) by Newton steps in x on log(C(theta0) - H), whose
-    slope is rate / (C(theta0) - H) and which is linear on the tail; the
-    steps read H on the curve to second order in the Newton residual
-    (``_curve_point``), and the landed point takes one more Newton step
-    when its own H is off the goal.  Until the goal is bracketed a step
-    changes s by at most a factor e (and stops at a game-clock
-    ``duration``); inside the bracket a step that leaves it is replaced by
-    bisection.  A run with the dissipative sector ends
-    "stationary" where C(theta0) - H reaches rate_min / 4, so its last rate
-    is about rate_min / 2 (when rate_min / 4 is below the resolution of H,
-    one step along the tail law rate ~ e^(2x) puts it there), or at theta0
-    when C(theta0) - H0 <= rate_min / 4 or the rate is 0; otherwise
-    "completed" at ``duration``.  A reversible-only run solves nothing: its
-    samples share one eigendecomposition, of K(theta0).
+    1e-14 max(1, |H|), from the run's solved points nearest the goal on
+    either side, on g = log(C(theta0) - H), whose slope in x is
+    rate / (C(theta0) - H) and which is linear on the tail; the steps read
+    H on the curve to second order in the Newton residual (``_curve_point``).
+    Until the goal is bracketed a Newton step on g changes log s by at most
+    max(1, |log s|) (and stops at a game-clock ``duration``); then a step
+    goes to the root of the cubic Hermite interpolant of g on the bracket,
+    from its nearer end, or bisects.  The landed point takes one more
+    Newton step when its own H is off the goal.  The default run takes 30
+    chart points.  A run with the dissipative sector ends "stationary" where
+    C(theta0) - H reaches rate_min / 4, so its last rate is about
+    rate_min / 2 (when rate_min / 4 is below the resolution of H, one step
+    along the tail law rate ~ e^(2x) puts it there), or at theta0 when
+    C(theta0) - H0 <= rate_min / 4 or the rate is 0; otherwise "completed"
+    at ``duration``.  A reversible-only run solves nothing: its samples
+    share one eigendecomposition, of K(theta0).
 
     A drift of any h_i beyond ``config.conservation_tol`` at a sample raises
     ConservationError, and cond(G_LL) above PROJECTOR_COND_MAX after theta0
@@ -412,6 +438,7 @@ def integrate(
         return _curve_point(x, theta_local, F, local_rows, mu_target)
 
     start = point(0.0, theta0[local], None)
+    solved = [start]  # every solved point, in order of H_curve
     target = start.mu
     newton_tol = config.atol + config.rtol * float(np.abs(target).max())
 
@@ -448,6 +475,7 @@ def integrate(
                 continue
             pt = trial
             if float(np.abs(pt.mu - target).max()) <= newton_tol:
+                bisect.insort(solved, pt, key=lambda q: q.H_curve)
                 return pt
             stats["newton_steps"] += 1
             base, step = pt.theta, pt.newton
@@ -457,32 +485,32 @@ def integrate(
             build("conservation"),
         )
 
-    def land(pt, H_goal, gap_goal, x_min=-math.inf):
-        """The curve point from ``pt`` on where H = H_goal, C(theta0) - H_goal
-        being ``gap_goal``; the point at x_min, or where the rate is 0, if
-        H stays below the goal until there.  The steps read ``H_curve``, which
-        the Newton tolerance leaves smooth in x, and the landed point takes
-        one more Newton step when its own H is off the goal."""
-        above = None  # the nearest point found with H above the goal
-        below = pt  # and below it; x falls as H rises
+    def land(H_goal, gap_goal, x_min=-math.inf):
+        """The curve point where H = H_goal, C(theta0) - H_goal being
+        ``gap_goal``, landed from the solved points nearest the goal on either
+        side (Notes); the point at x_min, or where the rate is 0, if H stays
+        below the goal until there."""
+        i = bisect.bisect_left(solved, H_goal, key=lambda q: q.H_curve)
+        below, above = ([None] + solved + [None])[i : i + 2]  # x falls as H rises
+        pt = min(filter(None, (below, above)), key=lambda q: abs(q.H_curve - H_goal))
         while abs(pt.H_curve - H_goal) > 1e-14 * max(1.0, abs(pt.H)):
-            if pt.H_curve < H_goal:
-                below = pt
-            else:
-                above = pt
-            if above is None and (pt.x <= x_min or pt.rate == 0.0):
-                return pt
-            gap = C0 - pt.H_curve
-            x = -math.inf
-            if gap > 0.0 and gap_goal > 0.0 and pt.rate > 0.0:
-                x = pt.x + (math.log(gap_goal) - math.log(gap)) * gap / pt.rate
             if above is None:
-                x = max(x, pt.x - 1.0, x_min)
-            elif not above.x < x < below.x:
-                x = 0.5 * (above.x + below.x)
-                if x in (above.x, below.x):  # the bracket holds no other double
-                    return min(above, below, key=lambda q: abs(q.H - H_goal))
+                if pt.x <= x_min or pt.rate == 0.0:
+                    return pt
+                gap = C0 - pt.H_curve
+                x = -math.inf
+                if gap > 0.0 and gap_goal > 0.0 and pt.rate > 0.0:
+                    x = pt.x + (math.log(gap_goal) - math.log(gap)) * gap / pt.rate
+                x = max(x, pt.x - max(1.0, abs(pt.x)), x_min)
+            else:
+                x = _hermite_root(above, below, C0, gap_goal)
+                if not above.x < x < below.x:
+                    x = 0.5 * (above.x + below.x)
+                    if x in (above.x, below.x):  # the bracket holds no other double
+                        return min(above, below, key=lambda q: abs(q.H - H_goal))
+                pt = below if below.x - x < x - above.x else above
             pt = solve(x, pt)
+            below, above = (pt, above) if pt.H_curve < H_goal else (below, pt)
         if abs(pt.H - H_goal) > 1e-14 * max(1.0, abs(pt.H)):
             pt = solve(pt.x, pt)
         return pt
@@ -498,7 +526,7 @@ def integrate(
         x_min = -duration if clock == "game" else -math.inf
         end = None
         if clock == "game" or config.c * duration >= C0 - start.H - gap_stop:
-            end = land(start, C0 - gap_stop, gap_stop, x_min)
+            end = land(C0 - gap_stop, gap_stop, x_min)
             if end.x > x_min or end.H >= C0 - gap_stop - 1e-14 * max(1.0, abs(end.H)):
                 status = "stationary"
                 if end.rate > 0.0 and not 0.01 * config.rate_min <= end.rate < config.rate_min:
@@ -517,7 +545,7 @@ def integrate(
             for k in range(1, SAMPLES + (end is None)):
                 t = t_end * k / SAMPLES
                 H_goal = start.H + config.c * t
-                pt = land(pt, H_goal, C0 - H_goal)
+                pt = land(H_goal, C0 - H_goal)
                 record(pt, t)
             if end is not None:
                 record(end, t_end)
