@@ -25,7 +25,6 @@ from .errors import (
     EntroflowError,
     FullyConstrainedError,
     IntegrationError,
-    NonLocalGeneratorError,
     NumericalDegeneracyError,
     UnsupportedShapeError,
 )
@@ -39,7 +38,6 @@ from .expfamily import (
 from .flow import (
     FlowConfig,
     Trajectory,
-    assemble_local_generator,
     entropy_time_fit,
     integrate,
 )
@@ -85,14 +83,12 @@ __all__ = [
     "FullyConstrainedError",
     "IntegrationError",
     "JointDistribution",
-    "NonLocalGeneratorError",
     "NumericalDegeneracyError",
     "OperatorBasis",
     "SubsystemShape",
     "Trajectory",
     "UnsupportedShapeError",
     "as_shape",
-    "assemble_local_generator",
     "bkm_kernel_matrix",
     "classical_origin_infeasible",
     "constraint_geometry",

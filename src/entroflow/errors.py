@@ -21,10 +21,6 @@ class NumericalDegeneracyError(EntroflowError):
     """A linear system behind a projector is too ill-conditioned to trust."""
 
 
-class NonLocalGeneratorError(EntroflowError):
-    """Reversible generator is not a sum of single-subsystem terms."""
-
-
 class IntegrationError(EntroflowError):
     """Trajectory integration failed; ``trajectory`` holds samples up to the failure."""
 

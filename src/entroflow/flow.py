@@ -13,20 +13,21 @@ function on this curve, finite up to its endpoint s = 0, the product of the
 start marginals.
 
 A reversible sector, the pushforward of -i[xi, rho] for a local Hermitian
-xi, changes neither the entropy nor any marginal spectrum.  V(tau) =
-e^(-i xi tau) is a local unitary, under which the dissipative field is
-covariant (G, the local span and hence P are carried into themselves): a
-combined run at game time tau is the dissipative run seen through V(tau),
-and a reversible-only run is theta0 seen through it.
+xi = sum_i xi_i (x) I, changes neither the entropy nor any marginal spectrum.
+V(tau) = e^(-i xi tau) = (x)_i e^(-i xi_i tau) is a local unitary, under which
+the dissipative field is covariant (G, the local span and hence P are carried
+into themselves): a combined run at game time tau is the dissipative run seen
+through V(tau), and a reversible-only run is theta0 seen through it.
 
 ``integrate`` therefore solves the curve by damped Newton in theta_L at the
 samples of a grid, in the rotating frame, and turns each sample into the lab
-frame, coordinates(V(tau_k) K(theta_k) V(tau_k)^dag); H, every marginal
-entropy and the rate are invariant under V.  A chart point takes K and its
-eigenpairs, rotates the local elements and K_C as one stack by one batched
-product and takes one pass of BKM rows (``_curve_point``).  Each marginal
-entropy is monitored separately at the samples, never corrected: a drift
-beyond the budget aborts.
+frame by the real orthogonal map V(tau_k) induces on product coordinates, a
+tensor product of one (d_i^2) x (d_i^2) map per factor (``_lab_frame``); H,
+every marginal entropy and the rate are invariant under V.  A chart point
+takes K and its eigenpairs, rotates the local elements and K_C as one stack
+by one batched product and takes one pass of BKM rows (``_curve_point``).
+Each marginal entropy is monitored separately at the samples, never
+corrected: a drift beyond the budget aborts.
 """
 
 from __future__ import annotations
@@ -42,14 +43,12 @@ from .errors import (
     BoundaryStateError,
     ConservationError,
     DegenerateProjectionError,
-    NonLocalGeneratorError,
     NumericalDegeneracyError,
 )
 from .expfamily import _bkm_rows, _check_theta, _generator, _spectrum, bkm_kernel_matrix
-from .operators import OperatorBasis, as_shape, embed_local, require_hermitian
+from .operators import OperatorBasis, require_hermitian
 from .states import marginal_entropies
 
-LOCALITY_TOL = 1e-10
 DEFAULT_RATE_MIN = 1e-10
 # Intervals of the sample grid, evenly spaced in the run's clock.
 SAMPLES = 8
@@ -91,14 +90,19 @@ class FlowConfig:
             raise ValueError("atol and rtol must not both be zero")
 
 
-def assemble_local_generator(shape, parts) -> np.ndarray:
-    """Build xi = sum_i xi_i (x) I_rest from (subsystem, block) pairs."""
-    shape = as_shape(shape)
-    d = shape.total_dim
-    xi = np.zeros((d, d), dtype=complex)
+def _local_generators(shape, parts) -> list[np.ndarray]:
+    """xi_i, the sum of the (subsystem, block) pairs naming subsystem i, for every i."""
+    xi = [np.zeros((d, d), dtype=complex) for d in shape.dims]
     for index, block in parts:
         block = require_hermitian(block, name=f"xi block for subsystem {index}")
-        xi += embed_local(block, index, shape)
+        if not 0 <= index < shape.n_subsystems:
+            raise ValueError(f"subsystem index {index} out of range for {shape.dims}")
+        if block.shape != xi[index].shape:
+            raise ValueError(
+                f"operator shape {block.shape} does not match subsystem {index} "
+                f"dimension {shape.dims[index]}"
+            )
+        xi[index] += block
     return xi
 
 
@@ -186,30 +190,32 @@ def _hermite_root(a, b, C0, gap_goal) -> float:
     return a.x + u * h
 
 
-def _require_local(basis: OperatorBasis, xi) -> np.ndarray:
-    xi = require_hermitian(xi, name="reversible generator")
-    d = basis.shape.total_dim
-    if xi.shape != (d, d):
-        raise ValueError(f"generator shape {xi.shape} does not match state {(d, d)}")
-    defect = float(np.linalg.norm(basis.coordinates(xi)[basis.correlation_indices()]))
-    if defect > LOCALITY_TOL * max(1.0, float(np.linalg.norm(xi))):
-        raise NonLocalGeneratorError(
-            f"generator has a correlation-sector component of norm {defect:.3e}"
-        )
-    return xi
-
-
-def _lab_frame(theta, tau, basis: OperatorBasis, w, W) -> np.ndarray:
+def _lab_frame(theta, tau, basis: OperatorBasis, frames) -> np.ndarray:
     """Rotating-frame rows theta_k seen at game times tau_k in the lab frame.
 
-    Row k becomes coordinates(V K(theta_k) V^dag) with
-    V = e^(-i xi tau_k) = W diag(e^(-i w tau_k)) W^dag from xi = W diag(w) W^dag.
+    V(tau) is the product of V_i = W_i diag(e^(-i w_i tau)) W_i^dag over the
+    factors, (w_i, W_i) the eigenpairs of xi_i in ``frames``.  On product
+    coordinates it acts as the tensor product of the maps O_i[a, b] =
+    tr(E_a V_i E_b V_i^dag) over E = (I/sqrt(d_i), factors[i]), real since both
+    operators are Hermitian.  With E' = W_i^dag E W_i this is
+    sum_jk E'_a[j, k] conj(E'_b[j, k]) e^(i (w_j - w_k) tau): one product per
+    sample, and no V.  Each row is laid out on the element tuples, one axis
+    per factor (index -1, I/sqrt(d_i), first), and each O_i(tau_k) acts on its
+    own axis; no d x d operator is formed.
     """
-    lab = np.empty_like(theta)
-    for k, (row, tau_k) in enumerate(zip(theta, tau)):
-        V = (W * np.exp(-1j * tau_k * w)) @ W.conj().T
-        lab[k] = basis.coordinates(V @ _generator(row, basis) @ V.conj().T)
-    return lab
+    n = len(theta)
+    tuples = (slice(None), *(np.array(basis.elements).T + 1))
+    T = np.zeros((n, *(len(F) + 1 for F in basis.factors)))
+    T[tuples] = theta
+    for axis, (F, (w, W)) in enumerate(zip(basis.factors, frames), start=1):
+        d = F.shape[1]
+        E = W.conj().T @ np.concatenate([np.eye(d)[None] / np.sqrt(d), F]) @ W
+        E = E.reshape(len(E), -1)
+        phase = np.exp(1j * np.multiply.outer(tau, np.subtract.outer(w, w).ravel()))
+        O = ((E * phase[:, None, :]) @ E.conj().T).real
+        T = np.moveaxis(T, axis, 1)
+        T = np.moveaxis((O @ T.reshape(n, len(E), -1)).reshape(T.shape), 1, axis)
+    return T[tuples]
 
 
 @dataclass(eq=False)
@@ -386,9 +392,11 @@ def integrate(
     A drift of any h_i beyond ``config.conservation_tol`` at a sample raises
     ConservationError, and cond(G_LL) above PROJECTOR_COND_MAX after theta0
     DegenerateProjectionError; both carry the samples taken so far.  A
-    single-subsystem basis raises FullyConstrainedError, a non-local
-    generator NonLocalGeneratorError and a degenerate block at theta0
-    NumericalDegeneracyError, before the first sample.
+    single-subsystem basis raises FullyConstrainedError, an ``xi_parts``
+    block that is not finite and Hermitian, names no subsystem or does not
+    match its subsystem's dimension ValueError (for every kind), and a
+    degenerate block at theta0 NumericalDegeneracyError, before the first
+    sample.
     """
     if clock not in ("entropy", "game"):
         raise ValueError(f"unknown clock {clock!r}")
@@ -403,11 +411,9 @@ def integrate(
 
     shape = basis.shape
     local = _local_sector(basis)
-    frame = None  # eigenpairs of xi, which rotate the samples into the lab frame
-    if kind != "dissipative":
-        # Locality is what makes the rotation exact (module docstring).
-        xi = _require_local(basis, assemble_local_generator(shape, config.xi_parts))
-        frame = np.linalg.eigh(xi)
+    xi = _local_generators(shape, config.xi_parts)
+    # The eigenpairs of each xi_i, which rotate the samples into the lab frame.
+    frames = None if kind == "dissipative" else [np.linalg.eigh(x) for x in xi]
 
     theta0 = _check_theta(theta0, basis)
     rows = []  # one (tau, t, H, marginal entropies, rate, theta) per sample
@@ -415,8 +421,8 @@ def integrate(
 
     def build(status):
         tau, t, H, marg, rate, theta = (np.array(col) for col in zip(*rows))
-        if frame is not None:
-            theta = _lab_frame(theta, tau, basis, *frame)
+        if frames is not None:
+            theta = _lab_frame(theta, tau, basis, frames)
         return Trajectory(clock, kind, shape.dims, status, tau, t, H, marg, rate, theta, stats)
 
     if kind == "reversible":  # theta stays theta0 in the rotating frame

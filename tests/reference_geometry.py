@@ -9,9 +9,13 @@ G-orthogonal projector N (N^T G N)^{-1} N^T G, the gradient and the Hessian
 read from the derivative stack, and the velocity helpers built on that
 projector, and the full vector G theta from all m coordinates.
 
-It also keeps the integrator's former route: the pushforward of -i[xi, rho]
-(``reversible_velocity``), stepped in the lab frame together with the
-dissipative field on every coordinate (``lab_frame_endpoint``); and the
+It also keeps the integrator's former routes: the pushforward of -i[xi, rho]
+(``reversible_velocity``, which checks its d x d generator for a
+correlation part, ``require_local``), stepped in the lab frame together with
+the dissipative field on every coordinate (``lab_frame_endpoint``); the d x d
+generator xi = sum_i xi_i (x) I (``assemble_local_generator``) and the
+samples turned into the lab frame as coordinates(V K(theta_k) V^dag) with
+V = e^(-i xi tau_k) (``lab_frame_dense``); and the
 eigen-route exp and log of a Hermitian matrix (``matrix_function``) that the
 divided differences and the Frechet derivative of exp are checked against.
 
@@ -49,7 +53,6 @@ from entroflow import (
     FlowConfig,
     FullyConstrainedError,
     NumericalDegeneracyError,
-    assemble_local_generator,
     as_shape,
     bkm_kernel_matrix,
     embed_local,
@@ -65,10 +68,13 @@ from entroflow.constraint import (
     marginal_eigh,
 )
 from entroflow.expfamily import _bkm_rows, _generator
-from entroflow.flow import DEFAULT_RATE_MIN, _require_local
+from entroflow.flow import DEFAULT_RATE_MIN
+from entroflow.operators import require_hermitian
 
 # Singular values below KERNEL_RCOND * sigma_max count as zero rows of M.
 KERNEL_RCOND = 1e-8
+# Relative norm of a generator's correlation part above which it is not local.
+LOCALITY_TOL = 1e-10
 
 
 def hermitian_vec(X) -> np.ndarray:
@@ -409,11 +415,46 @@ def marginal_projector(point: ExpFamilyPoint, N: np.ndarray) -> np.ndarray:
     return N @ np.linalg.solve(A, N.T @ G)
 
 
+def assemble_local_generator(shape, parts) -> np.ndarray:
+    """Build xi = sum_i xi_i (x) I_rest from (subsystem, block) pairs."""
+    shape = as_shape(shape)
+    d = shape.total_dim
+    xi = np.zeros((d, d), dtype=complex)
+    for index, block in parts:
+        block = require_hermitian(block, name=f"xi block for subsystem {index}")
+        xi += embed_local(block, index, shape)
+    return xi
+
+
+def require_local(basis, xi) -> np.ndarray:
+    """xi as a Hermitian d x d matrix; ValueError if it has a correlation part."""
+    xi = require_hermitian(xi, name="reversible generator")
+    d = basis.shape.total_dim
+    if xi.shape != (d, d):
+        raise ValueError(f"generator shape {xi.shape} does not match state {(d, d)}")
+    defect = float(np.linalg.norm(basis.coordinates(xi)[basis.correlation_indices()]))
+    if defect > LOCALITY_TOL * max(1.0, float(np.linalg.norm(xi))):
+        raise ValueError(f"generator has a correlation-sector component of norm {defect:.3e}")
+    return xi
+
+
+def lab_frame_dense(theta, tau, basis, xi_parts) -> np.ndarray:
+    """Rows theta_k at game times tau_k in the lab frame, by d x d matrices:
+    coordinates(V K(theta_k) V^dag), V = W diag(e^(-i w tau_k)) W^dag from the
+    eigenpairs of the assembled xi = W diag(w) W^dag."""
+    w, W = np.linalg.eigh(require_local(basis, assemble_local_generator(basis.shape, xi_parts)))
+    lab = np.empty_like(theta)
+    for k, (row, tau_k) in enumerate(zip(theta, tau)):
+        V = (W * np.exp(-1j * tau_k * w)) @ W.conj().T
+        lab[k] = basis.coordinates(V @ _generator(row, basis) @ V.conj().T)
+    return lab
+
+
 def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
     """Pushforward of the unitary flow d rho = -i [xi, rho] to natural params.
 
     xi must be local (a sum of single-subsystem terms, identity shifts
-    allowed); anything else is rejected with NonLocalGeneratorError.  The
+    allowed); anything else is rejected with ValueError (``require_local``).  The
     unitary flow conjugates log rho = K - psi I and leaves psi fixed, so the
     velocity is the chart coordinates of -i [xi, K]; it equals the solution
     of G dtheta = w with w_a = tr(-i [xi, rho] F_a), conserves the entropy
@@ -421,7 +462,7 @@ def reversible_velocity(point: ExpFamilyPoint, xi) -> np.ndarray:
     with A = xi K is the Hermitian part of -2i A, and the coordinates read
     only the Hermitian part, so one product suffices.
     """
-    xi = _require_local(point.basis, xi)
+    xi = require_local(point.basis, xi)
     return point.basis.coordinates(-2j * (xi @ point.generator))
 
 

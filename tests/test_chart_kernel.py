@@ -14,7 +14,6 @@ from entroflow import (
     BoundaryStateError,
     FlowConfig,
     as_shape,
-    assemble_local_generator,
     integrate,
     make_point,
     marginal_entropies,
@@ -28,6 +27,7 @@ from entroflow.flow import _local_sector
 from entroflow.operators import marginals
 from entroflow.states import FULL_RANK_FLOOR, entropy_of_spectrum
 from tests.reference_geometry import (
+    assemble_local_generator,
     local_block_projection,
     reference_geometry,
     reversible_velocity,

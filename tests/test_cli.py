@@ -315,6 +315,25 @@ def test_non_finite_xi_entry_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "kind", [{"kind": "dissipative"}, {"kind": "combined"}, {"kind": "reversible", "clock": "game"}]
+)
+@pytest.mark.parametrize(
+    "xi, message",
+    [
+        ({"subsystem": 5, "matrix": [[1]]}, "subsystem index 5 out of range"),
+        ({"subsystem": 0, "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}, "is not Hermitian"),
+        ({"subsystem": 1, "matrix": [[1, 0], [0, -1]]}, "does not match subsystem 1 dimension 3"),
+    ],
+)
+def test_malformed_xi_block_exits_two_for_every_kind(tmp_path, capsys, kind, xi, message):
+    """The blocks are checked against the shape before the first sample, also
+    in a dissipative run, which does not use them."""
+    assert run_cli(tmp_path, "simulate", {**kind, "duration": 0.1, "xi": [xi]}) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("reversible_rate", 1.0),
