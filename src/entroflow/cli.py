@@ -52,8 +52,8 @@ from .states import (
 )
 
 _LN2 = math.log(2.0)
-# Largest total Hilbert dimension the modes accept; the product basis alone
-# holds (d^2 - 1) d^2 complex entries.
+# Largest total Hilbert dimension the modes accept; the metric and the
+# Hessian of the origin modes hold (d^2 - 1)^2 entries each.
 MAX_TOTAL_DIM = 64
 
 # The simulate keys passed to FlowConfig as they are, with its defaults;

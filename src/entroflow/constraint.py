@@ -7,14 +7,12 @@ and the stiffness spectrum that separates soft (marginal-preserving) from
 stiff (marginal-moving) directions.
 
 There is one projection route, the local-block identity: (G v)_a =
-tr(F_a d rho[v]), and the local elements L of the product basis span the
-traceless operators of every subsystem, so M v = 0 iff (G v)_L = 0.  ker M
-is therefore the G-orthogonal complement of the local axes e_L, and every
-use of it (the flow's projection, the kernel basis) is one solve with the
-|L| x |L| local metric block G_LL (``_solve_local_block``).  The same
-identity gives every marginal derivative from the local columns of G,
-d_a rho_i = sum_{alpha in L_i} G_{a alpha} tr_{-i} F_alpha, which is all
-the Hessian needs of d rho.  The marginal Jacobian M itself is never formed.
+tr(F_a d rho[v]), and the local elements L span the traceless operators of
+every subsystem, so M v = 0 iff (G v)_L = 0.  ker M is the G-orthogonal
+complement of the local axes e_L, and every use of it is one solve with the
+local metric block G_LL (``_solve_local_block``).  The same identity gives
+every marginal derivative d_a rho_i from the local columns of G, which is
+all the Hessian needs of d rho; the marginal Jacobian M is never formed.
 """
 
 from __future__ import annotations
@@ -205,18 +203,18 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
         d_a d_b rho = D^2 exp(A)[F~_a, F~_b] - G_ab rho.
 
     In the eigenbasis of rho, with w = log p, tr(Lambda D^2 exp[F~_a, F~_b])
-    = T_ab + T_ba where T_ab = sum_jlk (F~_a)_jl f[w_j, w_l, w_k]
-    Lambda~_kj (F~_b)_lk and f are the second divided differences of exp;
-    this costs O(m d^3 + m^2 d^2).  The divided differences of log are 1/k
-    with k the BKM kernel, and d_a rho_i = sum_{alpha in L_i} G_{a alpha}
-    tr_{-i} F_alpha, read from factor i (``_local_marginals``), so the
-    marginal sum is G_{:L_i} Q_i G_{L_i:} with
-    Q_i = Re(Y Y^dag) over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i
-    / sqrt(k(lambda_i)).  At saturation (every rho_i = I/d_i) Q_i = d I and
-    the other terms cancel, so Hess C = -d G_{:L} G_{L:}, whose kernel is
-    ker M.  Marginals at or below FULL_RANK_FLOOR raise BoundaryStateError
-    (``marginal_eigh``, or ``spectra`` from it); local elements that do not
-    span raise ValueError (``_local_blocks``).
+    = T_ab + T_ba where T_ab = sum_lk Z_a[l, k] (F~_b)_lk, Z_a[l, k] =
+    sum_j (F~_a)_jl f[w_j, w_l, w_k] Lambda~_kj and f are the second divided
+    differences of exp; per chunk of rotated elements, the rows of T are
+    Re T_ab = coordinates(U Z_a^T U^dag)_b - mu_b Re tr Z_a.  The divided
+    differences of log are 1/k with k the BKM kernel, and d_a rho_i =
+    sum_{alpha in L_i} G_{a alpha} tr_{-i} F_alpha (``_local_marginals``), so
+    the marginal sum is G_{:L_i} Q_i G_{L_i:} with Q_i = Re(Y Y^dag) over the
+    rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i / sqrt(k(lambda_i)).  At
+    saturation (every rho_i = I/d_i) Q_i = d I and the other terms cancel, so
+    Hess C = -d G_{:L} G_{L:}, whose kernel is ker M.  Marginals at or below
+    FULL_RANK_FLOOR raise BoundaryStateError (``marginal_eigh``, or ``spectra``
+    from it); local elements that do not span raise ValueError (``_local_blocks``).
     """
     basis = point.basis
     m = basis.size
@@ -229,16 +227,18 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
         G_i = G[:, L_i]
         H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 
-    U = point.eigvecs
+    U, d = point.eigvecs, point.dim
     Lam_t = U.conj().T @ _marginal_log_sum(basis.shape, spectra) @ U
-    idx = np.arange(point.dim)
-    Fc = U.conj().T @ basis.stack @ U
-    Fc[:, idx, idx] -= point.mu[:, None]  # U^dag F~_a U
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
-    Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))
-    T = Z.transpose(1, 0, 2).reshape(m, -1) @ Fc.reshape(m, -1).T
-    H -= np.real(T + T.T)
+    T = np.empty((m, m))
+    for chunk, Fc in basis.rotated(U):
+        Fc.reshape(len(Fc), -1)[:, :: d + 1] -= point.mu[chunk, None]  # U^dag F~_a U
+        Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))
+        X = U.conj() @ (Z.reshape(-1, d) @ U.T).reshape(d, -1)  # X[q, a, p] = (U Z_a^T U^dag)_pq
+        X = X.reshape(d, -1, d).transpose(1, 2, 0)
+        T[chunk] = basis.coordinates(X) - np.outer(np.trace(Z, axis1=0, axis2=2).real, point.mu)
+    H -= T + T.T
     H += sum(float(lam @ np.log(lam)) for lam, _ in spectra) * G
     return 0.5 * (H + H.T)
 

@@ -27,13 +27,10 @@ STATE_UNDERFLOW_FLOOR = 1e-250
 
 @dataclass(frozen=True, eq=False)
 class ExpFamilyPoint:
-    """Immutable snapshot of one family member and its local geometry.
-
-    The fields are computed at construction: the family generator K(theta),
-    log partition psi, state rho with its eigendecomposition and mean
-    parameters mu.  The full m x m BKM metric G is computed on first access
-    of ``metric`` and cached.
-    """
+    """Immutable snapshot of one family member and its local geometry: the
+    family generator K(theta), log partition psi, state rho with its
+    eigendecomposition and mean parameters mu, computed at construction, and
+    the m x m BKM metric G, computed on first access of ``metric``."""
 
     theta: np.ndarray
     basis: OperatorBasis
@@ -57,18 +54,16 @@ class ExpFamilyPoint:
         """Full BKM metric G (Hessian of psi), computed on first access.
 
         G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) with F~ the centred
-        basis elements in the eigenbasis of rho and k the BKM kernel.
+        basis elements in the eigenbasis of rho and k the BKM kernel, Hermitian
+        in (j, k): G = V V^T over the upper triangle of the BKM rows, sqrt(2)
+        off the diagonal, filled one chunk of rotated elements at a time.
         """
-        U = self.eigvecs
-        root_k = np.sqrt(bkm_kernel_matrix(self.eigvals))
-        Y = _bkm_rows(U.conj().T @ self.basis.stack @ U, root_k, self.mu)
-        return _readonly(Y @ Y.T)
-
-
-def _generator(theta: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """K(theta) from one real GEMV on the interleaved view of the stack."""
-    d = basis.shape.total_dim
-    return (theta @ basis.real_rows).view(complex).reshape(d, d)
+        k = bkm_kernel_matrix(self.eigvals)
+        upper = np.repeat(np.triu(np.ones(k.shape, dtype=bool)).ravel(), 2)  # Re, Im per entry
+        V = np.empty((self.basis.size, np.count_nonzero(upper)))
+        for chunk, R in self.basis.rotated(self.eigvecs):
+            V[chunk] = _bkm_rows(R, np.sqrt(k + np.triu(k, 1)), self.mu[chunk])[:, upper]
+        return _readonly(V @ V.T)
 
 
 def _check_theta(theta, basis: OperatorBasis) -> np.ndarray:
@@ -92,7 +87,7 @@ def _log_sum_exp(w: np.ndarray) -> float:
 
 def _spectrum(K: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """psi, the spectrum p of rho = exp(K - psi I) and its eigenvectors, from one eigh."""
-    w, U = np.linalg.eigh(K)  # K is exactly Hermitian: no symmetrisation
+    w, U = np.linalg.eigh(K)  # K is exactly Hermitian (OperatorBasis.combine)
     psi = _log_sum_exp(w)
     p = np.exp(w - psi)
     if p[0] <= STATE_UNDERFLOW_FLOOR:
@@ -116,23 +111,12 @@ def bkm_kernel_matrix(p) -> np.ndarray:
 
 
 def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
-    """Construct a family point with its state and mean parameters.
-
-    Parameters
-    ----------
-    theta : array_like
-        Natural parameters, length ``basis.size``.
-    basis : OperatorBasis
-        Traceless orthonormal Hermitian basis fixing the chart.
-
-    Returns
-    -------
-    ExpFamilyPoint
-        Frozen snapshot carrying K, psi, rho, mu and the eigendecomposition
-        of rho; the BKM metric is computed on first access.
+    """The family point at natural parameters ``theta`` (length ``basis.size``)
+    in the chart of ``basis``: a frozen snapshot carrying K, psi, rho, mu and
+    the eigendecomposition of rho; the BKM metric is computed on first access.
     """
     theta = _check_theta(theta, basis)
-    K = _generator(theta, basis)
+    K = basis.combine(theta)
     psi, p, U = _spectrum(K)
     rho = (U * p) @ U.conj().T
     rho = 0.5 * (rho + rho.conj().T)
@@ -151,10 +135,9 @@ def make_point(theta, basis: OperatorBasis) -> ExpFamilyPoint:
 def _bkm_rows(R: np.ndarray, root_k: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Rows Y_a = sqrt(k) (R_a - mu_a I) as real views, shape (n, 2 d^2).
 
-    R is the (n, d, d) stack U^dag F_a U in the eigenbasis U of rho and
-    ``root_k`` the square root of the BKM kernel k on its spectrum p, so
-    G_ab = sum_jk k(p_j, p_k) (F~_a)_jk conj((F~_b)_jk) is Y_a . Y_b and
-    G = Y Y^T is exactly symmetric.
+    R is the C-contiguous (n, d, d) stack U^dag F_a U in the eigenbasis U of
+    rho and ``root_k`` the square root of the BKM kernel k on its spectrum, so
+    G_ab = Y_a . Y_b and G = Y Y^T is exactly symmetric.
     """
     n, d, _ = R.shape
     Y = R * root_k

@@ -20,14 +20,10 @@ into themselves): a combined run at game time tau is the dissipative run seen
 through V(tau), and a reversible-only run is theta0 seen through it.
 
 ``integrate`` therefore solves the curve by damped Newton in theta_L at the
-samples of a grid, in the rotating frame, and turns each sample into the lab
-frame by the real orthogonal map V(tau_k) induces on product coordinates, a
-tensor product of one (d_i^2) x (d_i^2) map per factor (``_lab_frame``); H,
-every marginal entropy and the rate are invariant under V.  A chart point
-takes K and its eigenpairs, rotates the local elements and K_C as one stack
-by one batched product and takes one pass of BKM rows (``_curve_point``).
-Each marginal entropy is monitored separately at the samples, never
-corrected: a drift beyond the budget aborts.
+samples of a grid (``_curve_point``), in the rotating frame, and maps each
+sample to the lab frame factor by factor (``_lab_frame``); H, every marginal
+entropy and the rate are invariant under V.  Each marginal entropy is
+monitored at the samples, never corrected: a drift beyond the budget aborts.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from .errors import (
     DegenerateProjectionError,
     NumericalDegeneracyError,
 )
-from .expfamily import _bkm_rows, _check_theta, _generator, _spectrum, bkm_kernel_matrix
+from .expfamily import _bkm_rows, _check_theta, _spectrum, bkm_kernel_matrix
 from .operators import OperatorBasis, require_hermitian
 from .states import marginal_entropies
 
@@ -127,16 +123,15 @@ def _curve_point(x, theta_local, F, local_rows, mu_target) -> _CurvePoint:
     """The chart point at theta_L and s = e^x, where the stack F holds the
     local elements and, last, K_C(0) = sum_C theta_C(0) F_C.
 
-    One batched product rotates the stack, R = U^dag F U, in the eigenbasis U
-    of rho (spectrum p).  The local diagonals give mu_L = p . diag R_a, and one
-    pass of BKM rows sqrt(k) (R - mu I), k the BKM kernel, gives the local
-    rows Y and, last, the row of K_C(0), scaled by s into z, the row of K_C:
-    G_LL = Y Y^T.  One solve with G_LL gives the Newton step on the
-    gradient mu_L - ``mu_target`` and the tangent -G_LL^{-1} Y z.  The rate
-    theta_C^T (G_CC - G_CL G_LL^{-1} G_LC) theta_C is |z - Y^T G_LL^{-1} Y z|^2,
-    a sum of squares, 0 at a product state.  dH/dtheta_L = -(G theta)_L =
-    -G_LL (theta_L - tangent), so the Newton step would change H by
-    (theta_L - tangent) . (mu_L - mu_target) to first order: ``H_curve``.
+    R = U^dag F U in the eigenbasis U of rho (spectrum p) gives mu_L =
+    p . diag R_a, and its BKM rows sqrt(k) (R - mu I) the local rows Y and,
+    scaled by s, the row z of K_C: G_LL = Y Y^T.  One solve gives the Newton
+    step on the gradient mu_L - ``mu_target`` and the tangent -G_LL^{-1} Y z.
+    The rate theta_C^T (G_CC - G_CL G_LL^{-1} G_LC) theta_C is
+    |z - Y^T G_LL^{-1} Y z|^2, a sum of squares, 0 at a product state.
+    dH/dtheta_L = -(G theta)_L = -G_LL (theta_L - tangent), so the Newton
+    step would change H by (theta_L - tangent) . (mu_L - mu_target) to first
+    order: ``H_curve``.
     """
     s = math.exp(x)
     K = (theta_local @ local_rows).view(complex).reshape(F.shape[1:]) + s * F[-1]
@@ -195,27 +190,23 @@ def _lab_frame(theta, tau, basis: OperatorBasis, frames) -> np.ndarray:
 
     V(tau) is the product of V_i = W_i diag(e^(-i w_i tau)) W_i^dag over the
     factors, (w_i, W_i) the eigenpairs of xi_i in ``frames``.  On product
-    coordinates it acts as the tensor product of the maps O_i[a, b] =
-    tr(E_a V_i E_b V_i^dag) over E = (I/sqrt(d_i), factors[i]), real since both
-    operators are Hermitian.  With E' = W_i^dag E W_i this is
-    sum_jk E'_a[j, k] conj(E'_b[j, k]) e^(i (w_j - w_k) tau): one product per
-    sample, and no V.  Each row is laid out on the element tuples, one axis
-    per factor (index -1, I/sqrt(d_i), first), and each O_i(tau_k) acts on its
-    own axis; no d x d operator is formed.
+    coordinates it acts as the tensor product of the real maps O_i[a, b] =
+    tr(E_a V_i E_b V_i^dag) over the padded factor stack E (``_layout``): with
+    E' = W_i^dag E W_i, sum_jk E'_a[j, k] conj(E'_b[j, k]) e^(i (w_j - w_k) tau).
+    Each O_i(tau_k) acts on its factor's axis of the rows laid out on the grid
+    of element tuples; no d x d operator is formed.
     """
     n = len(theta)
-    tuples = (slice(None), *(np.array(basis.elements).T + 1))
-    T = np.zeros((n, *(len(F) + 1 for F in basis.factors)))
-    T[tuples] = theta
-    for axis, (F, (w, W)) in enumerate(zip(basis.factors, frames), start=1):
-        d = F.shape[1]
-        E = W.conj().T @ np.concatenate([np.eye(d)[None] / np.sqrt(d), F]) @ W
-        E = E.reshape(len(E), -1)
+    padded, _, flat = basis._layout
+    T = np.zeros((n, *(len(E) for E in padded)))
+    T.reshape(n, -1)[:, flat] = theta
+    for axis, (E, (w, W)) in enumerate(zip(padded, frames), start=1):
+        E = (W.conj().T @ E @ W).reshape(len(E), -1)
         phase = np.exp(1j * np.multiply.outer(tau, np.subtract.outer(w, w).ravel()))
         O = ((E * phase[:, None, :]) @ E.conj().T).real
         T = np.moveaxis(T, axis, 1)
         T = np.moveaxis((O @ T.reshape(n, len(E), -1)).reshape(T.shape), 1, axis)
-    return T[tuples]
+    return T.reshape(n, -1)[:, flat]
 
 
 @dataclass(eq=False)
@@ -427,17 +418,17 @@ def integrate(
 
     if kind == "reversible":  # theta stays theta0 in the rotating frame
         stats["chart_points"] = 1
-        p, U = _spectrum(_generator(theta0, basis))[1:]
+        p, U = _spectrum(basis.combine(theta0))[1:]
         H = -float(p @ np.log(p))
         marg = marginal_entropies((U * p) @ U.conj().T, shape)
         for k in range(SAMPLES + 1):
             rows.append((duration * k / SAMPLES, 0.0, H, marg, 0.0, theta0))
         return build("completed")
 
-    local_rows = basis.real_rows[local]
     theta_corr = theta0.copy()
     theta_corr[local] = 0.0
-    F = np.concatenate([basis.stack[local], _generator(theta_corr, basis)[None]])
+    F = np.concatenate([basis.products(local), basis.combine(theta_corr)[None]])
+    local_rows = F[:-1].view(float).reshape(local.size, -1)
 
     def point(x, theta_local, mu_target):
         stats["chart_points"] += 1

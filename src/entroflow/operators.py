@@ -23,6 +23,8 @@ ORTHONORMALITY_TOL = 1e-10
 # Spread of an eigenvalue triple at or below which second divided differences
 # of exp switch from the difference quotient to their Taylor series.
 SECOND_DIVIDED_DIFFERENCE_SERIES_SPREAD = 1e-3
+# Bytes of basis elements that OperatorBasis.rotated forms at a time.
+ROTATION_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -244,21 +246,6 @@ class OperatorBasis:
         object.__setattr__(self, "elements", elements)
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """The (m, d, d) elements, built on first read (read-only).
-
-        One broadcast product per factor multiplies elementwise as np.kron
-        does, so the bits are those of a loop of np.kron over the elements.
-        """
-        prefix = np.ones((self.size, 1, 1), dtype=complex)
-        for F, index in zip(self.factors, np.array(self.elements).T):
-            d_i, r = F.shape[1], prefix.shape[1]
-            picked = np.concatenate([np.eye(d_i, dtype=complex)[None] / np.sqrt(d_i), F])[index + 1]
-            prefix = prefix[:, :, None, :, None] * picked[:, None, :, None, :]
-            prefix = prefix.reshape(-1, r * d_i, r * d_i)
-        return _readonly(prefix)
-
-    @cached_property
     def _supports(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(i for i, j in enumerate(e) if j >= 0) for e in self.elements)
 
@@ -272,25 +259,64 @@ class OperatorBasis:
         return len(self.elements)
 
     @cached_property
-    def real_rows(self) -> np.ndarray:
-        """The stack as an (m, 2 d^2) real array: each F_a with Re and Im interleaved.
+    def _layout(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+        """The factor stacks with I/sqrt(d_i) first, and the element tuples
+        plus one, per factor and as flat indices into the grid of products."""
+        eyes = (np.eye(d_i, dtype=complex)[None] / np.sqrt(d_i) for d_i in self.shape.dims)
+        padded = tuple(_readonly(np.concatenate(pair)) for pair in zip(eyes, self.factors))
+        tuples = np.array(self.elements).T + 1
+        flat = np.ravel_multi_index(tuples, [len(E) for E in padded])
+        return padded, tuple(map(_readonly, tuples)), _readonly(flat)
 
-        A copy-free view.  For Hermitian F_a, (F_a)_kj = conj((F_a)_jk), so
-        Re tr(F_a X) = sum_jk (Re (F_a)_jk Re X_jk + Im (F_a)_jk Im X_jk) is the
-        real dot product of row a with the same view of any complex X; and
-        theta @ real_rows is the same view of K(theta).
-        """
-        return self.stack.view(float).reshape(self.size, -1)
+    def products(self, index) -> np.ndarray:
+        """The (n, d, d) elements at ``index`` (a slice or indices), one broadcast
+        product per factor: the bits of a loop of np.kron over the elements."""
+        padded, tuples, _ = self._layout
+        out = np.ones((len(tuples[0][index]), 1, 1), dtype=complex)
+        for E, t in zip(padded, tuples):
+            r, q = out.shape[1], E.shape[1]
+            out = (out[:, :, None, :, None] * E[t[index], None, :, None]).reshape(-1, r * q, r * q)
+        return out
+
+    def rotated(self, U):
+        """Yield (chunk, U^dag F_a U for a in chunk) over chunks of at most
+        ROTATION_CHUNK_BYTES, each a fresh C-contiguous array; as F_a is
+        Hermitian, U^dag F U = (F U)^dag U takes two flat products per chunk."""
+        d = len(U)
+        step = max(1, ROTATION_CHUNK_BYTES // (16 * d * d))
+        for chunk in (slice(start, start + step) for start in range(0, self.size, step)):
+            FU = (self.products(chunk).reshape(-1, d) @ U).reshape(-1, d, d)
+            yield chunk, (FU.transpose(0, 2, 1).reshape(-1, d) @ U.conj()).reshape(-1, d, d).conj()
 
     def coordinates(self, X) -> np.ndarray:
-        """Re tr(F_a X) for every element, as one real product over the stack.
+        """Re tr(F_a X) for every element, for X of shape (..., d, d).
 
         For traceless Hermitian X these are its expansion coefficients; for a
-        state they are the mean parameters.  Only the Hermitian part of X
-        enters.
+        state they are the mean parameters; only the Hermitian part of X enters.
+        With X's axes ordered (column, row) per factor, batch last, each factor
+        contracts the leading pair in one product and appends its element axis.
         """
-        X = np.ascontiguousarray(X, dtype=complex)
-        return self.real_rows @ X.view(float).ravel()
+        padded, _, flat = self._layout
+        n, X = self.shape.n_subsystems, np.asarray(X, dtype=complex)
+        T = X.reshape((-1,) + self.shape.dims * 2)
+        batch, T = len(T), T.transpose(*(a for i in range(1, n + 1) for a in (n + i, i)), 0)
+        for E in padded:
+            T = T.reshape(E[0].size, -1).T @ E.reshape(len(E), -1).T
+        return T.reshape(batch, -1).real[:, flat].reshape(X.shape[:-2] + (self.size,))
+
+    def combine(self, theta) -> np.ndarray:
+        """K(theta) = sum_a theta_a F_a: theta on the grid of ``_layout``, each
+        factor's element axis replaced by its (row, column) pair in one product.
+        Symmetrised, so exactly Hermitian and an eigensolver may skip that."""
+        padded, _, flat = self._layout
+        n, d = self.shape.n_subsystems, self.shape.total_dim
+        T = np.zeros(math.prod(len(E) for E in padded))
+        T[flat] = theta
+        for E in padded:
+            T = T.reshape(len(E), -1).T @ E.reshape(len(E), -1)
+        T = T.reshape(tuple(d_i for d_i in self.shape.dims for _ in (0, 1)))
+        K = T.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(d, d)
+        return 0.5 * (K + K.conj().T)
 
     @cached_property
     def local_sector(self) -> np.ndarray:

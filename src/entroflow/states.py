@@ -71,7 +71,7 @@ def marginal_entropies(rho, shape) -> np.ndarray:
     out = np.empty(len(margs))
     for di in set(shape.dims):
         group = [i for i, dj in enumerate(shape.dims) if dj == di]
-        A = np.stack([margs[i] for i in group])
+        A = np.array([margs[i] for i in group])
         for i, ok in zip(group, is_hermitian(A)):
             if not ok:
                 raise ValueError(f"marginal {i} is not Hermitian or not finite")

@@ -29,7 +29,10 @@ rows times its row block (``map_local_marginals``).
 
 ``kron_product_basis`` is the former construction of ``product_basis``: the
 Gell-Mann matrices built one by one, and a loop of np.kron over every
-element, with the sector label of each.
+element, with the sector label of each.  ``kron_stack`` is the same loop
+over the factors of any ``OperatorBasis``: the m x d x d stack the library
+no longer forms, and the former stack routes of ``coordinates``
+(``stack_coordinates``) and K(theta) (``stack_generator``) read it.
 
 The stepped integrator's stage kernel, P theta and the rate by the
 local-block route from the eigenpairs of rho alone (``stage_kernel``), is
@@ -67,7 +70,7 @@ from entroflow.constraint import (
     _solve_local_block,
     marginal_eigh,
 )
-from entroflow.expfamily import _bkm_rows, _generator
+from entroflow.expfamily import _bkm_rows
 from entroflow.flow import DEFAULT_RATE_MIN
 from entroflow.operators import require_hermitian
 
@@ -143,6 +146,51 @@ def kron_product_basis(shape) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.stack(elements), tuple(labels)
 
 
+@functools.lru_cache(maxsize=32)
+def kron_stack(basis) -> np.ndarray:
+    """The (m, d, d) elements of any ``OperatorBasis``, one np.kron loop over
+    each element's factors (read-only); for ``product_basis(shape)`` it is
+    bitwise the stack of ``kron_product_basis(shape)``."""
+    out = []
+    for e in basis.elements:
+        op = np.eye(1, dtype=complex)
+        for d_i, F, j in zip(basis.shape.dims, basis.factors, e):
+            op = np.kron(op, F[j] if j >= 0 else np.eye(d_i, dtype=complex) / np.sqrt(d_i))
+        out.append(op)
+    stack = np.stack(out)
+    stack.flags.writeable = False
+    return stack
+
+
+def stack_coordinates(basis, X) -> np.ndarray:
+    """Re tr(F_a X) for every element, as one real product over the
+    interleaved view of ``kron_stack`` (the library's former route)."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    return kron_stack(basis).view(float).reshape(basis.size, -1) @ X.view(float).ravel()
+
+
+def stack_generator(theta, basis) -> np.ndarray:
+    """K(theta) = sum_a theta_a F_a from one real GEMV on the interleaved view
+    of ``kron_stack`` (the library's former route)."""
+    d = basis.shape.total_dim
+    rows = kron_stack(basis).view(float).reshape(basis.size, -1)
+    return (theta @ rows).view(complex).reshape(d, d)
+
+
+def stack_bkm_rows(point: ExpFamilyPoint) -> np.ndarray:
+    """The BKM rows Y_a = sqrt(k) (U^dag F_a U - mu_a I) of every element at
+    once, rotated from ``kron_stack``, as real (m, 2 d^2) rows: G = Y Y^T."""
+    U = point.eigvecs
+    R = U.conj().T @ kron_stack(point.basis) @ U
+    return _bkm_rows(R, np.sqrt(bkm_kernel_matrix(point.eigvals)), point.mu)
+
+
+def stack_metric(point: ExpFamilyPoint) -> np.ndarray:
+    """G = Y Y^T over ``stack_bkm_rows`` (the library's former route)."""
+    Y = stack_bkm_rows(point)
+    return Y @ Y.T
+
+
 def hermitian_eig(A):
     """Eigendecomposition of (A + A^dag)/2, eigenvalues ascending."""
     A = np.asarray(A, dtype=complex)
@@ -209,7 +257,7 @@ def map_local_marginals(basis, i: int) -> np.ndarray:
     stack rows times row block i of ``marginal_map``."""
     L_i = basis.local_blocks[i]
     d_i = basis.shape.dims[i]
-    rows = basis.stack[L_i].reshape(L_i.size, -1)
+    rows = kron_stack(basis)[L_i].reshape(L_i.size, -1)
     return (rows @ _map_block(basis.shape, i).T).reshape(-1, d_i, d_i)
 
 
@@ -229,7 +277,7 @@ def matrix_function(A, f, *, positive: bool = False) -> np.ndarray:
 def _centred_rotation(point: ExpFamilyPoint) -> np.ndarray:
     """U^dag F_a U - mu_a I for every element, shape (m, d, d)."""
     U = point.eigvecs
-    R = U.conj().T @ point.basis.stack @ U
+    R = U.conj().T @ kron_stack(point.basis) @ U
     idx = np.arange(point.dim)
     R[:, idx, idx] -= point.mu[:, None]
     return R
@@ -249,7 +297,7 @@ def stage_kernel(theta, basis, p, U) -> tuple[np.ndarray, float]:
     local = _local_sector(basis)
     proj = theta.copy()
     proj[local] = 0.0
-    F = np.concatenate([basis.stack[local], _generator(proj, basis)[None]])
+    F = np.concatenate([kron_stack(basis)[local], stack_generator(proj, basis)[None]])
     logp = np.log(p)
     c = logp - p @ logp
     R = U.conj().T @ F @ U
@@ -327,7 +375,8 @@ def stack_hessian(point: ExpFamilyPoint) -> np.ndarray:
 
     Same formula as ``constraint_hessian``, except that the rows
     V_i^dag (d_b rho_i) V_i / sqrt(k(lambda_i)) come from the partial traces
-    of ``state_derivatives`` instead of the local columns of G.
+    of ``state_derivatives`` instead of the local columns of G, and that G
+    (``stack_metric``) and T_ab come from the whole rotated stack at once.
     """
     shape = point.basis.shape
     m = point.basis.size
@@ -351,7 +400,7 @@ def stack_hessian(point: ExpFamilyPoint) -> np.ndarray:
     Z = np.matmul(Fc.transpose(2, 0, 1), W.transpose(1, 0, 2))
     T = Z.transpose(1, 0, 2).reshape(m, -1) @ Fc.reshape(m, -1).T
     H -= np.real(T + T.T)
-    H += trace_lam_rho * point.metric
+    H += trace_lam_rho * stack_metric(point)
     return 0.5 * (H + H.T)
 
 
@@ -403,16 +452,18 @@ def marginal_projector(point: ExpFamilyPoint, N: np.ndarray) -> np.ndarray:
     Idempotent and G-self-adjoint by construction, and M P = 0 whenever N
     spans ker M.  This kernel-basis form is used at every point, interior
     or saturated; it needs no pseudoinverse of the (rank-deficient) row
-    space of M.
+    space of M.  With G = Y Y^T (``stack_bkm_rows``) and B = Y^T N,
+    (N^T G N)^{-1} N^T G = B^+ Y^T is solved by least squares on B, whose
+    condition number is the square root of cond(N^T G N).
     """
-    G = point.metric
-    A = N.T @ G @ N
-    cond = np.linalg.cond(A)
+    Y = stack_bkm_rows(point)
+    B = Y.T @ N
+    cond = np.linalg.cond(B) ** 2
     if not np.isfinite(cond) or cond > PROJECTOR_COND_MAX:
         raise NumericalDegeneracyError(
             f"projector Gram matrix condition {cond:.3e} exceeds {PROJECTOR_COND_MAX:.1e}"
         )
-    return N @ np.linalg.solve(A, N.T @ G)
+    return N @ np.linalg.lstsq(B, Y.T, rcond=None)[0]
 
 
 def assemble_local_generator(shape, parts) -> np.ndarray:
@@ -446,7 +497,7 @@ def lab_frame_dense(theta, tau, basis, xi_parts) -> np.ndarray:
     lab = np.empty_like(theta)
     for k, (row, tau_k) in enumerate(zip(theta, tau)):
         V = (W * np.exp(-1j * tau_k * w)) @ W.conj().T
-        lab[k] = basis.coordinates(V @ _generator(row, basis) @ V.conj().T)
+        lab[k] = basis.coordinates(V @ stack_generator(row, basis) @ V.conj().T)
     return lab
 
 

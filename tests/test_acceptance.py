@@ -41,7 +41,7 @@ from entroflow import (
     von_neumann_entropy,
 )
 from entroflow.operators import marginals
-from tests.reference_geometry import metric_theta, state_derivatives
+from tests.reference_geometry import kron_stack, metric_theta, state_derivatives
 from tests.test_expfamily import fd_hessian_psi
 
 LOG3 = np.log(3.0)
@@ -115,7 +115,7 @@ def test_acceptance_3_metric_dual_route():
             fd = fd_hessian_psi(point.theta, basis)
             worst_fd = max(worst_fd, np.linalg.norm(G - fd) / np.linalg.norm(G))
             D = state_derivatives(point)
-            direct = np.einsum("aij,bji->ab", basis.stack, D).real
+            direct = np.einsum("aij,bji->ab", kron_stack(basis), D).real
             worst_consistency = max(worst_consistency, np.abs(direct - G).max())
     assert worst_fd <= 1e-6
     assert worst_consistency <= 1e-9
@@ -154,8 +154,8 @@ def test_acceptance_4_entropy_gradient():
         # at once; the FD oracle then needs two batched eigh calls per point.
         K = point.generator
         fd = (
-            _batched_spectral_entropy(K[None] + h * basis.stack)
-            - _batched_spectral_entropy(K[None] - h * basis.stack)
+            _batched_spectral_entropy(K[None] + h * kron_stack(basis))
+            - _batched_spectral_entropy(K[None] - h * kron_stack(basis))
         ) / (2 * h)
         worst = max(worst, np.abs(grad - fd).max())
     assert worst <= 1e-7

@@ -22,12 +22,13 @@ from entroflow import (
     random_hermitian,
 )
 from entroflow.constraint import marginal_eigh
-from entroflow.expfamily import _generator, _log_sum_exp, _spectrum, bkm_kernel_matrix
+from entroflow.expfamily import _log_sum_exp, _spectrum, bkm_kernel_matrix
 from entroflow.flow import _local_sector
 from entroflow.operators import marginals
 from entroflow.states import FULL_RANK_FLOOR, entropy_of_spectrum
 from tests.reference_geometry import (
     assemble_local_generator,
+    kron_stack,
     local_block_projection,
     reference_geometry,
     reversible_velocity,
@@ -43,7 +44,7 @@ NORM_PAST = 19.5
 
 
 def old_coordinates(basis, X):
-    return np.real(basis.stack.reshape(basis.size, -1) @ np.asarray(X).T.ravel())
+    return np.real(kron_stack(basis).reshape(basis.size, -1) @ np.asarray(X).T.ravel())
 
 
 def old_hermitian_eig(A):
@@ -52,7 +53,7 @@ def old_hermitian_eig(A):
 
 def old_point_fields(theta, basis):
     d = basis.shape.total_dim
-    K = (theta @ basis.stack.reshape(basis.size, -1)).reshape(d, d)
+    K = (theta @ kron_stack(basis).reshape(basis.size, -1)).reshape(d, d)
     w, U = old_hermitian_eig(K)
     psi = _log_sum_exp(w)
     p = np.exp(w - psi)
@@ -81,7 +82,7 @@ def old_marginal_eigh(point):
 
 def old_metric_block(point, index):
     U = point.eigvecs
-    Fc = U.conj().T @ point.basis.stack[index] @ U
+    Fc = U.conj().T @ kron_stack(point.basis)[index] @ U
     idx = np.arange(point.dim)
     Fc[:, idx, idx] -= point.mu[index][:, None]
     Y = Fc * np.sqrt(bkm_kernel_matrix(point.eigvals))
@@ -216,7 +217,7 @@ def test_stage_kernel_matches_old_and_dense_projection(dims, rng):
     shape, basis, thetas = thetas_past_radius(dims, rng)
     local = _local_sector(basis)
     for theta in thetas:
-        _, p, U = _spectrum(_generator(theta, basis))
+        _, p, U = _spectrum(basis.combine(theta))
         proj, rate = stage_kernel(theta, basis, p, U)
         pt = make_point(theta, basis)
         proj_pt, rate_pt = local_block_projection(pt)  # the exact path's eigenpairs

@@ -18,7 +18,7 @@ from entroflow import (
     product_basis,
     von_neumann_entropy,
 )
-from tests.reference_geometry import local_block_projection
+from tests.reference_geometry import kron_stack, local_block_projection
 
 CHART = settings(derandomize=True, deadline=None, max_examples=25)
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
@@ -65,7 +65,7 @@ def test_coordinates_match_trace_oracle(case):
     """Re tr(F_a X) for any complex X, Hermitian or not."""
     dims, X = case
     basis = product_basis(as_shape(dims))
-    oracle = np.real(np.einsum("aij,ji->a", basis.stack, X))
+    oracle = np.real(np.einsum("aij,ji->a", kron_stack(basis), X))
     np.testing.assert_allclose(basis.coordinates(X), oracle, rtol=0, atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_coordinates_match_trace_oracle(case):
 def test_make_point_matches_expm(case):
     basis, theta = case
     pt = make_point(theta, basis)
-    E = scipy.linalg.expm(np.einsum("a,aij->ij", theta, basis.stack))
+    E = scipy.linalg.expm(np.einsum("a,aij->ij", theta, kron_stack(basis)))
     Z = np.trace(E).real
     assert abs(pt.psi - np.log(Z)) <= 1e-12 * max(1.0, abs(pt.psi))
     np.testing.assert_allclose(pt.rho, E / Z, rtol=0, atol=1e-12)

@@ -37,7 +37,6 @@ from entroflow import (
     regularized_origin,
     state_from_params,
 )
-from entroflow.expfamily import _generator as state_generator
 from entroflow.operators import OperatorBasis, marginals
 from entroflow.flow import DEFAULT_RATE_MIN, SAMPLES, _lab_frame
 from tests.conftest import origin_point
@@ -47,6 +46,7 @@ from tests.reference_geometry import (
     dissipative_velocity,
     entropy_production_rate,
     entropy_time_velocity,
+    kron_stack,
     lab_frame_dense,
     lab_frame_endpoint,
     local_block_projection,
@@ -54,6 +54,7 @@ from tests.reference_geometry import (
     metric_theta,
     reference_geometry,
     reversible_velocity,
+    stack_generator,
     state_derivatives,
 )
 
@@ -572,8 +573,9 @@ def test_curve_point_tangent_is_the_projection(dims):
     local = basis.local_sector
     theta_corr = theta.copy()
     theta_corr[local] = 0.0
-    F = np.concatenate([basis.stack[local], state_generator(theta_corr, basis)[None]])
-    pt = entroflow.flow._curve_point(0.0, theta[local], F, basis.real_rows[local], None)
+    F = np.concatenate([kron_stack(basis)[local], stack_generator(theta_corr, basis)[None]])
+    rows = F[:-1].view(float).reshape(local.size, -1)
+    pt = entroflow.flow._curve_point(0.0, theta[local], F, rows, None)
     proj, rate = local_block_projection(make_point(theta, basis))
     assert np.abs(pt.tangent - proj[local]).max() <= 1e-12 * max(1.0, np.abs(proj).max())
     assert abs(pt.rate - rate) <= 1e-12 * max(1.0, rate)
@@ -913,7 +915,7 @@ def test_lab_frame_matches_dense_route(dims, kind, monkeypatch):
     rng = np.random.default_rng(11)
     parts = [(i, random_hermitian(q, rng)) for i, q in enumerate(shape.dims)]
     parts.append((0, random_hermitian(shape.dims[0], rng)))
-    counts = {"_generator": 0, "coordinates": 0}
+    counts = {"combine": 0, "coordinates": 0}
 
     def counting(owner, name):
         real = getattr(owner, name)
@@ -924,7 +926,7 @@ def test_lab_frame_matches_dense_route(dims, kind, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    counting(entroflow.flow, "_generator")
+    counting(OperatorBasis, "combine")
     counting(OperatorBasis, "coordinates")
     real_lab_frame = entroflow.flow._lab_frame
     gaps = []

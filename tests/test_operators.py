@@ -3,6 +3,7 @@ divided differences, and the Fréchet derivative of exp that the constraint
 gradient was built on (now a test oracle)."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from tests.reference_geometry import (
     gell_mann_list,
     hermitian_vec,
     kron_product_basis,
+    kron_stack,
     map_marginals,
     matrix_function,
 )
@@ -344,32 +346,41 @@ def test_gell_mann_basis_orthonormal():
     "dims", [[2], [3], [2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2], [3, 3, 3]]
 )
 def test_product_basis_sector_structure(dims):
-    """The sector sizes, and the stack built from the factors: bitwise the
-    np.kron loop's, with its sector labels, and a Hilbert-Schmidt Gram
-    matrix equal to the identity."""
+    """The sector sizes, and every element built from the factors
+    (``products``): bitwise the np.kron loop's, with its sector labels, and
+    a Hilbert-Schmidt Gram matrix equal to the identity."""
     basis = product_basis(dims)
     local_sizes = [d * d - 1 for d in dims]
     assert basis.size == math.prod(dims) ** 2 - 1
     assert [len(basis.local_indices(i)) for i in range(len(dims))] == local_sizes
     assert len(basis.correlation_indices()) == basis.size - sum(local_sizes)
     stack, labels = kron_product_basis(dims)
-    assert basis.stack.shape == stack.shape
-    assert basis.stack.tobytes() == stack.tobytes()
+    built = basis.products(np.arange(basis.size))
+    assert built.shape == stack.shape
+    assert built.tobytes() == stack.tobytes() == kron_stack(basis).tobytes()
     assert basis.sector_labels == labels
-    flat = basis.stack.reshape(basis.size, -1)
+    flat = built.reshape(basis.size, -1)
     gram = np.real(flat @ flat.conj().T)
     np.testing.assert_allclose(gram, np.eye(basis.size), atol=1e-10)
 
 
 def test_product_basis_forms_no_stack():
-    """At [8,8] (m = 4095) neither construction nor the sector indices build
-    the m x d x d stack.  Built past the per-shape cache, so that no other
-    test's read of the stack shows here."""
-    basis = operators._product_basis.__wrapped__(as_shape([8, 8]))
-    assert "stack" not in vars(basis)
-    assert basis.local_sector.size == 126 and len(basis.local_blocks) == 2
-    assert basis.correlation_indices().size == 3969
-    assert "stack" not in vars(basis)
+    """At [8,8] (m = 4095) the basis has no m x d x d stack, nor a view of
+    one, and neither construction, the sector indices nor ``coordinates``
+    allocate a tenth of its 256 MiB (tracemalloc peak).  Built past the
+    per-shape cache, so that no other test's use shows here."""
+    assert not any(hasattr(OperatorBasis, name) for name in ("stack", "real_rows"))
+    tracemalloc.start()
+    try:
+        basis = operators._product_basis.__wrapped__(as_shape([8, 8]))
+        assert basis.local_sector.size == 126 and len(basis.local_blocks) == 2
+        assert basis.correlation_indices().size == 3969
+        basis.coordinates(np.eye(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**28 / 10
+    assert not {"stack", "real_rows"} & set(vars(basis))
 
 
 def test_product_basis_is_cached_per_shape():
