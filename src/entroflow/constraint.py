@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
 from .expfamily import ExpFamilyPoint, bkm_kernel_matrix
-from .operators import OperatorBasis, embed_local, exp_second_divided_difference, marginals
+from .operators import OperatorBasis, exp_second_divided_difference, marginals
 from .states import FULL_RANK_FLOOR
 
 PROJECTOR_COND_MAX = 1e12
@@ -128,13 +128,29 @@ def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _marginal_log_sum(shape, spectra) -> np.ndarray:
-    """Lambda = sum_i log rho_i (x) I from the marginal spectra of ``marginal_eigh``."""
-    return sum(
-        embed_local((U * np.log(w)) @ U.conj().T, i, shape) for i, (w, U) in enumerate(spectra)
-    )
+    """Lambda = sum_i log rho_i (x) I from the marginal spectra of ``marginal_eigh``.
+
+    Viewing Lambda as (a, d_i, b) x (a, d_i, b), with a and b the dimensions
+    before and after factor i, each log rho_i is added on the diagonal of the
+    a and b axes, a writeable einsum view: no Kronecker product is formed.
+    """
+    d = shape.total_dim
+    Lam = np.zeros((d, d), dtype=complex)
+    for i, (w, U) in enumerate(spectra):
+        di = shape.dims[i]
+        a, b = math.prod(shape.dims[:i]), math.prod(shape.dims[i + 1 :])
+        diagonal = np.einsum("ajbakb->abjk", Lam.reshape(a, di, b, a, di, b))
+        diagonal += (U * np.log(w)) @ U.conj().T
+    return Lam
 
 
-def constraint_gradient(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
+def _rotated_log_sum(point: ExpFamilyPoint, spectra) -> np.ndarray:
+    """U^dag Lambda U in the eigenbasis U of rho (``_marginal_log_sum``)."""
+    U = point.eigvecs
+    return U.conj().T @ _marginal_log_sum(point.basis.shape, spectra) @ U
+
+
+def constraint_gradient(point: ExpFamilyPoint, *, lam_t=None) -> np.ndarray:
     """Exact gradient a_b = -tr(Lambda d rho / d theta_b), Lambda = sum_i log rho_i (x) I.
 
     d rho / d theta_b = Dexp_A[F~_b] with A = K - psi I and F~_b = F_b - mu_b I,
@@ -143,11 +159,12 @@ def constraint_gradient(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     the divided differences of exp on log p are the BKM kernel k, so
     X = U ((U^dag Lambda U) o k) U^dag: one ``coordinates`` product, O(d^3 + m d^2).
     Vanishes identically wherever every marginal is maximally mixed.
-    ``spectra`` is ``marginal_eigh(point)`` if the caller has it.
+    ``lam_t`` is U^dag Lambda U (``_rotated_log_sum``) if the caller has it.
     """
-    Lam = _marginal_log_sum(point.basis.shape, spectra or marginal_eigh(point))
+    if lam_t is None:
+        lam_t = _rotated_log_sum(point, marginal_eigh(point))
     U = point.eigvecs
-    X = U @ ((U.conj().T @ Lam @ U) * bkm_kernel_matrix(point.eigvals)) @ U.conj().T
+    X = U @ (lam_t * bkm_kernel_matrix(point.eigvals)) @ U.conj().T
     return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
 
 
@@ -170,16 +187,20 @@ def constraint_geometry(
 ) -> ConstraintGeometry:
     """Bundle C, its gradient and optionally the Hessian; ker M on first read.
 
-    One ``marginal_eigh`` serves C, the gradient and the Hessian.  Reading
-    ``kernel`` raises FullyConstrainedError for a single-subsystem basis and
-    NumericalDegeneracyError when cond(G_LL) exceeds PROJECTOR_COND_MAX.
+    One ``marginal_eigh`` and one U^dag Lambda U serve C, the gradient and the
+    Hessian.  Reading ``kernel`` raises FullyConstrainedError for a
+    single-subsystem basis and NumericalDegeneracyError when cond(G_LL)
+    exceeds PROJECTOR_COND_MAX.
     """
     spectra = marginal_eigh(point)
+    lam_t = _rotated_log_sum(point, spectra)
     return ConstraintGeometry(
         point=point,
         value=-sum(float(w @ np.log(w)) for w, _ in spectra),
-        grad=constraint_gradient(point, spectra=spectra),
-        hessian=constraint_hessian(point, spectra=spectra) if include_hessian else None,
+        grad=constraint_gradient(point, lam_t=lam_t),
+        hessian=(
+            constraint_hessian(point, spectra=spectra, lam_t=lam_t) if include_hessian else None
+        ),
     )
 
 
@@ -193,7 +214,7 @@ def _local_marginals(basis: OperatorBasis, i: int, L_i: np.ndarray) -> np.ndarra
     return scale * basis.factors[i][[basis.elements[a][i] for a in L_i]]
 
 
-def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
+def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, lam_t=None) -> np.ndarray:
     """Exact Hessian of C from second-order Daleckii-Krein divided differences.
 
     With A = K - psi I, F~_a = F_a - mu_a I and Lambda = sum_i log rho_i (x) I
@@ -215,6 +236,7 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
     Hess C = -d G_{:L} G_{L:}, whose kernel is ker M.  Marginals at or below
     FULL_RANK_FLOOR raise BoundaryStateError (``marginal_eigh``, or ``spectra``
     from it); local elements that do not span raise ValueError (``_local_blocks``).
+    ``lam_t`` is U^dag Lambda U (``_rotated_log_sum``) if the caller has it.
     """
     basis = point.basis
     m = basis.size
@@ -228,9 +250,10 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None) -> np.ndarray:
         H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 
     U, d = point.eigvecs, point.dim
-    Lam_t = U.conj().T @ _marginal_log_sum(basis.shape, spectra) @ U
+    if lam_t is None:
+        lam_t = _rotated_log_sum(point, spectra)
     # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
-    W = exp_second_divided_difference(np.log(point.eigvals)) * Lam_t.T[:, None, :]
+    W = exp_second_divided_difference(np.log(point.eigvals)) * lam_t.T[:, None, :]
     T = np.empty((m, m))
     for chunk, Fc in basis.rotated(U):
         Fc.reshape(len(Fc), -1)[:, :: d + 1] -= point.mu[chunk, None]  # U^dag F~_a U

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import _local_sector, _solve_local_block
+from .constraint import _local_marginals, _local_sector, _solve_local_block
 from .errors import (
     BoundaryStateError,
     ConservationError,
@@ -43,13 +43,15 @@ from .errors import (
 )
 from .expfamily import _bkm_rows, _check_theta, _spectrum, bkm_kernel_matrix
 from .operators import OperatorBasis, require_hermitian
-from .states import marginal_entropies
+from .states import _stack_entropies, marginal_entropies
 
 DEFAULT_RATE_MIN = 1e-10
 # Intervals of the sample grid, evenly spaced in the run's clock.
 SAMPLES = 8
 # Chart points one Newton solve may take, trial steps included.
 NEWTON_MAX = 50
+# The widest spacing in x of a predictor pair: e^X_SPAN_MAX is a finite double.
+X_SPAN_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +110,6 @@ class _CurvePoint:
 
     x: float
     theta: np.ndarray  # theta_L
-    p: np.ndarray  # spectrum and eigenvectors of rho
-    U: np.ndarray
     mu: np.ndarray  # mu_L
     objective: float  # psi - theta_L . mu_L(theta0)
     H: float
@@ -150,8 +150,6 @@ def _curve_point(x, theta_local, F, local_rows, mu_target) -> _CurvePoint:
     return _CurvePoint(
         x=x,
         theta=theta_local,
-        p=p,
-        U=U,
         mu=mu_L,
         objective=psi - float(theta_local @ mu_target),
         H=H,
@@ -159,6 +157,42 @@ def _curve_point(x, theta_local, F, local_rows, mu_target) -> _CurvePoint:
         rate=float(resid @ resid),
         newton=newton,
         tangent=-w,
+    )
+
+
+def _predicted_step(x, near, neighbours) -> np.ndarray:
+    """theta_L(x) predicted off the curve point ``near``, less near's own
+    Newton update theta_L + newton.
+
+    theta_L is analytic in s = e^x.  The partner is the one of ``neighbours``
+    nearest to x among those at least as far from ``near`` in x as x is, so
+    the prediction never reaches beyond the pair's own spacing.  It is the
+    cubic Hermite interpolant in s through ``near`` and the partner (values
+    theta_L + newton, slopes d theta_L / ds = tangent / s), weighted in
+    u = (s - s_near) / (s_other - s_near) through expm1 so that no s
+    underflows.  Without a partner, or where the partner's slope times the
+    spacing differs from the change of theta_L + newton across the pair by
+    more than that change (a tangent read where G_LL is near singular, at a
+    theta_L solved in mu_L but not in theta_L), it is the first-order step
+    (s / s_near - 1) tangent.
+    """
+    dx = x - near.x
+    first_order = math.expm1(dx) * near.tangent
+    wide = [q for q in neighbours if 0.0 < abs(dx) <= abs(q.x - near.x) < X_SPAN_MAX]
+    if not wide:
+        return first_order
+    other = min(wide, key=lambda q: abs(q.x - x))
+    jump = other.theta + other.newton - near.theta - near.newton
+    slope_other = -math.expm1(near.x - other.x) * other.tangent  # (s_other - s_near) dtheta/ds
+    miss = slope_other - jump
+    if miss @ miss > jump @ jump:
+        return first_order
+    u = math.expm1(dx) / math.expm1(other.x - near.x)
+    # Hermite weights h01, h10 and h11; h10 (s_other - s_near) / s_near = (1 - u)^2 expm1(dx).
+    return (
+        (u * u * (3.0 - 2.0 * u)) * jump
+        + (1.0 - u) ** 2 * first_order
+        + (u * u * (u - 1.0)) * slope_other
     )
 
 
@@ -183,6 +217,37 @@ def _hermite_root(a, b, C0, gap_goal) -> float:
             return a.x + (u - step) * h
         u = u - step if lo <= u - step <= hi else 0.5 * (lo + hi)
     return a.x + u * h
+
+
+def _marginal_monitor(basis: OperatorBasis, local) -> list[tuple]:
+    """Per local dimension q: the subsystems i of that dimension, the positions
+    of their local elements L_i in ``local``, and their tr_{-i} F_alpha
+    (``_local_marginals``) flattened, as ``_local_marginal_entropies`` reads them."""
+    position = {a: k for k, a in enumerate(local)}
+    monitor = []
+    for q in sorted(set(basis.shape.dims)):
+        members = [i for i, d_i in enumerate(basis.shape.dims) if d_i == q]
+        blocks = [basis.local_blocks[i] for i in members]
+        pos = np.array([[position[a] for a in L_i] for L_i in blocks])
+        traces = np.array(
+            [_local_marginals(basis, i, L_i).reshape(len(L_i), -1) for i, L_i in zip(members, blocks)]
+        )
+        monitor.append((members, pos, traces))
+    return monitor
+
+
+def _local_marginal_entropies(mu, monitor) -> np.ndarray:
+    """h(rho_i) of every subsystem from the local mean parameters mu_L alone:
+    rho = I/d + sum_a mu_a F_a and tr_{-i} F_a = 0 off L_i, so rho_i = I/d_i +
+    sum_{alpha in L_i} mu_alpha tr_{-i} F_alpha.  One eigvalsh per group of
+    equal d_i (``_marginal_monitor``); ``_stack_entropies`` keeps the
+    eigenvalue floor."""
+    out = np.empty(sum(len(members) for members, _, _ in monitor))
+    for members, pos, traces in monitor:
+        q = math.isqrt(traces.shape[-1])
+        rho = (mu[pos][:, None, :] @ traces).reshape(-1, q, q) + np.eye(q) / q
+        out[members] = _stack_entropies(rho)
+    return out
 
 
 def _lab_frame(theta, tau, basis: OperatorBasis, frames) -> np.ndarray:
@@ -355,12 +420,14 @@ def integrate(
     -----
     With x = log s, theta_L(x) minimises psi(theta_L, e^x theta_C(0)) -
     theta_L . mu_L(theta0) (module docstring).  Each point is solved by
-    Newton with the step -G_LL^{-1} (mu_L - mu_L(theta0)), from the previous
-    point's Newton update moved along its tangent, until
-    max |mu_L - mu_L(theta0)| <= atol + rtol max |mu_L(theta0)|; a trial that
-    meets the state-spectrum floor or raises the objective is halved, and a
-    solve not converged within NEWTON_MAX chart points raises
-    ConservationError.
+    Newton with the step -G_LL^{-1} (mu_L - mu_L(theta0)), from the cubic
+    Hermite prediction in s through a solved point and its neighbour
+    (``_predicted_step``), until max |mu_L - mu_L(theta0)| <= atol + rtol
+    max |mu_L(theta0)|; a trial that meets the state-spectrum floor or raises
+    the objective is halved, and a solve not converged within NEWTON_MAX
+    chart points raises ConservationError.  A curved run, where theta_L
+    moves, takes one chart point per inner game-clock sample.  Each sample's
+    marginal entropies are read from its mu_L (``_local_marginal_entropies``).
 
     Both stops and every entropy-clock sample land H on a goal within
     1e-14 max(1, |H|), from the run's solved points nearest the goal on
@@ -439,10 +506,12 @@ def integrate(
     target = start.mu
     newton_tol = config.atol + config.rtol * float(np.abs(target).max())
 
+    monitor = _marginal_monitor(basis, local)
+
     def record(pt, t):
         theta = theta0 * math.exp(pt.x)
         theta[local] = pt.theta
-        marg = marginal_entropies((pt.U * pt.p) @ pt.U.conj().T, shape)
+        marg = _local_marginal_entropies(pt.mu, monitor)
         rows.append((0.0 - pt.x, t, pt.H, marg, pt.rate, theta))  # tau, never -0.0
         drift = np.abs(marg - rows[0][3])
         if drift.max() > config.conservation_tol:
@@ -455,8 +524,11 @@ def integrate(
 
     def solve(x, near):
         """The curve point at x, by damped Newton from ``near``'s own Newton
-        update moved along its tangent (exact to first order in s)."""
-        base, step = near.theta + near.newton, math.expm1(x - near.x) * near.tangent
+        update plus the ``_predicted_step`` through it and its neighbours in
+        ``solved``; a rejected trial halves the step back toward that update."""
+        i = bisect.bisect_left(solved, near.H_curve, key=lambda q: q.H_curve)
+        neighbours = solved[max(i - 1, 0) : i] + solved[i + 1 : i + 2]
+        base, step = near.theta + near.newton, _predicted_step(x, near, neighbours)
         pt = None
         for _ in range(NEWTON_MAX):
             theta = base + step

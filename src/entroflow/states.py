@@ -75,12 +75,18 @@ def marginal_entropies(rho, shape) -> np.ndarray:
         for i, ok in zip(group, is_hermitian(A)):
             if not ok:
                 raise ValueError(f"marginal {i} is not Hermitian or not finite")
-        w = np.linalg.eigvalsh(0.5 * (A + A.conj().transpose(0, 2, 1)))
-        if w.min() < EIG_CLIP_FLOOR:
-            raise ValueError(f"eigenvalue {w.min():.3e} below the round-off floor {EIG_CLIP_FLOOR}")
-        p = np.where(w > 0.0, w, 1.0)  # 0 log 0 = 0
-        out[group] = -(p * np.log(p)).sum(axis=1)
+        out[group] = _stack_entropies(0.5 * (A + A.conj().transpose(0, 2, 1)))
     return out
+
+
+def _stack_entropies(A) -> np.ndarray:
+    """h of each matrix of the Hermitian stack A, from one eigvalsh, with
+    0 log 0 = 0; an eigenvalue below EIG_CLIP_FLOOR raises ValueError."""
+    w = np.linalg.eigvalsh(A)
+    if w.min() < EIG_CLIP_FLOOR:
+        raise ValueError(f"eigenvalue {w.min():.3e} below the round-off floor {EIG_CLIP_FLOOR}")
+    p = np.where(w > 0.0, w, 1.0)  # 0 log 0 = 0
+    return -(p * np.log(p)).sum(axis=1)
 
 
 def multi_information(rho, shape) -> float:

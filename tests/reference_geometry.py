@@ -66,7 +66,6 @@ from entroflow import (
 from entroflow.constraint import (
     PROJECTOR_COND_MAX,
     _local_sector,
-    _marginal_log_sum,
     _solve_local_block,
     marginal_eigh,
 )
@@ -208,10 +207,16 @@ def frechet_exp(A, E) -> np.ndarray:
     return U @ (Et * exp_divided_difference(w)) @ U.conj().T
 
 
+def kron_log_sum(shape, spectra) -> np.ndarray:
+    """Lambda = sum_i log rho_i (x) I as a sum of ``embed_local`` Kronecker
+    products, from the marginal spectra of ``marginal_eigh``."""
+    return sum(embed_local((U * np.log(w)) @ U.conj().T, i, shape) for i, (w, U) in enumerate(spectra))
+
+
 def frechet_gradient(point: ExpFamilyPoint) -> np.ndarray:
     """a_b = -tr(X F_b) + mu_b tr(X) with X = Dexp_{K - psi I}[Lambda] from
     ``frechet_exp``, which diagonalises K - psi I again."""
-    Lam = _marginal_log_sum(point.basis.shape, marginal_eigh(point))
+    Lam = kron_log_sum(point.basis.shape, marginal_eigh(point))
     X = frechet_exp(point.generator - point.psi * np.eye(point.dim), Lam)
     return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
 

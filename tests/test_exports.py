@@ -38,7 +38,7 @@ def test_array_records_compare_by_identity():
     table = np.full((2, 2), 0.25)
     xi_parts = ((0, np.diag([1.0, -1.0])),)
     arrays = [np.zeros(2)] * 4
-    curve_points = [_CurvePoint(0.0, *arrays, 0.0, 0.0, 0.0, 0.0, *arrays[:2]) for _ in range(2)]
+    curve_points = [_CurvePoint(0.0, *arrays[:2], 0.0, 0.0, 0.0, 0.0, *arrays[:2]) for _ in range(2)]
     runs = [integrate(np.zeros(basis.size), basis, FlowConfig(), duration=1.0) for _ in range(2)]
     pairs = [
         (basis, OperatorBasis(basis.shape, basis.factors, basis.elements)),
