@@ -28,6 +28,7 @@ import scipy.linalg
 
 from .classical import classical_origin_infeasible, random_joint_distribution
 from .constraint import (
+    SOFT_MODE_TOL,
     constraint_geometry,
     constraint_max,
     soft_mode_count,
@@ -62,53 +63,6 @@ _FLOW_DEFAULTS = {
     f.name: f.default for f in dataclasses.fields(FlowConfig) if f.name != "xi_parts"
 }
 
-_DEFAULTS = {
-    "simulate": {
-        "shape": [3, 3],
-        "eps": 0.05,
-        "start": "origin",
-        "start_scale": 1e-3,
-        "clock": "entropy",
-        "kind": "dissipative",
-        "duration": 10.0,
-        **_FLOW_DEFAULTS,
-        "xi": None,
-        "save_theta": False,
-        "seed": 0,
-    },
-    "origin-analysis": {
-        "shape": [3, 3],
-        "eps_sweep": [0.3, 0.1, 0.03, 0.01],
-        "soft_tol": 1e-6,
-        "grad_norm_tol": 1e-8,
-        "hessian_max_eig_tol": 1e-6,
-        "angle_tol": 1e-3,
-    },
-    "stiffness": {
-        "shape": [3, 3],
-        "eps": 0.05,
-        "soft_tol": 1e-6,
-    },
-    "obstruction-check": {
-        "samples": 10000,
-        "max_alphabet": 5,
-        "witness_q": 3,
-        "slack": 1e-12,
-        "seed": 0,
-    },
-    "gibbs-check": {
-        "shape": [3, 3],
-        "n_states": 100,
-        "identity_tol": 1e-10,
-        "n_planted": 20,
-        "planted_dim": 3,
-        "beta_range": [0.1, 2.0],
-        "recovery_tol": 1e-6,
-        "derivative_tol": 1e-7,
-        "seed": 0,
-    },
-}
-
 
 def _within(lo, hi):
     return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
@@ -116,38 +70,57 @@ def _within(lo, hi):
 
 _TOL = ("finite and >= 0", lambda v: 0 <= v < math.inf)
 _OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_COUNT = _within(1, 10**6)
 
-# Allowed range of each numeric key, as (description, predicate); a list value
-# must be non-empty and every element must pass.  NaN passes no predicate.
-# FlowConfig checks the flow keys of simulate: c, rate_min, atol, rtol, conservation_tol.
-_RANGES = {
+# Every config key of each mode as (default, range).  A range is
+# (description, predicate) or None; a list value must be non-empty and every
+# element must pass.  NaN passes no predicate.  The simulate flow keys have
+# none here: FlowConfig checks them.
+_KEYS = {
     "simulate": {
-        "eps": _OPEN_UNIT,
-        "start_scale": ("finite and > 0", lambda v: 0 < v < math.inf),
-        "duration": ("finite and > 0", lambda v: 0 < v < math.inf),
+        "shape": ([3, 3], None),
+        "eps": (0.05, _OPEN_UNIT),
+        "start": ("origin", None),
+        "start_scale": (1e-3, _POSITIVE),
+        "clock": ("entropy", None),
+        "kind": ("dissipative", None),
+        "duration": (10.0, _POSITIVE),
+        **{key: (default, None) for key, default in _FLOW_DEFAULTS.items()},
+        "xi": (None, None),
+        "save_theta": (False, None),
+        "seed": (0, None),
     },
     "origin-analysis": {
-        "eps_sweep": _OPEN_UNIT,
-        "soft_tol": _TOL,
-        "grad_norm_tol": _TOL,
-        "hessian_max_eig_tol": _TOL,
-        "angle_tol": _TOL,
+        "shape": ([3, 3], None),
+        "eps_sweep": ([0.3, 0.1, 0.03, 0.01], _OPEN_UNIT),
+        "soft_tol": (SOFT_MODE_TOL, _TOL),
+        "grad_norm_tol": (1e-8, _TOL),
+        "hessian_max_eig_tol": (1e-6, _TOL),
+        "angle_tol": (1e-3, _TOL),
     },
-    "stiffness": {"eps": _OPEN_UNIT, "soft_tol": _TOL},
+    "stiffness": {
+        "shape": ([3, 3], None),
+        "eps": (0.05, _OPEN_UNIT),
+        "soft_tol": (SOFT_MODE_TOL, _TOL),
+    },
     "obstruction-check": {
-        "samples": _within(1, 10**6),
-        "max_alphabet": _within(2, 6),
-        "witness_q": _within(2, 8),
-        "slack": _TOL,
+        "samples": (10000, _COUNT),
+        "max_alphabet": (5, _within(2, 6)),
+        "witness_q": (3, _within(2, 8)),
+        "slack": (1e-12, _TOL),
+        "seed": (0, None),
     },
     "gibbs-check": {
-        "n_states": _within(1, 10**6),
-        "identity_tol": _TOL,
-        "n_planted": _within(1, 10**6),
-        "planted_dim": _within(2, MAX_TOTAL_DIM),
-        "beta_range": ("finite", math.isfinite),
-        "recovery_tol": _TOL,
-        "derivative_tol": _TOL,
+        "shape": ([3, 3], None),
+        "n_states": (100, _COUNT),
+        "identity_tol": (1e-10, _TOL),
+        "n_planted": (20, _COUNT),
+        "planted_dim": (3, _within(2, MAX_TOTAL_DIM)),
+        "beta_range": ([0.1, 2.0], ("finite", math.isfinite)),
+        "recovery_tol": (1e-6, _TOL),
+        "derivative_tol": (1e-7, _TOL),
+        "seed": (0, None),
     },
 }
 
@@ -175,13 +148,16 @@ def _matches_default_type(value, default) -> bool:
 
 
 def _load_config(mode: str, path: str | None, seed_override: int | None) -> dict:
-    cfg = dict(_DEFAULTS[mode])
+    keys = _KEYS[mode]
+    cfg = {key: default for key, (default, _) in keys.items()}
     if path is not None:
         raw = sys.stdin.read() if path == "-" else Path(path).read_text()
         try:
             user = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config is nested too deeply: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         unknown = sorted(set(user) - set(cfg))
@@ -197,11 +173,11 @@ def _load_config(mode: str, path: str | None, seed_override: int | None) -> dict
         if "seed" not in cfg:
             raise ConfigError(f"mode {mode!r} draws nothing at random; --seed does not apply")
         cfg["seed"] = seed_override
-    for key, (allowed, ok) in _RANGES[mode].items():
+    for key, (_, limit) in keys.items():
         value = cfg[key]
         values = value if isinstance(value, list) else [value]
-        if not values or not all(ok(v) for v in values):
-            raise ConfigError(f"config key {key!r} must be {allowed}, got {value!r}")
+        if limit and not (values and all(map(limit[1], values))):
+            raise ConfigError(f"config key {key!r} must be {limit[0]}, got {value!r}")
     return cfg
 
 
@@ -471,15 +447,13 @@ def cmd_gibbs_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     if worst_beta_err > cfg["recovery_tol"]:
         failures.append({"check": "beta_recovery", "value": worst_beta_err})
 
-    # Qubit closed form: h(beta) = log(2 cosh beta) - beta tanh beta.
+    # Qubit closed form: h(beta) = log(2 cosh beta) - beta tanh beta, so
+    # h'(beta) = -beta / cosh^2 beta.
     sz = np.diag([1.0, -1.0])
-    worst_deriv = 0.0
-    fd_h = 1e-5
-    for beta in np.linspace(0.0, 2.0, 9):
-        analytic = gibbs_entropy_derivative(sz, beta)
-        closed = lambda b: math.log(2.0 * math.cosh(b)) - b * math.tanh(b)
-        fd = (closed(beta + fd_h) - closed(beta - fd_h)) / (2.0 * fd_h)
-        worst_deriv = max(worst_deriv, abs(analytic - fd))
+    worst_deriv = max(
+        abs(gibbs_entropy_derivative(sz, beta) + beta / math.cosh(beta) ** 2)
+        for beta in np.linspace(0.0, 2.0, 9)
+    )
     if worst_deriv > cfg["derivative_tol"]:
         failures.append({"check": "entropy_derivative", "value": worst_deriv})
 
