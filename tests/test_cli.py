@@ -5,6 +5,7 @@ failed, 2 configuration or runtime error before any verdict.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from entroflow import (
     FlowConfig,
     as_shape,
     constraint_geometry,
+    entropy_time_fit,
     make_point,
     params_from_state,
     product_basis,
@@ -169,6 +171,37 @@ def test_simulate_conservation_failure_exits_one(tmp_path, capsys):
     assert any(f["check"] == "integration" for f in report["failures"])
     # diagnostics up to the abort still land on disk
     assert (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, alter, check",
+    [
+        # a t column that decreases; the game clock has no entropy_rate check
+        ({"clock": "game", "duration": 0.5}, lambda traj: {"t": traj.t[::-1]}, "monotone_t"),
+        # a slope of 2 c with t still increasing
+        ({"duration": 0.8}, lambda traj: {"t": traj.t / 2}, "entropy_rate"),
+    ],
+)
+def test_simulate_checks_read_the_returned_run(tmp_path, capsys, monkeypatch, cfg, alter, check):
+    """Each sample check fails on its own on a real run altered after the
+    solve: exit 1 with exactly that failure record."""
+    import entroflow.cli
+
+    real, runs = entroflow.cli.integrate, []
+
+    def altered(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        runs.append(dataclasses.replace(traj, **alter(traj)))
+        return runs[-1]
+
+    monkeypatch.setattr(entroflow.cli, "integrate", altered)
+    assert run_cli(tmp_path, "simulate", cfg) == 1
+    (traj,) = runs
+    detail = {
+        "monotone_t": "entropy-time column decreased",
+        "entropy_rate": f"slope {entropy_time_fit(traj)[0]!r} vs c 1.0",
+    }[check]
+    assert read_report(capsys)["failures"] == [{"check": check, "detail": detail}]
 
 
 def test_config_error_paths(tmp_path, capsys):
