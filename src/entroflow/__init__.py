@@ -52,7 +52,6 @@ from .operators import (
     OperatorBasis,
     SubsystemShape,
     as_shape,
-    embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
     gell_mann_basis,
@@ -95,7 +94,6 @@ __all__ = [
     "constraint_gradient",
     "constraint_hessian",
     "constraint_max",
-    "embed_local",
     "entropy_of_spectrum",
     "entropy_time_fit",
     "exp_divided_difference",

@@ -265,16 +265,16 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
         traj = exc.trajectory
         failures.append({"check": "integration", "detail": str(exc)})
 
-    summary = traj.summary()
-    slope, r2 = None, None
-    if cfg["clock"] == "entropy" and traj.n_samples >= 3:
+    # The slope wherever t varies; R^2 and the entropy_rate check on the
+    # entropy clock from three samples on.
+    slope, r2 = None, math.nan
+    if traj.n_samples >= 2 and float(np.ptp(traj.t)) > 0.0:
         slope, _, r2 = entropy_time_fit(traj)
-        if not math.isfinite(r2):  # H constant to round-off (c t below its resolution)
-            r2 = None
-        if abs(slope - cfg["c"]) > 1e-4 * max(1.0, cfg["c"]):
-            failures.append(
-                {"check": "entropy_rate", "detail": f"slope {slope!r} vs c {cfg['c']!r}"}
-            )
+    on_clock = cfg["clock"] == "entropy" and traj.n_samples >= 3
+    if not (on_clock and math.isfinite(r2)):  # H constant to round-off (c t below its resolution)
+        r2 = None
+    if on_clock and (slope is None or abs(slope - cfg["c"]) > 1e-4 * max(1.0, cfg["c"])):
+        failures.append({"check": "entropy_rate", "detail": f"slope {slope!r} vs c {cfg['c']!r}"})
     if np.any(np.diff(traj.t) < 0):
         failures.append({"check": "monotone_t", "detail": "entropy-time column decreased"})
 
@@ -282,21 +282,20 @@ def cmd_simulate(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     if cfg["save_theta"]:
         (outdir / "theta.json").write_text(json.dumps(traj.theta_records(), indent=1))
 
+    C = traj.C
     report = {
-        "H_initial": _scale(summary["H_initial"], bits),
-        "H_final": _scale(summary["H_final"], bits),
-        "C_drift_max": _scale(summary["C_drift_max"], bits),
-        "slope_of_H_vs_t": _scale(summary["slope_of_H_vs_t"], bits),
-        "termination_status": summary["termination_status"],
-        "integrator": summary["integrator"],
+        "H_initial": _scale(float(traj.H[0]), bits),
+        "H_final": _scale(float(traj.H[-1]), bits),
+        "C_drift_max": _scale(float(np.max(np.abs(C - C[0]))), bits),
+        "slope_of_H_vs_t": _scale(slope, bits),
+        "termination_status": traj.status,
+        "integrator": traj.integrator,
         "r_squared": r2,
-        "units": "bits" if bits else "nats",
         "clock": cfg["clock"],
         "kind": cfg["kind"],
         "n_samples": traj.n_samples,
         "seed": cfg["seed"],
     }
-    (outdir / "summary.json").write_text(json.dumps(report, indent=1))
     return report, failures
 
 
@@ -327,6 +326,12 @@ def _origin_report(shape, basis, eps, soft_tol, bits, with_spectrum=False):
     return row
 
 
+def _soft_mode_failure(row, **where) -> list:
+    """The soft_mode_count record of a row whose soft modes do not number its kernel_dim."""
+    soft, kdim = row["soft_mode_count"], row["kernel_dim"]
+    return [] if soft == kdim else [{"check": "soft_mode_count", **where, "soft": soft, "kernel_dim": kdim}]
+
+
 def cmd_origin_analysis(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     shape = _shape(cfg)
     basis = product_basis(shape)
@@ -339,38 +344,22 @@ def cmd_origin_analysis(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list
             failures.append(
                 {"check": "hessian_nsd", "eps": row["eps"], "value": row["hessian_max_eig"]}
             )
-        if row["soft_mode_count"] != row["kernel_dim"]:
-            failures.append(
-                {
-                    "check": "soft_mode_count",
-                    "eps": row["eps"],
-                    "soft": row["soft_mode_count"],
-                    "kernel_dim": row["kernel_dim"],
-                }
-            )
+        failures += _soft_mode_failure(row, eps=row["eps"])
         if row["max_principal_angle_rad"] > cfg["angle_tol"]:
             failures.append(
                 {"check": "soft_kernel_angle", "eps": row["eps"], "value": row["max_principal_angle_rad"]}
             )
-    report = {"units": "bits" if bits else "nats", "sweep": rows}
-    (outdir / "origin_analysis_report.json").write_text(json.dumps(report, indent=1))
-    return report, failures
+    return {"sweep": rows}, failures
 
 
 def cmd_stiffness(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
     shape = _shape(cfg)
     basis = product_basis(shape)
     row = _origin_report(shape, basis, cfg["eps"], cfg["soft_tol"], bits, with_spectrum=True)
-    report = {**row, "units": "bits" if bits else "nats"}
     failures = []
-    if report["stiffness_eigenvalues"][0] < -cfg["soft_tol"]:
-        failures.append(
-            {"check": "stiffness_nonnegative", "value": report["stiffness_eigenvalues"][0]}
-        )
-    if row["soft_mode_count"] != row["kernel_dim"]:
-        failures.append({"check": "soft_mode_count", "soft": row["soft_mode_count"], "kernel_dim": row["kernel_dim"]})
-    (outdir / "stiffness_report.json").write_text(json.dumps(report, indent=1))
-    return report, failures
+    if row["stiffness_eigenvalues"][0] < -cfg["soft_tol"]:
+        failures.append({"check": "stiffness_nonnegative", "value": row["stiffness_eigenvalues"][0]})
+    return row, failures + _soft_mode_failure(row)
 
 
 def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
@@ -405,7 +394,6 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
         failures.append({"check": "quantum_witness", "value": witness_I, "cap": cap})
 
     report = {
-        "units": "bits" if bits else "nats",
         "samples": samples,
         "max_alphabet": max_alpha,
         "violations_conditional": violations_conditional,
@@ -418,7 +406,6 @@ def cmd_obstruction_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, li
         },
         "seed": cfg["seed"],
     }
-    (outdir / "obstruction_report.json").write_text(json.dumps(report, indent=1))
     return report, failures
 
 
@@ -458,7 +445,6 @@ def cmd_gibbs_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
         failures.append({"check": "entropy_derivative", "value": worst_deriv})
 
     report = {
-        "units": "bits" if bits else "nats",
         "n_states": int(cfg["n_states"]),
         "max_identity_gap": _scale(worst_identity, bits),
         "n_planted": int(cfg["n_planted"]),
@@ -467,16 +453,17 @@ def cmd_gibbs_check(cfg: dict, outdir: Path, bits: bool) -> tuple[dict, list]:
         "max_derivative_gap": worst_deriv,
         "seed": cfg["seed"],
     }
-    (outdir / "gibbs_report.json").write_text(json.dumps(report, indent=1))
     return report, failures
 
 
+# Each mode's command, which returns (report, failures), and the file in
+# --out that main writes its report to.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "origin-analysis": cmd_origin_analysis,
-    "stiffness": cmd_stiffness,
-    "obstruction-check": cmd_obstruction_check,
-    "gibbs-check": cmd_gibbs_check,
+    "simulate": (cmd_simulate, "summary.json"),
+    "origin-analysis": (cmd_origin_analysis, "origin_analysis_report.json"),
+    "stiffness": (cmd_stiffness, "stiffness_report.json"),
+    "obstruction-check": (cmd_obstruction_check, "obstruction_report.json"),
+    "gibbs-check": (cmd_gibbs_check, "gibbs_report.json"),
 }
 
 
@@ -495,17 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, report_name = _COMMANDS[args.mode]
     try:
         cfg = _load_config(args.mode, args.config, args.seed)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        report, failures = _COMMANDS[args.mode](cfg, outdir, args.bits)
+        report, failures = command(cfg, outdir, args.bits)
+        report = {"units": "bits" if args.bits else "nats", **report}
+        (outdir / report_name).write_text(json.dumps(report, indent=1))
     except (ConfigError, EntroflowError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    report = dict(report)
-    report["failures"] = failures
-    print(json.dumps(report, indent=1))
+    print(json.dumps({**report, "failures": failures}, indent=1))
     return 1 if failures else 0
 
 

@@ -304,20 +304,6 @@ class Trajectory:
         """The constraint C = sum_i h_i at every sample."""
         return self.marginals.sum(axis=1)
 
-    def summary(self) -> dict:
-        slope = None
-        if self.n_samples >= 2 and float(np.ptp(self.t)) > 0.0:
-            slope = entropy_time_fit(self)[0]
-        C = self.C
-        return {
-            "H_initial": float(self.H[0]),
-            "H_final": float(self.H[-1]),
-            "C_drift_max": float(np.max(np.abs(C - C[0]))),
-            "slope_of_H_vs_t": slope,
-            "termination_status": self.status,
-            "integrator": self.integrator,
-        }
-
     def write_csv(self, path, *, bits: bool = False) -> None:
         """Write the per-sample table; --bits rescales entropic columns only.
 

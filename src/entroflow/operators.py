@@ -1,7 +1,7 @@
 """Hermitian operator algebra on multipartite systems.
 
-Local embeddings, marginals (partial traces), divided differences of exp,
-and orthonormal traceless operator bases.  Operators are plain complex numpy
+Marginals (partial traces), divided differences of exp, and orthonormal
+traceless operator bases.  Operators are plain complex numpy
 arrays; subsystem 0 is always the slowest-varying Kronecker factor.
 """
 
@@ -84,23 +84,6 @@ def require_hermitian(A, name: str = "operator") -> np.ndarray:
             f"{name} is not Hermitian or not finite (defect {defect:.3e} > {HERMITICITY_TOL:.1e})"
         )
     return 0.5 * (A + A.conj().T)
-
-
-def embed_local(op, index: int, shape) -> np.ndarray:
-    """Embed a single-subsystem operator as I x .. x op x .. x I."""
-    shape = as_shape(shape)
-    op = np.asarray(op, dtype=complex)
-    if not 0 <= index < shape.n_subsystems:
-        raise ValueError(f"subsystem index {index} out of range for {shape.dims}")
-    if op.shape != (shape.dims[index], shape.dims[index]):
-        raise ValueError(
-            f"operator shape {op.shape} does not match subsystem {index} "
-            f"dimension {shape.dims[index]}"
-        )
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(shape.dims):
-        out = np.kron(out, op if i == index else np.eye(d, dtype=complex))
-    return out
 
 
 def marginals(X, shape) -> list[np.ndarray]:

@@ -27,6 +27,9 @@ of every marginal (``marginal_map``), the partial traces it gives
 (``map_marginals``) and the local marginals tr_{-i} F_alpha read as the stack
 rows times its row block (``map_local_marginals``).
 
+``embed_local`` is the former library embedding I x .. x op x .. x I of
+one subsystem's operator, a loop of np.kron.
+
 ``kron_product_basis`` is the former construction of ``product_basis``: the
 Gell-Mann matrices built one by one, and a loop of np.kron over every
 element, with the sector label of each.  ``kron_stack`` is the same loop
@@ -58,7 +61,6 @@ from entroflow import (
     NumericalDegeneracyError,
     as_shape,
     bkm_kernel_matrix,
-    embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
     make_point,
@@ -205,6 +207,23 @@ def frechet_exp(A, E) -> np.ndarray:
     w, U = hermitian_eig(A)
     Et = U.conj().T @ np.asarray(E, dtype=complex) @ U
     return U @ (Et * exp_divided_difference(w)) @ U.conj().T
+
+
+def embed_local(op, index: int, shape) -> np.ndarray:
+    """Embed a single-subsystem operator as I x .. x op x .. x I."""
+    shape = as_shape(shape)
+    op = np.asarray(op, dtype=complex)
+    if not 0 <= index < shape.n_subsystems:
+        raise ValueError(f"subsystem index {index} out of range for {shape.dims}")
+    if op.shape != (shape.dims[index], shape.dims[index]):
+        raise ValueError(
+            f"operator shape {op.shape} does not match subsystem {index} "
+            f"dimension {shape.dims[index]}"
+        )
+    out = np.eye(1, dtype=complex)
+    for i, d in enumerate(shape.dims):
+        out = np.kron(out, op if i == index else np.eye(d, dtype=complex))
+    return out
 
 
 def kron_log_sum(shape, spectra) -> np.ndarray:

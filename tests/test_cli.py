@@ -545,6 +545,25 @@ def test_simulate_start_without_production_is_stationary(tmp_path, capsys, clock
     assert (tmp_path / "trajectory.csv").exists() and (tmp_path / "summary.json").exists()
 
 
+def test_game_clock_tail_step_is_clipped_at_duration(tmp_path, capsys):
+    """With rate_min 1e-280 the stationary gap rate_min / 4 lies below the
+    resolution of H, so the landed stop takes one step along the tail law
+    rate ~ e^(-2 tau) toward rate_min / 2.  That step would pass tau = 20 (with
+    duration 1e20 this run stops "stationary" near tau = 323), so it ends at
+    duration instead: "completed", with tau_end exactly 20."""
+    cfg = {"clock": "game", "duration": 20, "rate_min": 1e-280}
+    assert run_cli(tmp_path, "simulate", cfg) == 0
+    report = read_report(capsys)
+    assert report["termination_status"] == "completed" and report["failures"] == []
+    assert report["integrator"]["chart_points"] == 14
+    with open(tmp_path / "trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9 and float(rows[-1]["tau"]) == 20.0
+    assert [float(row["tau"]) for row in rows] == [2.5 * k for k in range(9)]
+    assert rows[-1]["status"] == "completed"
+    assert float(rows[-1]["rate"]) == pytest.approx(1.1e-17, rel=0.02)
+
+
 @pytest.mark.parametrize(
     "cfg, status, code",
     [({"clock": "game", "duration": 0.3}, "completed", 0), ({}, "stationary", 0),
@@ -751,22 +770,40 @@ def test_gibbs_check_small(tmp_path, capsys):
 
 
 def _flatten(report, prefix=""):
-    for key, value in report.items():
-        if isinstance(value, dict):
+    items = enumerate(report) if isinstance(report, list) else report.items()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
             yield from _flatten(value, f"{prefix}{key}.")
         else:
             yield f"{prefix}{key}", value
 
 
+# One small passing config per mode.
+_SMALL = {
+    # C_drift_max is round-off here (4.4e-16), but not 0
+    "simulate": {"duration": 0.4},
+    "origin-analysis": {"shape": [2, 2], "eps_sweep": [0.3, 0.1]},
+    "stiffness": {"shape": [2, 2], "eps": 0.3},
+    "obstruction-check": {"samples": 200},
+    "gibbs-check": {"n_states": 5, "n_planted": 3},
+}
+
+
 @pytest.mark.parametrize(
     "mode, cfg, entropic",
     [
-        ("obstruction-check", {"samples": 200},
+        ("obstruction-check", _SMALL["obstruction-check"],
          {"min_conditional_entropy", "witness.multi_information", "witness.classical_cap"}),
-        ("gibbs-check", {"n_states": 5, "n_planted": 3}, {"max_identity_gap"}),
+        ("gibbs-check", _SMALL["gibbs-check"], {"max_identity_gap"}),
+        ("simulate", _SMALL["simulate"], {"H_initial", "H_final", "C_drift_max", "slope_of_H_vs_t"}),
+        ("origin-analysis", _SMALL["origin-analysis"],
+         {f"sweep.{k}.{key}" for k in (0, 1) for key in ("C", "C_max")}),
+        ("stiffness", _SMALL["stiffness"], {"C", "C_max"}),
     ],
 )
 def test_bits_rescales_exactly_the_entropic_fields(tmp_path, capsys, mode, cfg, entropic):
+    """The fields the README lists as entropic are divided by log 2 and no
+    other field changes."""
     assert run_cli(tmp_path, mode, cfg) == 0
     nats = dict(_flatten(read_report(capsys)))
     assert run_cli(tmp_path, mode, cfg, extra=["--bits"]) == 0
@@ -779,6 +816,28 @@ def test_bits_rescales_exactly_the_entropic_fields(tmp_path, capsys, mode, cfg, 
             assert bits[key] == nats[key] / LN2, key
         else:
             assert bits[key] == nats[key], key
+    assert entropic <= nats.keys()
+
+
+@pytest.mark.parametrize(
+    "mode, name",
+    [
+        ("simulate", "summary.json"),
+        ("origin-analysis", "origin_analysis_report.json"),
+        ("stiffness", "stiffness_report.json"),
+        ("obstruction-check", "obstruction_report.json"),
+        ("gibbs-check", "gibbs_report.json"),
+    ],
+)
+def test_report_file_is_the_printed_report_without_failures(tmp_path, capsys, mode, name):
+    """Each mode writes its report, units first, to its own file and prints
+    the same report with the failures appended."""
+    assert run_cli(tmp_path, mode, _SMALL[mode]) == 0
+    printed = read_report(capsys)
+    on_disk = json.loads((tmp_path / name).read_text())
+    assert "failures" not in on_disk and printed.pop("failures") == []
+    assert on_disk == printed
+    assert next(iter(on_disk)) == "units"
 
 
 def test_module_entrypoint_runs():

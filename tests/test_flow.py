@@ -450,7 +450,7 @@ def test_integrate_counts_steps_on_entropy_clock_approach(qutrit_pair):
     theta0 = origin_point(shape, basis, EPS).theta
     cfg = FlowConfig()
     traj = integrate(theta0, basis, cfg, clock="entropy", duration=10.0)
-    stats = traj.summary()["integrator"]
+    stats = traj.integrator
     assert traj.status == "stationary"
     assert 0.01 * cfg.rate_min <= traj.rate[-1] < cfg.rate_min
     assert abs(traj.C[0] - traj.H[-1] - 0.25 * cfg.rate_min) <= 1e-14 * traj.H[-1]

@@ -14,7 +14,6 @@ from entroflow import (
     OperatorBasis,
     UnsupportedShapeError,
     as_shape,
-    embed_local,
     exp_divided_difference,
     exp_second_divided_difference,
     gell_mann_basis,
@@ -24,6 +23,7 @@ from entroflow import (
 from entroflow import operators
 from entroflow.operators import is_hermitian, marginals, require_hermitian
 from tests.reference_geometry import (
+    embed_local,
     frechet_exp,
     gell_mann_list,
     hermitian_vec,
