@@ -10,9 +10,10 @@ There is one projection route, the local-block identity: (G v)_a =
 tr(F_a d rho[v]), and the local elements L span the traceless operators of
 every subsystem, so M v = 0 iff (G v)_L = 0.  ker M is the G-orthogonal
 complement of the local axes e_L, and every use of it is one solve with the
-local metric block G_LL (``_solve_local_block``).  The same identity gives
-every marginal derivative d_a rho_i from the local columns of G, which is
-all the Hessian needs of d rho; the marginal Jacobian M is never formed.
+local metric block G_LL (``_solve_local_block``).  C depends on theta only
+through mu_L, so its gradient is G g, g = dC/dmu_L, and its Hessian reads
+every marginal derivative d_a rho_i from the local columns of G; one centred
+direction (``_centred_direction``) serves both, and M is never formed.
 """
 
 from __future__ import annotations
@@ -127,45 +128,38 @@ def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _marginal_log_sum(shape, spectra) -> np.ndarray:
-    """Lambda = sum_i log rho_i (x) I from the marginal spectra of ``marginal_eigh``.
+def _centred_direction(point: ExpFamilyPoint, spectra) -> np.ndarray:
+    """v_t = U^dag (K(g) - (g . mu) I) U in the eigenbasis U of rho, g = dC/dmu.
 
-    Viewing Lambda as (a, d_i, b) x (a, d_i, b), with a and b the dimensions
-    before and after factor i, each log rho_i is added on the diagonal of the
-    a and b axes, a writeable einsum view: no Kronecker product is formed.
+    C depends on theta only through mu_L: rho_i = I/d_i + sum_{alpha in L_i}
+    mu_alpha tr_{-i} F_alpha (``_local_marginals``), so g_alpha = -tr(log rho_i
+    tr_{-i} F_alpha) on L and 0 elsewhere.  With Lambda = sum_i log rho_i (x) I,
+    U v_t U^dag = tr(rho Lambda) I - Lambda; Lambda's identity part never enters.
+    Local elements that do not span raise ValueError (``_local_blocks``).
     """
-    d = shape.total_dim
-    Lam = np.zeros((d, d), dtype=complex)
-    for i, (w, U) in enumerate(spectra):
-        di = shape.dims[i]
-        a, b = math.prod(shape.dims[:i]), math.prod(shape.dims[i + 1 :])
-        diagonal = np.einsum("ajbakb->abjk", Lam.reshape(a, di, b, a, di, b))
-        diagonal += (U * np.log(w)) @ U.conj().T
-    return Lam
-
-
-def _rotated_log_sum(point: ExpFamilyPoint, spectra) -> np.ndarray:
-    """U^dag Lambda U in the eigenbasis U of rho (``_marginal_log_sum``)."""
+    basis = point.basis
+    g = np.zeros(basis.size)
+    for i, ((w, V), L_i) in enumerate(zip(spectra, _local_blocks(basis))):
+        traces = _local_marginals(basis, i, L_i).reshape(L_i.size, -1)
+        g[L_i] = -(traces.conj() @ ((V * np.log(w)) @ V.conj().T).ravel()).real
     U = point.eigvecs
-    return U.conj().T @ _marginal_log_sum(point.basis.shape, spectra) @ U
+    return U.conj().T @ (basis.combine(g) - (g @ point.mu) * np.eye(point.dim)) @ U
 
 
-def constraint_gradient(point: ExpFamilyPoint, *, lam_t=None) -> np.ndarray:
-    """Exact gradient a_b = -tr(Lambda d rho / d theta_b), Lambda = sum_i log rho_i (x) I.
+def constraint_gradient(point: ExpFamilyPoint, *, direction=None) -> np.ndarray:
+    """Exact gradient dC/dtheta = G g by the chain rule through mu_L (``_centred_direction``).
 
-    d rho / d theta_b = Dexp_A[F~_b] with A = K - psi I and F~_b = F_b - mu_b I,
-    and the Daleckii-Krein derivative is self-adjoint, so with X = Dexp_A[Lambda]
-    a_b = -tr(X F_b) + mu_b tr(X).  A has the eigenpairs (log p, U) of rho, and
-    the divided differences of exp on log p are the BKM kernel k, so
-    X = U ((U^dag Lambda U) o k) U^dag: one ``coordinates`` product, O(d^3 + m d^2).
-    Vanishes identically wherever every marginal is maximally mixed.
-    ``lam_t`` is U^dag Lambda U (``_rotated_log_sum``) if the caller has it.
+    (G g)_b = tr(F_b Dexp_A[F~(g)]) with A = K - psi I and F~(g) = K(g) - (g . mu) I.
+    A has the eigenpairs (log p, U) of rho, and the divided differences of exp
+    on log p are the BKM kernel k, so G g = coordinates(U (v_t o k) U^dag): one
+    product, O(d^3 + m d^2), with no m x m metric.  Vanishes identically
+    wherever every marginal is maximally mixed (g = 0).  Local elements that do
+    not span raise ValueError.  ``direction`` is v_t if the caller has it.
     """
-    if lam_t is None:
-        lam_t = _rotated_log_sum(point, marginal_eigh(point))
+    if direction is None:
+        direction = _centred_direction(point, marginal_eigh(point))
     U = point.eigvecs
-    X = U @ (lam_t * bkm_kernel_matrix(point.eigvals)) @ U.conj().T
-    return np.real(np.trace(X)) * point.mu - point.basis.coordinates(X)
+    return point.basis.coordinates(U @ (direction * bkm_kernel_matrix(point.eigvals)) @ U.conj().T)
 
 
 def _kernel(point: ExpFamilyPoint) -> np.ndarray:
@@ -180,26 +174,23 @@ def _kernel(point: ExpFamilyPoint) -> np.ndarray:
     return N
 
 
-def constraint_geometry(
-    point: ExpFamilyPoint,
-    *,
-    include_hessian: bool = False,
-) -> ConstraintGeometry:
+def constraint_geometry(point: ExpFamilyPoint, *, include_hessian: bool = False) -> ConstraintGeometry:
     """Bundle C, its gradient and optionally the Hessian; ker M on first read.
 
-    One ``marginal_eigh`` and one U^dag Lambda U serve C, the gradient and the
-    Hessian.  Reading ``kernel`` raises FullyConstrainedError for a
+    One ``marginal_eigh`` and one centred direction (``_centred_direction``)
+    serve C, the gradient and the Hessian.  Local elements that do not span
+    raise ValueError.  Reading ``kernel`` raises FullyConstrainedError for a
     single-subsystem basis and NumericalDegeneracyError when cond(G_LL)
     exceeds PROJECTOR_COND_MAX.
     """
     spectra = marginal_eigh(point)
-    lam_t = _rotated_log_sum(point, spectra)
+    v_t = _centred_direction(point, spectra)
     return ConstraintGeometry(
         point=point,
         value=-sum(float(w @ np.log(w)) for w, _ in spectra),
-        grad=constraint_gradient(point, lam_t=lam_t),
+        grad=constraint_gradient(point, direction=v_t),
         hessian=(
-            constraint_hessian(point, spectra=spectra, lam_t=lam_t) if include_hessian else None
+            constraint_hessian(point, spectra=spectra, direction=v_t) if include_hessian else None
         ),
     )
 
@@ -214,29 +205,30 @@ def _local_marginals(basis: OperatorBasis, i: int, L_i: np.ndarray) -> np.ndarra
     return scale * basis.factors[i][[basis.elements[a][i] for a in L_i]]
 
 
-def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, lam_t=None) -> np.ndarray:
-    """Exact Hessian of C from second-order Daleckii-Krein divided differences.
+def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, direction=None) -> np.ndarray:
+    """Exact Hessian of C by the chain rule through mu_L.
 
-    With A = K - psi I, F~_a = F_a - mu_a I and Lambda = sum_i log rho_i (x) I
-    on the other factors,
+    C = c(mu_L) with dmu/dtheta = G and d^2 mu_alpha / dtheta_a dtheta_b =
+    tr(F_alpha d_a d_b rho), so with g = dc/dmu (``_centred_direction``)
 
-        Hess C_ab = -tr(Lambda d_a d_b rho) - sum_i tr(Dlog(rho_i)[d_a rho_i] d_b rho_i),
-        d_a d_b rho = D^2 exp(A)[F~_a, F~_b] - G_ab rho.
+        Hess C = G_{:L} (d^2 c) G_{L:} + tr(v d_a d_b rho),  v = K(g) - (g . mu) I,
+        d_a d_b rho = D^2 exp(A)[F~_a, F~_b] - G_ab rho,
 
-    In the eigenbasis of rho, with w = log p, tr(Lambda D^2 exp[F~_a, F~_b])
-    = T_ab + T_ba where T_ab = sum_lk Z_a[l, k] (F~_b)_lk, Z_a[l, k] =
-    sum_j (F~_a)_jl f[w_j, w_l, w_k] Lambda~_kj and f are the second divided
-    differences of exp; per chunk of rotated elements, the rows of T are
-    Re T_ab = coordinates(U Z_a^T U^dag)_b - mu_b Re tr Z_a.  The divided
-    differences of log are 1/k with k the BKM kernel, and d_a rho_i =
-    sum_{alpha in L_i} G_{a alpha} tr_{-i} F_alpha (``_local_marginals``), so
-    the marginal sum is G_{:L_i} Q_i G_{L_i:} with Q_i = Re(Y Y^dag) over the
-    rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i / sqrt(k(lambda_i)).  At
-    saturation (every rho_i = I/d_i) Q_i = d I and the other terms cancel, so
-    Hess C = -d G_{:L} G_{L:}, whose kernel is ker M.  Marginals at or below
+    with A = K - psi I and F~_a = F_a - mu_a I; tr(rho v) = 0 drops the G_ab
+    term.  In the eigenbasis of rho, with w = log p and v_t = U^dag v U,
+    tr(v D^2 exp[F~_a, F~_b]) = T_ab + T_ba where T_ab = sum_lk Z_a[l, k]
+    (F~_b)_lk, Z_a[l, k] = sum_j (F~_a)_jl f[w_j, w_l, w_k] (v_t)_kj and f are
+    the second divided differences of exp; per chunk of rotated elements, the
+    rows of T are Re T_ab = coordinates(U Z_a^T U^dag)_b - mu_b Re tr Z_a.
+    d^2 c = -sum_i Dlog(rho_i) on the directions tr_{-i} F_alpha
+    (``_local_marginals``); the divided differences of log are 1/k with k the
+    BKM kernel, so that term is -G_{:L_i} Q_i G_{L_i:} with Q_i = Re(Y Y^dag)
+    over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i / sqrt(k(lambda_i)).
+    At saturation (every rho_i = I/d_i) g = 0 and Q_i = d I, so Hess C =
+    -d G_{:L} G_{L:}, whose kernel is ker M.  Marginals at or below
     FULL_RANK_FLOOR raise BoundaryStateError (``marginal_eigh``, or ``spectra``
     from it); local elements that do not span raise ValueError (``_local_blocks``).
-    ``lam_t`` is U^dag Lambda U (``_rotated_log_sum``) if the caller has it.
+    ``direction`` is v_t if the caller has it.
     """
     basis = point.basis
     m = basis.size
@@ -250,10 +242,10 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, lam_t=None) -> np
         H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 
     U, d = point.eigvecs, point.dim
-    if lam_t is None:
-        lam_t = _rotated_log_sum(point, spectra)
-    # W[j, l, k] = f[w_j, w_l, w_k] Lambda~_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
-    W = exp_second_divided_difference(np.log(point.eigvals)) * lam_t.T[:, None, :]
+    if direction is None:
+        direction = _centred_direction(point, spectra)
+    # W[j, l, k] = f[w_j, w_l, w_k] (v_t)_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
+    W = exp_second_divided_difference(np.log(point.eigvals)) * direction.T[:, None, :]
     T = np.empty((m, m))
     for chunk, Fc in basis.rotated(U):
         Fc.reshape(len(Fc), -1)[:, :: d + 1] -= point.mu[chunk, None]  # U^dag F~_a U
@@ -261,8 +253,7 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, lam_t=None) -> np
         X = U.conj() @ (Z.reshape(-1, d) @ U.T).reshape(d, -1)  # X[q, a, p] = (U Z_a^T U^dag)_pq
         X = X.reshape(d, -1, d).transpose(1, 2, 0)
         T[chunk] = basis.coordinates(X) - np.outer(np.trace(Z, axis1=0, axis2=2).real, point.mu)
-    H -= T + T.T
-    H += sum(float(lam @ np.log(lam)) for lam, _ in spectra) * G
+    H += T + T.T
     return 0.5 * (H + H.T)
 
 

@@ -197,10 +197,10 @@ def _predicted_step(x, near, neighbours) -> np.ndarray:
 
 
 def _hermite_root(a, b, C0, gap_goal) -> float:
-    """x in (a.x, b.x) where the cubic Hermite interpolant of g = log(C0 -
-    H_curve), slope rate / (C0 - H_curve), through the curve points a and b
-    equals log(gap_goal), by safeguarded Newton in u = (x - a.x) / (b.x -
-    a.x); nan if a gap is not positive."""
+    """x in (a.x, b.x), a.x < b.x, where the cubic Hermite interpolant of g =
+    log(C0 - H_curve), slope rate / (C0 - H_curve), through the curve points a
+    and b equals log(gap_goal), by safeguarded Newton in u = (x - a.x) / (b.x
+    - a.x), whose bracket assumes g rises from a to b; nan if a gap is not positive."""
     gap_a, gap_b, h = C0 - a.H_curve, C0 - b.H_curve, b.x - a.x
     if not (gap_a > 0.0 and gap_goal > 0.0):
         return math.nan

@@ -175,8 +175,10 @@ def test_gradient_single_qubit_closed_form(rng):
 
 @pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2]])
 def test_gradient_matches_frechet_route(dims, rng):
-    """X = U ((U^dag Lambda U) o k) U^dag from the point's eigenpairs against
-    the former route, which diagonalised K - psi I again in ``frechet_exp``."""
+    """The chain rule, coordinates(U (v_t o k) U^dag) for the centred direction
+    v_t from the point's eigenpairs, against the route through Lambda =
+    sum_i log rho_i (x) I: -tr(X F_b) + mu_b tr(X) with X = Dexp[Lambda] from
+    ``frechet_exp``, which diagonalises K - psi I again."""
     basis = product_basis(as_shape(dims))
     for _ in range(3):
         pt = make_point(rng.normal(size=basis.size) * 0.5, basis)
@@ -288,8 +290,9 @@ def test_hessian_matches_stack_oracle(dims, rng):
 
 def test_local_elements_must_span_each_subsystem(rng):
     """A basis missing one local element of a subsystem would give a wrong
-    Hessian and a wrong ker M without any error; both are refused (ker M
-    when ``kernel`` is first read)."""
+    gradient, Hessian and ker M without any error: C is read through the
+    local mean parameters, which then miss a direction of that marginal.
+    All are refused, the geometry at construction."""
     full = product_basis(as_shape([2, 2]))
     drop = full.local_indices(0)[0]
     basis = OperatorBasis(full.shape, full.factors, full.elements[:drop] + full.elements[drop + 1 :])
@@ -298,7 +301,8 @@ def test_local_elements_must_span_each_subsystem(rng):
     def kernel(point):
         return constraint_geometry(point).kernel
 
-    for build in (constraint_hessian, kernel, local_block_projection):
+    builds = (constraint_gradient, constraint_hessian, constraint_geometry, kernel)
+    for build in builds + (local_block_projection,):
         with pytest.raises(ValueError, match="local elements"):
             build(pt)
 
@@ -485,6 +489,21 @@ def test_first_order_tangency_vacuous(qutrit_pair, rng):
         v = rng.normal(size=80)
         v /= np.linalg.norm(v)
         assert abs(a @ v) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]])
+def test_gradient_is_conserved_along_the_kernel(dims, rng):
+    """First-order conservation of C along ker M away from the origin: the
+    gradient is G g with g on L and (G N)_L = 0, so grad . N = g_L . (G N)_L
+    is round-off, at most 1e-14 |grad| max|N|.  Near theta = 0, where the
+    gradient is small, the former route through sum_i log rho_i (x) I read up
+    to 1.2e-13 |grad| max|N| here; the chain rule reads 7.3e-16."""
+    basis = product_basis(as_shape(dims))
+    for scale in (0.01, 0.1, 1.0):
+        for _ in range(2):
+            geom = constraint_geometry(make_point(rng.normal(size=basis.size) * scale, basis))
+            bound = 1e-14 * np.linalg.norm(geom.grad) * np.abs(geom.kernel).max()
+            assert np.abs(geom.grad @ geom.kernel).max() <= bound, scale
 
 
 def test_termwise_saturation(qutrit_pair, rng):

@@ -3,10 +3,12 @@
 ``integrate`` predicts each curve point by the cubic Hermite interpolant in
 s = e^x through a solved point and its neighbour (``_predicted_step``), reads
 each sample's marginal entropies from the local mean parameters
-(``_local_marginal_entropies``), and the constraint geometry builds
-Lambda = sum_i log rho_i (x) I once, on a diagonal view (``_marginal_log_sum``).
-The oracles: the first-order step, a run solved at a 1e-13 Newton tolerance,
-``marginal_entropies`` of each state, and the ``embed_local`` Kronecker sum.
+(``_local_marginal_entropies``), and the constraint geometry reads its
+gradient and Hessian through one centred direction U^dag (K(g) - (g . mu) I) U,
+g = dC/dmu_L (``_centred_direction``).  The oracles: the first-order step, a
+run solved at a 1e-13 Newton tolerance, ``marginal_entropies`` of each state,
+and tr(rho Lambda) I - Lambda for the ``embed_local`` Kronecker sum
+Lambda = sum_i log rho_i (x) I.
 """
 
 import math
@@ -26,10 +28,11 @@ from entroflow import (
     marginal_entropies,
     product_basis,
 )
-from entroflow.constraint import _marginal_log_sum, marginal_eigh
+from entroflow.constraint import _centred_direction, marginal_eigh
 from entroflow.flow import (
     SAMPLES,
     _CurvePoint,
+    _hermite_root,
     _local_marginal_entropies,
     _marginal_monitor,
     _predicted_step,
@@ -95,6 +98,44 @@ def test_predictor_falls_back_to_the_first_order_step(neighbours, why):
     assert np.abs(hermite - target).max() < np.abs(near.theta + expected - target).max()
 
 
+# g(x) = log(C0 - H_curve), an exact cubic increasing on [-2.5, -1], and its slope.
+C0 = 1.5
+
+
+def g_cubic(x):
+    return 2.0 * x - 0.3 + 0.15 * (x + 1.5) ** 2 + 0.05 * (x + 1.5) ** 3
+
+
+def g_slope(x):
+    return 2.0 + 0.3 * (x + 1.5) + 0.15 * (x + 1.5) ** 2
+
+
+def on_gap(x, g=g_cubic, slope=g_slope):
+    """A curve point whose gap C0 - H_curve is e^g(x) and whose rate gives
+    the slope rate / gap = g'(x)."""
+    gap = math.exp(g(x))
+    return _CurvePoint(x, None, None, 0.0, 0.0, C0 - gap, slope(x) * gap, None, None)
+
+
+@pytest.mark.parametrize("root", [-1.1, -1.8, -2.4])
+def test_hermite_root_of_an_exact_cubic(root):
+    """Between two points of an exact cubic g, the Hermite interpolant is g,
+    so the landing goal's root is found to 1e-13.  As in ``integrate``, a is
+    the point of higher H (lower x), where g is lower."""
+    a, b = on_gap(-2.5), on_gap(-1.0)
+    assert abs(_hermite_root(a, b, C0, math.exp(g_cubic(root))) - root) <= 1e-13
+
+
+def test_hermite_root_needs_positive_gaps():
+    """nan when the gap at a, C0 - a.H_curve, or the goal gap is not positive."""
+    a, b = on_gap(-2.5), on_gap(-1.0)
+    goal = math.exp(g_cubic(-1.8))
+    assert math.isnan(_hermite_root(a, b, a.H_curve, goal))
+    assert math.isnan(_hermite_root(a, b, a.H_curve - 0.1, goal))
+    for bad in (0.0, -goal):
+        assert math.isnan(_hermite_root(a, b, C0, bad))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_curved_game_run_takes_one_chart_point_per_inner_sample(seed, monkeypatch):
     """The flow-multipartite run (four qubits, a seeded kernel direction of
@@ -153,19 +194,21 @@ def bases():
 
 @pytest.mark.parametrize("basis", list(bases()), ids=lambda b: "x".join(map(str, b.shape.dims)))
 def test_marginal_logs_and_monitor_match_their_oracles(basis):
-    """At random points: Lambda from the diagonal views equals the embed_local
-    sum bit for bit, the geometry's shared U^dag Lambda U gives the gradient
-    and Hessian of the standalone calls bit for bit, and the marginal
-    entropies read from mu_L match ``marginal_entropies`` of rho to 1e-14."""
+    """At random points: U v_t U^dag for the centred direction v_t equals
+    tr(rho Lambda) I - Lambda for the embed_local sum Lambda to 1e-13, the
+    geometry's shared v_t gives the gradient and Hessian of the standalone
+    calls bit for bit, and the marginal entropies read from mu_L match
+    ``marginal_entropies`` of rho to 1e-14."""
     rng = np.random.default_rng(7)
     local = basis.local_sector
     monitor = _marginal_monitor(basis, local)
     for scale in (0.3, 1.5):
         point = make_point(scale * rng.normal(size=basis.size) / math.sqrt(basis.size), basis)
         spectra = marginal_eigh(point)
-        np.testing.assert_array_equal(
-            _marginal_log_sum(basis.shape, spectra), kron_log_sum(basis.shape, spectra)
-        )
+        U, Lam = point.eigvecs, kron_log_sum(basis.shape, spectra)
+        centred = U @ _centred_direction(point, spectra) @ U.conj().T
+        expected = np.trace(point.rho @ Lam).real * np.eye(point.dim) - Lam
+        assert np.abs(centred - expected).max() <= 1e-13
         geom = constraint_geometry(point, include_hessian=True)
         np.testing.assert_array_equal(geom.grad, constraint_gradient(point))
         np.testing.assert_array_equal(geom.hessian, constraint_hessian(point))

@@ -797,6 +797,10 @@ def test_integrate_argument_validation(qutrit_pair):
         integrate(theta0, basis, FlowConfig(), clock="game", duration=1.0, kind="reversible")
     with pytest.raises(ValueError):
         integrate(theta0, basis, FlowConfig(), clock="entropy", duration=1.0, kind="reversible")
+    with pytest.raises(ValueError, match="produces no entropy"):
+        # with a generator it is the clock that is refused
+        cfg = FlowConfig(xi_parts=((0, np.diag([0.5, 0.0, -0.5]).astype(complex)),))
+        integrate(theta0, basis, cfg, clock="entropy", duration=1.0, kind="reversible")
     with pytest.raises(ValueError):
         integrate(theta0, basis, FlowConfig(), clock="game", duration=float("nan"))
     for clock in ("entropy", "game"):
