@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .errors import BoundaryStateError, FullyConstrainedError, NumericalDegeneracyError
 from .expfamily import ExpFamilyPoint, bkm_kernel_matrix
-from .operators import OperatorBasis, exp_second_divided_difference, marginals
+from .operators import OperatorBasis, exp_second_divided_difference
 from .states import FULL_RANK_FLOOR
 
 PROJECTOR_COND_MAX = 1e12
@@ -60,27 +60,11 @@ class ConstraintGeometry:
         return _kernel(self.point)
 
 
-def _local_blocks(basis: OperatorBasis) -> tuple[np.ndarray, ...]:
-    """Indices L_i of the local elements of every subsystem i.
-
-    ker M and the Hessian read the marginal derivatives from the local
-    columns of G, which holds only when the L_i span the traceless operators
-    of subsystem i: being orthonormal, they must number d_i^2 - 1.  Raises
-    ValueError otherwise.
-    """
-    for i, (L_i, d_i) in enumerate(zip(basis.local_blocks, basis.shape.dims)):
-        if L_i.size != d_i * d_i - 1:
-            raise ValueError(
-                f"subsystem {i} has {L_i.size} local elements; spanning its "
-                f"traceless operators needs {d_i * d_i - 1}"
-            )
-    return basis.local_blocks
-
-
 def _local_sector(basis: OperatorBasis) -> np.ndarray:
-    """Indices L of every local element (``_local_blocks`` checks they span);
-    raises FullyConstrainedError when ker M is trivial."""
-    _local_blocks(basis)
+    """Indices L of every local element; raises ValueError unless each L_i
+    spans (``OperatorBasis.local_traces``), FullyConstrainedError when ker M
+    is trivial."""
+    basis.local_traces  # raises ValueError unless every L_i spans
     local = basis.local_sector
     if local.size == basis.size:
         raise FullyConstrainedError(
@@ -113,13 +97,18 @@ def constraint_max(shape) -> float:
 def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigendecomposition (w, U) of every marginal, eigenvalues ascending.
 
-    Raises BoundaryStateError when a marginal eigenvalue is at or below
-    FULL_RANK_FLOOR: the marginal logarithms behind the constraint
-    gradient are not trustworthy there.
+    rho_i = I/d_i + sum_{alpha in L_i} mu_alpha tr_{-i} F_alpha, read from the
+    local mean parameters (``OperatorBasis.local_traces``; local elements that
+    do not span raise ValueError).  Raises BoundaryStateError when a marginal
+    eigenvalue is at or below FULL_RANK_FLOOR: the marginal logarithms behind
+    the constraint gradient are not trustworthy there.
     """
+    basis = point.basis
     out = []
-    for i, rho_i in enumerate(marginals(point.rho, point.basis.shape)):
-        w, U = np.linalg.eigh(rho_i)
+    for i, (L_i, traces) in enumerate(zip(basis.local_blocks, basis.local_traces)):
+        d_i = len(traces[0])
+        rho_i = (point.mu[L_i] @ traces.reshape(L_i.size, -1)).reshape(d_i, d_i)
+        w, U = np.linalg.eigh(rho_i + np.eye(d_i) / d_i)
         if w[0] <= FULL_RANK_FLOOR:
             raise BoundaryStateError(
                 f"marginal {i} eigenvalue {w[0]:.3e} at or below {FULL_RANK_FLOOR}"
@@ -132,16 +121,16 @@ def _centred_direction(point: ExpFamilyPoint, spectra) -> np.ndarray:
     """v_t = U^dag (K(g) - (g . mu) I) U in the eigenbasis U of rho, g = dC/dmu.
 
     C depends on theta only through mu_L: rho_i = I/d_i + sum_{alpha in L_i}
-    mu_alpha tr_{-i} F_alpha (``_local_marginals``), so g_alpha = -tr(log rho_i
-    tr_{-i} F_alpha) on L and 0 elsewhere.  With Lambda = sum_i log rho_i (x) I,
-    U v_t U^dag = tr(rho Lambda) I - Lambda; Lambda's identity part never enters.
-    Local elements that do not span raise ValueError (``_local_blocks``).
+    mu_alpha tr_{-i} F_alpha (``OperatorBasis.local_traces``), so g_alpha =
+    -tr(log rho_i tr_{-i} F_alpha) on L and 0 elsewhere.  With Lambda = sum_i
+    log rho_i (x) I, U v_t U^dag = tr(rho Lambda) I - Lambda; Lambda's identity
+    part never enters.  Local elements that do not span raise ValueError.
     """
     basis = point.basis
     g = np.zeros(basis.size)
-    for i, ((w, V), L_i) in enumerate(zip(spectra, _local_blocks(basis))):
-        traces = _local_marginals(basis, i, L_i).reshape(L_i.size, -1)
-        g[L_i] = -(traces.conj() @ ((V * np.log(w)) @ V.conj().T).ravel()).real
+    for (w, V), L_i, traces in zip(spectra, basis.local_blocks, basis.local_traces):
+        log_i = (V * np.log(w)) @ V.conj().T
+        g[L_i] = -(traces.reshape(L_i.size, -1).conj() @ log_i.ravel()).real
     U = point.eigvecs
     return U.conj().T @ (basis.combine(g) - (g @ point.mu) * np.eye(point.dim)) @ U
 
@@ -195,16 +184,6 @@ def constraint_geometry(point: ExpFamilyPoint, *, include_hessian: bool = False)
     )
 
 
-def _local_marginals(basis: OperatorBasis, i: int, L_i: np.ndarray) -> np.ndarray:
-    """tr_{-i} F_alpha for the local elements alpha in L_i of subsystem i.
-
-    F_alpha is lambda_alpha on factor i and I/sqrt(d_j) on every other j, and
-    tr(I/sqrt(d_j)) = sqrt(d_j), so tr_{-i} F_alpha = sqrt(d / d_i) lambda_alpha.
-    """
-    scale = math.sqrt(basis.shape.total_dim / basis.shape.dims[i])
-    return scale * basis.factors[i][[basis.elements[a][i] for a in L_i]]
-
-
 def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, direction=None) -> np.ndarray:
     """Exact Hessian of C by the chain rule through mu_L.
 
@@ -221,13 +200,14 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, direction=None) -
     the second divided differences of exp; per chunk of rotated elements, the
     rows of T are Re T_ab = coordinates(U Z_a^T U^dag)_b - mu_b Re tr Z_a.
     d^2 c = -sum_i Dlog(rho_i) on the directions tr_{-i} F_alpha
-    (``_local_marginals``); the divided differences of log are 1/k with k the
-    BKM kernel, so that term is -G_{:L_i} Q_i G_{L_i:} with Q_i = Re(Y Y^dag)
-    over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i / sqrt(k(lambda_i)).
+    (``OperatorBasis.local_traces``); the divided differences of log are 1/k
+    with k the BKM kernel, so that term is -G_{:L_i} Q_i G_{L_i:} with Q_i =
+    Re(Y Y^dag) over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i /
+    sqrt(k(lambda_i)).
     At saturation (every rho_i = I/d_i) g = 0 and Q_i = d I, so Hess C =
     -d G_{:L} G_{L:}, whose kernel is ker M.  Marginals at or below
     FULL_RANK_FLOOR raise BoundaryStateError (``marginal_eigh``, or ``spectra``
-    from it); local elements that do not span raise ValueError (``_local_blocks``).
+    from it); local elements that do not span raise ValueError.
     ``direction`` is v_t if the caller has it.
     """
     basis = point.basis
@@ -235,9 +215,8 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, direction=None) -
     G = point.metric
     H = np.zeros((m, m))
     spectra = spectra or marginal_eigh(point)
-    for i, ((lam, V), L_i) in enumerate(zip(spectra, _local_blocks(basis))):
-        Y = V.conj().T @ _local_marginals(basis, i, L_i) @ V / np.sqrt(bkm_kernel_matrix(lam))
-        Y = Y.reshape(L_i.size, -1)
+    for (lam, V), L_i, traces in zip(spectra, basis.local_blocks, basis.local_traces):
+        Y = (V.conj().T @ traces @ V / np.sqrt(bkm_kernel_matrix(lam))).reshape(L_i.size, -1)
         G_i = G[:, L_i]
         H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import _local_marginals, _local_sector, _solve_local_block
+from .constraint import _local_sector, _solve_local_block
 from .errors import (
     BoundaryStateError,
     ConservationError,
@@ -222,16 +222,14 @@ def _hermite_root(a, b, C0, gap_goal) -> float:
 def _marginal_monitor(basis: OperatorBasis, local) -> list[tuple]:
     """Per local dimension q: the subsystems i of that dimension, the positions
     of their local elements L_i in ``local``, and their tr_{-i} F_alpha
-    (``_local_marginals``) flattened, as ``_local_marginal_entropies`` reads them."""
+    (``OperatorBasis.local_traces``) flattened, as ``_local_marginal_entropies``
+    reads them."""
     position = {a: k for k, a in enumerate(local)}
     monitor = []
     for q in sorted(set(basis.shape.dims)):
         members = [i for i, d_i in enumerate(basis.shape.dims) if d_i == q]
-        blocks = [basis.local_blocks[i] for i in members]
-        pos = np.array([[position[a] for a in L_i] for L_i in blocks])
-        traces = np.array(
-            [_local_marginals(basis, i, L_i).reshape(len(L_i), -1) for i, L_i in zip(members, blocks)]
-        )
+        pos = np.array([[position[a] for a in basis.local_blocks[i]] for i in members])
+        traces = np.array([basis.local_traces[i].reshape(q * q - 1, -1) for i in members])
         monitor.append((members, pos, traces))
     return monitor
 

@@ -311,6 +311,26 @@ class OperatorBasis:
         """Indices of the local elements of each subsystem (read-only)."""
         return tuple(_readonly(self.local_indices(i)) for i in range(self.shape.n_subsystems))
 
+    @cached_property
+    def local_traces(self) -> tuple[np.ndarray, ...]:
+        """Per subsystem i, the read-only (|L_i|, d_i, d_i) stack tr_{-i} F_alpha =
+        sqrt(d/d_i) lambda_alpha over its local elements L_i (``local_blocks``),
+        as F_alpha is lambda_alpha on factor i and I/sqrt(d_j), of trace
+        sqrt(d_j), on every other j.  A state's marginals rho_i = I/d_i +
+        sum_{alpha in L_i} mu_alpha tr_{-i} F_alpha need the L_i to span the
+        traceless operators of subsystem i, d_i^2 - 1 orthonormal elements;
+        raises ValueError where they do not."""
+        out = []
+        for i, (L_i, d_i) in enumerate(zip(self.local_blocks, self.shape.dims)):
+            if L_i.size != d_i * d_i - 1:
+                raise ValueError(
+                    f"subsystem {i} has {L_i.size} local elements; spanning its "
+                    f"traceless operators needs {d_i * d_i - 1}"
+                )
+            scale = math.sqrt(self.shape.total_dim / d_i)
+            out.append(_readonly(scale * self.factors[i][[self.elements[a][i] for a in L_i]]))
+        return tuple(out)
+
     def local_indices(self, subsystem: int | None = None) -> np.ndarray:
         return np.flatnonzero([len(s) == 1 and subsystem in (None, *s) for s in self._supports])
 

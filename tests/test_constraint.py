@@ -36,7 +36,7 @@ from entroflow import (
     state_from_params,
     stiffness_spectrum,
 )
-from entroflow.constraint import _local_marginals
+from entroflow.constraint import marginal_eigh
 from entroflow.operators import marginals
 from tests.conftest import origin_point
 from tests.reference_geometry import (
@@ -188,13 +188,35 @@ def test_gradient_matches_frechet_route(dims, rng):
 
 @pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [2, 2, 2]])
 def test_local_marginals_match_the_map_route(dims):
-    """tr_{-i} F_alpha read from factor i against the former product of the
-    stack rows with the 0/1 marginal map."""
+    """``basis.local_traces``, tr_{-i} F_alpha read from factor i, against the
+    former product of the stack rows with the 0/1 marginal map; each stack is
+    read-only, as the basis shares it with every caller."""
     basis = product_basis(as_shape(dims))
-    for i, L_i in enumerate(basis.local_blocks):
-        got = _local_marginals(basis, i, L_i)
+    assert len(basis.local_traces) == len(basis.local_blocks)
+    for i, (L_i, got) in enumerate(zip(basis.local_blocks, basis.local_traces)):
         assert got.shape == (L_i.size, basis.shape.dims[i], basis.shape.dims[i])
         assert np.abs(got - map_local_marginals(basis, i)).max() <= 1e-15
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dims", [[2, 3], [2, 2, 2]])
+def test_marginals_from_mu_on_a_rotated_basis(dims, rng):
+    """On an orthonormal basis that is not Gell-Mann, each factor stack mixed
+    by a random real orthogonal matrix, ``marginal_eigh`` rebuilds every
+    rho_i = I/d_i + sum_{alpha in L_i} mu_alpha tr_{-i} F_alpha from the local
+    mean parameters, against the partial trace of rho."""
+    full = product_basis(as_shape(dims))
+    factors = tuple(
+        np.tensordot(np.linalg.qr(rng.normal(size=(len(F), len(F))))[0], F, 1) for F in full.factors
+    )
+    basis = OperatorBasis(full.shape, factors, full.elements)
+    assert all(np.abs(a - b).max() > 0.1 for a, b in zip(basis.factors, full.factors))
+    for _ in range(3):
+        pt = make_point(rng.normal(size=basis.size) * 0.5, basis)
+        for (w, V), rho_i in zip(marginal_eigh(pt), marginals(pt.rho, basis.shape)):
+            assert np.abs((V * w) @ V.conj().T - rho_i).max() <= 1e-14
 
 
 def relative_gap(A, B) -> float:
@@ -301,7 +323,7 @@ def test_local_elements_must_span_each_subsystem(rng):
     def kernel(point):
         return constraint_geometry(point).kernel
 
-    builds = (constraint_gradient, constraint_hessian, constraint_geometry, kernel)
+    builds = (marginal_eigh, constraint_gradient, constraint_hessian, constraint_geometry, kernel)
     for build in builds + (local_block_projection,):
         with pytest.raises(ValueError, match="local elements"):
             build(pt)
@@ -566,20 +588,18 @@ def test_geometry_hessian_matches_stack_oracle(qutrit_pair):
 
 def test_geometry_forms_the_marginals_once(qutrit_pair, monkeypatch):
     """C, its gradient and the Hessian share one ``marginal_eigh``: the
-    marginals of rho are formed once per geometry (three times before)."""
+    marginals of rho are formed and diagonalised once per geometry."""
     import entroflow.constraint
-    import entroflow.states
 
     shape, basis = qutrit_pair
     pt = make_point(np.random.default_rng(5).normal(size=basis.size) * 0.15, basis)
     calls = []
 
-    def counting(X, shape):
+    def counting(point):
         calls.append(None)
-        return marginals(X, shape)
+        return marginal_eigh(point)
 
-    for module in (entroflow.constraint, entroflow.states):
-        monkeypatch.setattr(module, "marginals", counting)
+    monkeypatch.setattr(entroflow.constraint, "marginal_eigh", counting)
     geom = constraint_geometry(pt, include_hessian=True)
     assert len(calls) == 1
     monkeypatch.undo()
