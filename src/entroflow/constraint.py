@@ -98,22 +98,22 @@ def marginal_eigh(point: ExpFamilyPoint) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigendecomposition (w, U) of every marginal, eigenvalues ascending.
 
     rho_i = I/d_i + sum_{alpha in L_i} mu_alpha tr_{-i} F_alpha, read from the
-    local mean parameters (``OperatorBasis.local_traces``; local elements that
-    do not span raise ValueError).  Raises BoundaryStateError when a marginal
-    eigenvalue is at or below FULL_RANK_FLOOR: the marginal logarithms behind
-    the constraint gradient are not trustworthy there.
+    local mean parameters by ``OperatorBasis.local_marginals`` (local elements
+    that do not span raise ValueError), one batched eigh per local dimension.
+    Raises BoundaryStateError when a marginal eigenvalue is at or below
+    FULL_RANK_FLOOR: the marginal logarithms behind the constraint gradient
+    are not trustworthy there.
     """
     basis = point.basis
-    out = []
-    for i, (L_i, traces) in enumerate(zip(basis.local_blocks, basis.local_traces)):
-        d_i = len(traces[0])
-        rho_i = (point.mu[L_i] @ traces.reshape(L_i.size, -1)).reshape(d_i, d_i)
-        w, U = np.linalg.eigh(rho_i + np.eye(d_i) / d_i)
+    out = [None] * basis.shape.n_subsystems
+    for members, rho in basis.local_marginals(point.mu[basis.local_sector]):
+        for i, w, U in zip(members, *np.linalg.eigh(rho)):
+            out[i] = (w, U)
+    for i, (w, _) in enumerate(out):
         if w[0] <= FULL_RANK_FLOOR:
             raise BoundaryStateError(
                 f"marginal {i} eigenvalue {w[0]:.3e} at or below {FULL_RANK_FLOOR}"
             )
-        out.append((w, U))
     return out
 
 
@@ -135,18 +135,21 @@ def _centred_direction(point: ExpFamilyPoint, spectra) -> np.ndarray:
     return U.conj().T @ (basis.combine(g) - (g @ point.mu) * np.eye(point.dim)) @ U
 
 
-def constraint_gradient(point: ExpFamilyPoint, *, direction=None) -> np.ndarray:
-    """Exact gradient dC/dtheta = G g by the chain rule through mu_L (``_centred_direction``).
+def constraint_gradient(point: ExpFamilyPoint) -> np.ndarray:
+    """dC/dtheta as ``constraint_geometry`` builds it (``_gradient``), with its errors."""
+    return constraint_geometry(point).grad
+
+
+def _gradient(point: ExpFamilyPoint, direction) -> np.ndarray:
+    """dC/dtheta = G g by the chain rule through mu_L, from the centred
+    direction v_t of ``_centred_direction``.
 
     (G g)_b = tr(F_b Dexp_A[F~(g)]) with A = K - psi I and F~(g) = K(g) - (g . mu) I.
     A has the eigenpairs (log p, U) of rho, and the divided differences of exp
     on log p are the BKM kernel k, so G g = coordinates(U (v_t o k) U^dag): one
     product, O(d^3 + m d^2), with no m x m metric.  Vanishes identically
-    wherever every marginal is maximally mixed (g = 0).  Local elements that do
-    not span raise ValueError.  ``direction`` is v_t if the caller has it.
+    wherever every marginal is maximally mixed (g = 0).
     """
-    if direction is None:
-        direction = _centred_direction(point, marginal_eigh(point))
     U = point.eigvecs
     return point.basis.coordinates(U @ (direction * bkm_kernel_matrix(point.eigvals)) @ U.conj().T)
 
@@ -177,15 +180,19 @@ def constraint_geometry(point: ExpFamilyPoint, *, include_hessian: bool = False)
     return ConstraintGeometry(
         point=point,
         value=-sum(float(w @ np.log(w)) for w, _ in spectra),
-        grad=constraint_gradient(point, direction=v_t),
-        hessian=(
-            constraint_hessian(point, spectra=spectra, direction=v_t) if include_hessian else None
-        ),
+        grad=_gradient(point, v_t),
+        hessian=_hessian(point, spectra, v_t) if include_hessian else None,
     )
 
 
-def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, direction=None) -> np.ndarray:
-    """Exact Hessian of C by the chain rule through mu_L.
+def constraint_hessian(point: ExpFamilyPoint) -> np.ndarray:
+    """Hess C as ``constraint_geometry`` builds it (``_hessian``), with its errors."""
+    return constraint_geometry(point, include_hessian=True).hessian
+
+
+def _hessian(point: ExpFamilyPoint, spectra, direction) -> np.ndarray:
+    """Hessian of C by the chain rule through mu_L, from the marginal
+    ``spectra`` of ``marginal_eigh`` and the centred direction v_t.
 
     C = c(mu_L) with dmu/dtheta = G and d^2 mu_alpha / dtheta_a dtheta_b =
     tr(F_alpha d_a d_b rho), so with g = dc/dmu (``_centred_direction``)
@@ -205,24 +212,18 @@ def constraint_hessian(point: ExpFamilyPoint, *, spectra=None, direction=None) -
     Re(Y Y^dag) over the rows Y_alpha = V_i^dag (tr_{-i} F_alpha) V_i /
     sqrt(k(lambda_i)).
     At saturation (every rho_i = I/d_i) g = 0 and Q_i = d I, so Hess C =
-    -d G_{:L} G_{L:}, whose kernel is ker M.  Marginals at or below
-    FULL_RANK_FLOOR raise BoundaryStateError (``marginal_eigh``, or ``spectra``
-    from it); local elements that do not span raise ValueError.
-    ``direction`` is v_t if the caller has it.
+    -d G_{:L} G_{L:}, whose kernel is ker M.
     """
     basis = point.basis
     m = basis.size
     G = point.metric
     H = np.zeros((m, m))
-    spectra = spectra or marginal_eigh(point)
     for (lam, V), L_i, traces in zip(spectra, basis.local_blocks, basis.local_traces):
         Y = (V.conj().T @ traces @ V / np.sqrt(bkm_kernel_matrix(lam))).reshape(L_i.size, -1)
         G_i = G[:, L_i]
         H -= G_i @ np.real(Y @ Y.conj().T) @ G_i.T
 
     U, d = point.eigvecs, point.dim
-    if direction is None:
-        direction = _centred_direction(point, spectra)
     # W[j, l, k] = f[w_j, w_l, w_k] (v_t)_kj; Z[l, a, k] = sum_j (F~_a)_jl W[j, l, k]
     W = exp_second_divided_difference(np.log(point.eigvals)) * direction.T[:, None, :]
     T = np.empty((m, m))

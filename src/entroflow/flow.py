@@ -43,7 +43,7 @@ from .errors import (
 )
 from .expfamily import _bkm_rows, _check_theta, _spectrum, bkm_kernel_matrix
 from .operators import OperatorBasis, require_hermitian
-from .states import _stack_entropies, marginal_entropies
+from .states import _stack_entropies
 
 DEFAULT_RATE_MIN = 1e-10
 # Intervals of the sample grid, evenly spaced in the run's clock.
@@ -219,35 +219,6 @@ def _hermite_root(a, b, C0, gap_goal) -> float:
     return a.x + u * h
 
 
-def _marginal_monitor(basis: OperatorBasis, local) -> list[tuple]:
-    """Per local dimension q: the subsystems i of that dimension, the positions
-    of their local elements L_i in ``local``, and their tr_{-i} F_alpha
-    (``OperatorBasis.local_traces``) flattened, as ``_local_marginal_entropies``
-    reads them."""
-    position = {a: k for k, a in enumerate(local)}
-    monitor = []
-    for q in sorted(set(basis.shape.dims)):
-        members = [i for i, d_i in enumerate(basis.shape.dims) if d_i == q]
-        pos = np.array([[position[a] for a in basis.local_blocks[i]] for i in members])
-        traces = np.array([basis.local_traces[i].reshape(q * q - 1, -1) for i in members])
-        monitor.append((members, pos, traces))
-    return monitor
-
-
-def _local_marginal_entropies(mu, monitor) -> np.ndarray:
-    """h(rho_i) of every subsystem from the local mean parameters mu_L alone:
-    rho = I/d + sum_a mu_a F_a and tr_{-i} F_a = 0 off L_i, so rho_i = I/d_i +
-    sum_{alpha in L_i} mu_alpha tr_{-i} F_alpha.  One eigvalsh per group of
-    equal d_i (``_marginal_monitor``); ``_stack_entropies`` keeps the
-    eigenvalue floor."""
-    out = np.empty(sum(len(members) for members, _, _ in monitor))
-    for members, pos, traces in monitor:
-        q = math.isqrt(traces.shape[-1])
-        rho = (mu[pos][:, None, :] @ traces).reshape(-1, q, q) + np.eye(q) / q
-        out[members] = _stack_entropies(rho)
-    return out
-
-
 def _lab_frame(theta, tau, basis: OperatorBasis, frames) -> np.ndarray:
     """Rotating-frame rows theta_k seen at game times tau_k in the lab frame.
 
@@ -411,7 +382,7 @@ def integrate(
     the objective is halved, and a solve not converged within NEWTON_MAX
     chart points raises ConservationError.  A curved run, where theta_L
     moves, takes one chart point per inner game-clock sample.  Each sample's
-    marginal entropies are read from its mu_L (``_local_marginal_entropies``).
+    marginal entropies are read from its mu_L (``OperatorBasis.local_marginals``).
 
     Both stops and every entropy-clock sample land H on a goal within
     1e-14 max(1, |H|), from the run's solved points nearest the goal on
@@ -461,6 +432,12 @@ def integrate(
     rows = []  # one (tau, t, H, marginal entropies, rate, theta) per sample
     stats = {"newton_steps": 0, "chart_points": 0}
 
+    def entropies(mu_local):  # every h_i from mu_L, one eigvalsh per local dimension
+        out = np.empty(shape.n_subsystems)
+        for members, rho in basis.local_marginals(mu_local):
+            out[members] = _stack_entropies(rho)
+        return out
+
     def build(status):
         tau, t, H, marg, rate, theta = (np.array(col) for col in zip(*rows))
         if frames is not None:
@@ -471,7 +448,7 @@ def integrate(
         stats["chart_points"] = 1
         p, U = _spectrum(basis.combine(theta0))[1:]
         H = -float(p @ np.log(p))
-        marg = marginal_entropies((U * p) @ U.conj().T, shape)
+        marg = entropies(basis.coordinates((U * p) @ U.conj().T)[local])
         for k in range(SAMPLES + 1):
             rows.append((duration * k / SAMPLES, 0.0, H, marg, 0.0, theta0))
         return build("completed")
@@ -490,12 +467,10 @@ def integrate(
     target = start.mu
     newton_tol = config.atol + config.rtol * float(np.abs(target).max())
 
-    monitor = _marginal_monitor(basis, local)
-
     def record(pt, t):
         theta = theta0 * math.exp(pt.x)
         theta[local] = pt.theta
-        marg = _local_marginal_entropies(pt.mu, monitor)
+        marg = entropies(pt.mu)
         rows.append((0.0 - pt.x, t, pt.H, marg, pt.rate, theta))  # tau, never -0.0
         drift = np.abs(marg - rows[0][3])
         if drift.max() > config.conservation_tol:

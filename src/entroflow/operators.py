@@ -331,6 +331,29 @@ class OperatorBasis:
             out.append(_readonly(scale * self.factors[i][[self.elements[a][i] for a in L_i]]))
         return tuple(out)
 
+    @cached_property
+    def _marginal_layout(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per local dimension q, ascending: q, its subsystems, the positions of
+        their local elements in ``local_sector`` and their ``local_traces``
+        flattened, read-only; raises the ValueError of ``local_traces``."""
+        traces, position = self.local_traces, {a: k for k, a in enumerate(self.local_sector)}
+        layout = []
+        for q in sorted(set(self.shape.dims)):
+            members = [i for i, d_i in enumerate(self.shape.dims) if d_i == q]
+            pos = [[position[a] for a in self.local_blocks[i]] for i in members]
+            stack = [traces[i].reshape(q * q - 1, -1) for i in members]
+            layout.append((q, *(_readonly(np.array(a)) for a in (members, pos, stack))))
+        return tuple(layout)
+
+    def local_marginals(self, mu_local) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per local dimension q, its subsystems i and the (n_q, q, q) stack of
+        their marginals rho_i = I/q + sum_{alpha in L_i} mu_alpha tr_{-i} F_alpha,
+        from local mean parameters ``mu_local`` (``local_sector`` order) in one product."""
+        return [
+            (members, (mu_local[pos][:, None, :] @ traces).reshape(-1, q, q) + np.eye(q) / q)
+            for q, members, pos, traces in self._marginal_layout
+        ]
+
     def local_indices(self, subsystem: int | None = None) -> np.ndarray:
         return np.flatnonzero([len(s) == 1 and subsystem in (None, *s) for s in self._supports])
 

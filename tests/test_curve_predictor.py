@@ -3,7 +3,7 @@
 ``integrate`` predicts each curve point by the cubic Hermite interpolant in
 s = e^x through a solved point and its neighbour (``_predicted_step``), reads
 each sample's marginal entropies from the local mean parameters
-(``_local_marginal_entropies``), and the constraint geometry reads its
+(``OperatorBasis.local_marginals``), and the constraint geometry reads its
 gradient and Hessian through one centred direction U^dag (K(g) - (g . mu) I) U,
 g = dC/dmu_L (``_centred_direction``).  The oracles: the first-order step, a
 run solved at a 1e-13 Newton tolerance, ``marginal_entropies`` of each state,
@@ -27,16 +27,12 @@ from entroflow import (
     make_point,
     marginal_entropies,
     product_basis,
+    random_hermitian,
 )
 from entroflow.constraint import _centred_direction, marginal_eigh
-from entroflow.flow import (
-    SAMPLES,
-    _CurvePoint,
-    _hermite_root,
-    _local_marginal_entropies,
-    _marginal_monitor,
-    _predicted_step,
-)
+from entroflow.flow import SAMPLES, _CurvePoint, _hermite_root, _predicted_step
+from entroflow.operators import marginals
+from entroflow.states import _stack_entropies
 from tests.reference_geometry import kron_log_sum
 from tests.test_kronecker_contractions import SHAPES, rotated_basis
 
@@ -182,9 +178,18 @@ def test_curved_run_matches_a_tightly_solved_run(seed):
         assert np.abs(getattr(default, name) - getattr(tight, name)).max() <= bound, name
 
 
+def local_entropies(basis, mu_local):
+    """h_i of every subsystem from the stacks of ``local_marginals``, as
+    ``integrate`` records them."""
+    out = np.empty(basis.shape.n_subsystems)
+    for members, rho in basis.local_marginals(mu_local):
+        out[members] = _stack_entropies(rho)
+    return out
+
+
 def bases():
     rng = np.random.default_rng(29)
-    for dims in SHAPES:
+    for dims in SHAPES + [[2, 2, 3]]:  # [2,2,3]: a group of two beside a group of one
         yield product_basis(dims)
     full = product_basis([2, 3])
     keep = np.concatenate([full.local_sector, full.correlation_indices()[::2]])
@@ -197,11 +202,11 @@ def test_marginal_logs_and_monitor_match_their_oracles(basis):
     """At random points: U v_t U^dag for the centred direction v_t equals
     tr(rho Lambda) I - Lambda for the embed_local sum Lambda to 1e-13, the
     geometry's shared v_t gives the gradient and Hessian of the standalone
-    calls bit for bit, and the marginal entropies read from mu_L match
-    ``marginal_entropies`` of rho to 1e-14."""
+    calls bit for bit, and the marginals ``local_marginals`` reads from mu_L
+    match the partial traces of rho, their entropies ``marginal_entropies``
+    of rho and their spectra ``marginal_eigh``, to 1e-14."""
     rng = np.random.default_rng(7)
     local = basis.local_sector
-    monitor = _marginal_monitor(basis, local)
     for scale in (0.3, 1.5):
         point = make_point(scale * rng.normal(size=basis.size) / math.sqrt(basis.size), basis)
         spectra = marginal_eigh(point)
@@ -212,8 +217,13 @@ def test_marginal_logs_and_monitor_match_their_oracles(basis):
         geom = constraint_geometry(point, include_hessian=True)
         np.testing.assert_array_equal(geom.grad, constraint_gradient(point))
         np.testing.assert_array_equal(geom.hessian, constraint_hessian(point))
-        got = _local_marginal_entropies(point.mu[local], monitor)
+        got = local_entropies(basis, point.mu[local])
         assert np.abs(got - marginal_entropies(point.rho, basis.shape)).max() <= 1e-14
+        traced = marginals(point.rho, basis.shape)
+        for members, rho in basis.local_marginals(point.mu[local]):
+            for i, rho_i in zip(members, rho):
+                assert np.abs(rho_i - traced[i]).max() <= 1e-14
+                assert np.abs(np.linalg.eigvalsh(rho_i) - spectra[i][0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("dims", [[2, 3], [2, 2, 2, 2]])
@@ -227,10 +237,27 @@ def test_sample_monitor_matches_each_samples_state(dims):
     assert np.abs(traj.marginals - expected).max() <= 1e-13
 
 
+def test_reversible_only_run_reads_its_marginals_from_mu_L():
+    """A reversible-only [2,2,3] run, xi blocks on a qubit and the qutrit,
+    records at every sample the marginal entropies of its start state to
+    1e-14: its h_i come from mu_L(theta0) through both groups of
+    ``local_marginals``, not from a partial trace."""
+    basis = product_basis([2, 2, 3])
+    rng = np.random.default_rng(11)
+    theta0 = 0.4 * rng.normal(size=basis.size)
+    xi_parts = ((0, random_hermitian(2, rng)), (2, random_hermitian(3, rng)))
+    traj = integrate(
+        theta0, basis, FlowConfig(xi_parts=xi_parts), clock="game", duration=2.0, kind="reversible"
+    )
+    assert traj.n_samples == SAMPLES + 1 == 9
+    expected = marginal_entropies(make_point(theta0, basis).rho, basis.shape)
+    assert np.abs(traj.marginals - expected).max() <= 1e-14
+
+
 def test_sample_monitor_keeps_the_eigenvalue_floor():
     """mu_L far outside the marginal polytope gives a marginal eigenvalue
     below EIG_CLIP_FLOOR, which raises as ``marginal_entropies`` does."""
     basis = product_basis([2, 2])
     local = basis.local_sector
     with pytest.raises(ValueError, match="round-off floor"):
-        _local_marginal_entropies(np.full(local.size, 5.0), _marginal_monitor(basis, local))
+        local_entropies(basis, np.full(local.size, 5.0))

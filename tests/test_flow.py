@@ -745,16 +745,16 @@ def test_integrate_conservation_monitors_each_subsystem(qutrit_pair, monkeypatch
     must still abort on the subsystem that moved."""
     shape, basis = qutrit_pair
     theta0 = origin_point(shape, basis, EPS).theta
-    real = entroflow.flow._local_marginal_entropies
+    real = entroflow.flow._stack_entropies
     delta = 1e-5
     calls = []
 
-    def drifting(mu, monitor):
-        h = real(mu, monitor)
+    def drifting(rho):  # both qutrits form one group of local_marginals
+        h = real(rho)
         calls.append(None)
         return h if len(calls) == 1 else h + np.array([delta, -delta])
 
-    monkeypatch.setattr(entroflow.flow, "_local_marginal_entropies", drifting)
+    monkeypatch.setattr(entroflow.flow, "_stack_entropies", drifting)
     cfg = FlowConfig(conservation_tol=1e-6)
     with pytest.raises(ConservationError) as exc_info:
         integrate(theta0, basis, cfg, clock="game", duration=0.5)
